@@ -19,10 +19,12 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Union
 
-from ._backend import kernel
 from .rational import format_rational, parse_rational
+
+MAX_ORBIT_STEPS = 1 << 32
 
 
 class DomainError(ValueError):
@@ -33,6 +35,18 @@ def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return parse_rational(value)
+
+
+def _piece_lines(knots, left_slope, right_slope):
+    """(slope, intercept) per affine piece of a nonempty knot list, tails included."""
+    x0, y0 = knots[0]
+    lines = [(left_slope, y0 - left_slope * x0)]
+    for (xa, ya), (xb, yb) in zip(knots, knots[1:]):
+        a = (yb - ya) / (xb - xa)
+        lines.append((a, ya - a * xa))
+    xm, ym = knots[-1]
+    lines.append((right_slope, ym - right_slope * xm))
+    return lines
 
 
 def _canonicalize(knots, left_slope, right_slope):
@@ -47,14 +61,7 @@ def _canonicalize(knots, left_slope, right_slope):
             raise ValueError("a map without knots must be the identity; got tail slopes "
                              f"{left_slope}, {right_slope}")
         return (), Fraction(1), Fraction(1)
-    lines = []  # (slope, intercept) per piece, len(knots) + 1 entries
-    x0, y0 = knots[0]
-    lines.append((left_slope, y0 - left_slope * x0))
-    for (xa, ya), (xb, yb) in zip(knots, knots[1:]):
-        a = (yb - ya) / (xb - xa)
-        lines.append((a, ya - a * xa))
-    xm, ym = knots[-1]
-    lines.append((right_slope, ym - right_slope * xm))
+    lines = _piece_lines(knots, left_slope, right_slope)
     kept = tuple(knots[i] for i in range(len(knots)) if lines[i] != lines[i + 1])
     if not kept:
         a, b = lines[0]
@@ -124,18 +131,13 @@ class PLAutomorphism:
         """(slope, intercept) per affine piece, tails included."""
         if not self.knots:
             return [(Fraction(1), Fraction(0))]
-        lines = []
-        x0, y0 = self.knots[0]
-        lines.append((self.left_slope, y0 - self.left_slope * x0))
-        for (xa, ya), (xb, yb) in zip(self.knots, self.knots[1:]):
-            a = (yb - ya) / (xb - xa)
-            lines.append((a, ya - a * xa))
-        xm, ym = self.knots[-1]
-        lines.append((self.right_slope, ym - self.right_slope * xm))
-        return lines
+        return _piece_lines(self.knots, self.left_slope, self.right_slope)
 
     @cached_property
     def _table(self):
+        """Knot x-coordinates and piece lines as lists of ints:
+        ``(bxn, bxd, an, ad, bn, bd)``.  Piece p is ``y = a[p] x + b[p]`` and
+        covers ``[bx[p-1], bx[p]]``; denominators are positive."""
         bxn = [x.numerator for x, _ in self.knots]
         bxd = [x.denominator for x, _ in self.knots]
         an, ad, bn, bd = [], [], [], []
@@ -154,10 +156,48 @@ class PLAutomorphism:
             1 / self.right_slope,
         )
 
+    def _image(self, xn: int, xd: int):
+        """Image of xn/xd (xd > 0) as an unreduced pair with positive denominator.
+
+        A binary search over the knots picks the piece; adjacent pieces agree
+        at a shared knot, so which one a knot falls in does not matter.
+        """
+        bxn, bxd, an, ad, bn, bd = self._table
+        lo = 0
+        hi = len(bxn)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if bxn[mid] * xd < xn * bxd[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return an[lo] * xn * bd[lo] + bn[lo] * ad[lo] * xd, ad[lo] * xd * bd[lo]
+
     def forward(self, q: Fraction) -> Fraction:
         q = _frac(q)
-        n, d = kernel.pl_eval(self._table, q.numerator, q.denominator)
-        return Fraction(n, d)
+        return Fraction(*self._image(q.numerator, q.denominator))
+
+    def _orbit_until(self, start: Fraction, gamma: Fraction, up: bool):
+        """Iterate from start to the first iterate past gamma.
+
+        Past means above gamma when ``up``, at or below it otherwise.  Returns
+        ``(steps, previous iterate, first iterate past gamma)``.  Raises
+        ValueError on an exact fixed point, which means gamma is not in the
+        orbit's component, or after ``MAX_ORBIT_STEPS`` steps.
+        """
+        pn, pd = start.numerator, start.denominator
+        gn, gd = gamma.numerator, gamma.denominator
+        for steps in range(1, MAX_ORBIT_STEPS + 1):
+            cn, cd = self._image(pn, pd)
+            common = gcd(cn, cd)
+            cn //= common
+            cd //= common
+            if cn == pn and cd == pd:
+                raise ValueError("fixed point reached during orbit iteration")
+            if (cn * gd > gn * cd) == up:
+                return steps, Fraction(pn, pd), Fraction(cn, cd)
+            pn, pd = cn, cd
+        raise ValueError(f"orbit iteration exceeded {MAX_ORBIT_STEPS} steps")
 
     def backward(self, q: Fraction) -> Fraction:
         return self._inverse.forward(q)
@@ -290,16 +330,10 @@ def power(f, n: int):
             sq = compose(sq, sq)
 
     def fwd(q, f=f, n=n):
-        step = f.forward if n > 0 else f.backward
-        for _ in range(abs(n)):
-            q = step(q)
-        return q
+        return apply_power(f, n, q)
 
     def bwd(q, f=f, n=n):
-        step = f.backward if n > 0 else f.forward
-        for _ in range(abs(n)):
-            q = step(q)
-        return q
+        return apply_power(f, -n, q)
 
     return ProceduralAutomorphism(fwd, bwd, f"power({n})")
 

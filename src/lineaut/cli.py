@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -42,6 +43,19 @@ EXIT_VERIFICATION_FAILED = 3
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads negative rationals such as ``-3/2`` as values, not as options.
+
+    argparse treats an argument that starts with ``-`` as an option unless it
+    looks like a negative number, and by default only integers and decimals
+    do.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _load_pl(path: str) -> PLAutomorphism:
@@ -244,7 +258,7 @@ def _add_sample_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lineaut",
         description="Exact analysis and equation solving for order-automorphisms "
                     "of the line (composition is left to right).")
@@ -312,14 +326,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_index(argv) -> int:
+    """Position of the subcommand: the first argument that is neither a
+    global option nor the value of ``--output``."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        takes_value = len(argv[i]) > 2 and "--output".startswith(argv[i])
+        i += 2 if takes_value else 1
+    return i
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    # let color sequences such as "-+-" pass through as positionals
-    if "realize" in argv and "--" not in argv:
-        argv.insert(argv.index("realize") + 1, "--")
+    # let color sequences such as "-+-" or "--" pass through as positionals,
+    # unless the sequence already follows a "--" of its own
+    i = _command_index(argv)
+    rest = argv[i + 1:]
+    if argv[i:i + 1] == ["realize"] and not (len(rest) > 1 and rest[0] == "--"):
+        argv.insert(i + 1, "--")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

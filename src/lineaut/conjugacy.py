@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._backend import kernel
 from .automorphism import (
+    MAX_ORBIT_STEPS,
     DomainError,
     PLAutomorphism,
     ProceduralAutomorphism,
@@ -85,73 +85,43 @@ class OrbitLocation:
     upper: Fraction
 
 
-def _first_image(g, alpha: Fraction, counter: Optional[CallCounter]) -> Fraction:
-    if counter is not None:
-        counter.forward += 1
-    first = g.forward(alpha)
-    if first == alpha:
-        raise ValueError(f"anchor {alpha} is a fixed point; it lies in no component")
-    return first
+def _orientation(increasing: bool, alpha: Fraction, gamma: Fraction):
+    """The one rule for walking an orbit from alpha toward gamma.
+
+    The walk goes up the line iff ``gamma >= alpha``.  It applies g iff that
+    is the orbit's direction, and g^-1 otherwise, and it stops at the first
+    iterate p past gamma: ``(p > gamma) == up``.  Returns ``(up, with_g)``.
+    """
+    up = gamma >= alpha
+    return up, increasing == up
 
 
-def _iterate_until(g, start, gamma, *, use_forward, stop_above, strict, counter):
-    """First iterate past gamma, with the step count; mirrors the kernel loop."""
+def _iterate_until(g, start, gamma, up, use_forward, counter):
+    """Steps from start to the first iterate past gamma, with the last two iterates."""
     if isinstance(g, PLAutomorphism):
-        table = g._table if use_forward else g._inverse._table
-        steps, pn, pd, cn, cd = kernel.pl_orbit_until(
-            table, start.numerator, start.denominator,
-            gamma.numerator, gamma.denominator, stop_above, strict)
-        if counter is not None:
-            if use_forward:
-                counter.forward += steps
-            else:
-                counter.inverse += steps
-        return steps, Fraction(pn, pd), Fraction(cn, cd)
-    step = g.forward if use_forward else g.backward
-    prev = start
-    steps = 0
-    while True:
-        cur = step(prev)
-        steps += 1
-        if counter is not None:
-            if use_forward:
-                counter.forward += 1
-            else:
-                counter.inverse += 1
-        if cur == prev:
-            raise ValueError("fixed point reached during orbit iteration")
-        if stop_above:
-            done = cur > gamma if strict else cur >= gamma
+        walker = g if use_forward else g._inverse
+        steps, prev, cur = walker._orbit_until(start, gamma, up)
+    else:
+        step = g.forward if use_forward else g.backward
+        prev = start
+        for steps in range(1, MAX_ORBIT_STEPS + 1):
+            cur = step(prev)
+            if cur == prev:
+                raise ValueError("fixed point reached during orbit iteration")
+            if (cur > gamma) == up:
+                break
+            prev = cur
         else:
-            done = cur < gamma if strict else cur <= gamma
-        if done:
-            return steps, prev, cur
-        prev = cur
+            raise ValueError(f"orbit iteration exceeded {MAX_ORBIT_STEPS} steps")
+    if counter is not None:
+        if use_forward:
+            counter.forward += steps
+        else:
+            counter.inverse += steps
+    return steps, prev, cur
 
 
-def _locate_linear(g, alpha, gamma, first, increasing, counter) -> OrbitLocation:
-    if increasing:
-        if gamma >= alpha:
-            if gamma < first:
-                return OrbitLocation(0, alpha, first)
-            k, prev, cur = _iterate_until(g, first, gamma, use_forward=True,
-                                          stop_above=True, strict=True, counter=counter)
-            return OrbitLocation(k, prev, cur)
-        j, prev, cur = _iterate_until(g, alpha, gamma, use_forward=False,
-                                      stop_above=False, strict=False, counter=counter)
-        return OrbitLocation(-j, cur, prev)
-    if gamma < alpha:
-        if first <= gamma:
-            return OrbitLocation(0, first, alpha)
-        k, prev, cur = _iterate_until(g, first, gamma, use_forward=True,
-                                      stop_above=False, strict=False, counter=counter)
-        return OrbitLocation(k, cur, prev)
-    j, prev, cur = _iterate_until(g, alpha, gamma, use_forward=False,
-                                  stop_above=True, strict=True, counter=counter)
-    return OrbitLocation(-j, prev, cur)
-
-
-def _ff_search(apply_step, alpha, gamma, pred, counter):
+def _ff_search(apply_step, alpha, pred, counter):
     """Minimal e >= 1 with pred(point(e)); returns (e, point(e-1), point(e)).
 
     Doubling finds the power-of-two bracket, then a nested binary descent
@@ -187,24 +157,6 @@ def _ff_search(apply_step, alpha, gamma, pred, counter):
     return j + 1, pt, hit
 
 
-def _locate_fast_forward(cache, alpha, gamma, increasing, counter) -> OrbitLocation:
-    if increasing:
-        if gamma >= alpha:
-            e, prev, cur = _ff_search(cache.apply, alpha, gamma,
-                                      lambda p: p > gamma, counter)
-            return OrbitLocation(e - 1, prev, cur)
-        e, prev, cur = _ff_search(cache.apply_inverse, alpha, gamma,
-                                  lambda p: p <= gamma, counter)
-        return OrbitLocation(-e, cur, prev)
-    if gamma < alpha:
-        e, prev, cur = _ff_search(cache.apply, alpha, gamma,
-                                  lambda p: p <= gamma, counter)
-        return OrbitLocation(e - 1, cur, prev)
-    e, prev, cur = _ff_search(cache.apply_inverse, alpha, gamma,
-                              lambda p: p > gamma, counter)
-    return OrbitLocation(-e, prev, cur)
-
-
 def _cache_for(g, cache: Optional[FastForwardCache]) -> FastForwardCache:
     if cache is not None:
         return cache
@@ -230,20 +182,35 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     if mode == FAST_FORWARD:
         ff_cache = _cache_for(g, cache)
-        probe = ff_cache.apply(alpha, 0, counter)
-        if probe == alpha:
-            raise ValueError(f"anchor {alpha} is a fixed point; it lies in no component")
-        return _locate_fast_forward(ff_cache, alpha, gamma, probe > alpha, counter)
-    first = _first_image(g, alpha, counter)
-    return _locate_linear(g, alpha, gamma, first, first > alpha, counter)
+        first = ff_cache.apply(alpha, 0, counter)
+    else:
+        if counter is not None:
+            counter.forward += 1
+        first = g.forward(alpha)
+    if first == alpha:
+        raise ValueError(f"anchor {alpha} is a fixed point; it lies in no component")
+    up, with_g = _orientation(first > alpha, alpha, gamma)
+    if mode == FAST_FORWARD:
+        step = ff_cache.apply if with_g else ff_cache.apply_inverse
+        e, prev, cur = _ff_search(step, alpha, lambda p: (p > gamma) == up, counter)
+    elif not with_g:
+        e, prev, cur = _iterate_until(g, alpha, gamma, up, False, counter)
+    elif (first > gamma) == up:
+        e, prev, cur = 1, alpha, first
+    else:
+        e, prev, cur = _iterate_until(g, first, gamma, up, True, counter)
+        e += 1
+    lower, upper = (prev, cur) if up else (cur, prev)
+    return OrbitLocation(e - 1 if with_g else -e, lower, upper)
 
 
 class ComponentOrbit:
     """Lazily cached two-sided anchor orbit inside one support component.
 
     ``point(i)`` is anchor*g^i; ``locate(q)`` returns the block index of q.
-    Points are cached and extended on demand under a lock, so repeated
-    lookups cost amortized O(log) comparisons.
+    Points are cached and extended on demand under a lock, so each orbit
+    point is evaluated once; ``locate`` still scans from index 0 on every
+    call, |index| + O(1) comparisons.
     """
 
     def __init__(self, g, anchor: Fraction):
@@ -278,25 +245,12 @@ class ComponentOrbit:
     def locate(self, q: Fraction) -> int:
         """Index i with point(i) <= q < point(i+1) (mirrored when decreasing)."""
         with self._lock:
-            if self.increasing:
-                if q >= self.anchor:
-                    i = 0
-                    while self.point(i + 1) <= q:
-                        i += 1
-                    return i
-                i = -1
-                while self.point(i) > q:
-                    i -= 1
-                return i
-            if q < self.anchor:
-                i = 0
-                while self.point(i + 1) > q:
-                    i += 1
-                return i
-            i = -1
-            while self.point(i) <= q:
-                i -= 1
-            return i
+            up, with_g = _orientation(self.increasing, self.anchor, q)
+            step = 1 if with_g else -1
+            i = step
+            while (self.point(i) > q) != up:
+                i += step
+            return i - 1 if with_g else i
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphism import PLAutomorphism, compose
+from .terrain import support_decompose
 
 
 @dataclass
@@ -150,9 +151,16 @@ class CostReport:
 
 def measure_locate(g: PLAutomorphism, alpha: Fraction, gamma: Fraction,
                    mode: str = "linear") -> CostReport:
-    """Run orbit location under instrumentation and report exact counts."""
+    """Run orbit location under instrumentation and report exact counts.
+
+    Raises ValueError unless alpha and gamma lie in one support component of
+    g; without that check the walk would run to its step cap.
+    """
     from .conjugacy import orbit_locate
 
+    where = support_decompose(g).locate
+    if where(alpha) != where(gamma):
+        raise ValueError(f"{alpha} and {gamma} lie in different elements of the terrain of g")
     counter = CallCounter()
     location = orbit_locate(g, alpha, gamma, mode=mode, counter=counter)
     return CostReport(mode=mode, index=location.index,

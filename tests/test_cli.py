@@ -36,6 +36,10 @@ def files(tmp_path):
         "bad": write("bad.json", {"knots": [{"x": "0", "y": "1"}, {"x": "1", "y": "0"}],
                                   "left_slope": "1", "right_slope": "1"}),
         "trash": write("trash.json", "]["),
+        "two_signs": write("g.json", {"knots": [{"x": "-6", "y": "-7/2"},
+                                                {"x": "-5/4", "y": "2"},
+                                                {"x": "2", "y": "7/2"}],
+                                      "left_slope": "3/2", "right_slope": "1/2"}),
     }
 
 
@@ -87,6 +91,11 @@ class TestEval:
         code, data = run(["eval", files["t1"], "5/3", "--inverse"])
         assert code == EXIT_OK
         assert data == {"x": "5/3", "y": "2/3"}
+
+    def test_negative_rational_point(self, files):
+        code, data = run(["eval", files["two_signs"], "-3/2"])
+        assert code == EXIT_OK
+        assert data == {"x": "-3/2", "y": "65/38"}
 
 
 class TestConjugate:
@@ -179,6 +188,18 @@ class TestTerrainCatalog:
         code, _ = run(["realize", "00"])
         assert code == EXIT_INPUT_ERROR
 
+    def test_realize_double_minus(self):
+        code, data = run(["realize", "--"])
+        assert code == EXIT_OK
+        assert data["roundtrip"] == "--"
+
+    def test_file_named_realize_is_not_a_command(self, files, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "realize").write_text(open(files["t1"]).read())
+        code, data = run(["eval", "realize", "5/3", "--inverse"])
+        assert code == EXIT_OK
+        assert data == {"x": "5/3", "y": "2/3"}
+
 
 class TestMeasure:
     def test_linear(self, files):
@@ -197,6 +218,18 @@ class TestMeasure:
     def test_fixed_anchor_is_input_error(self, files):
         code, _ = run(["measure", files["identity"], "--alpha", "0", "--gamma", "1"])
         assert code == EXIT_INPUT_ERROR
+
+    def test_negative_rational_anchor(self, files):
+        code, data = run(["measure", files["two_signs"], "--alpha", "-3/2", "--gamma", "1"])
+        assert code == EXIT_OK
+        assert data == {"mode": "linear", "index": 0, "oracle_calls": 1, "ff_steps": 0}
+
+    @pytest.mark.parametrize("mode", ["linear", "fast-forward"])
+    def test_different_components_is_input_error(self, files, mode):
+        code, data = run(["measure", files["two_signs"], "--alpha", "0", "--gamma", "1024",
+                          "--mode", mode])
+        assert code == EXIT_INPUT_ERROR
+        assert data is None
 
 
 class TestDeterminism:

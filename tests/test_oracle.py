@@ -129,3 +129,12 @@ class TestMeasureLocate:
     def test_outside_component_fails(self):
         with pytest.raises(ValueError):
             measure_locate(PLAutomorphism(), F(0), F(1), "linear")
+
+    def test_different_components_rejected(self):
+        # 0 lies in the component +(-11, 5) and 1024 in -(5, inf); the walk
+        # from 0 never passes 1024, so only the terrain check can stop it
+        g = PLAutomorphism(((F(-6), F(-7, 2)), (F(-5, 4), F(2)), (F(2), F(7, 2))),
+                           F(3, 2), F(1, 2))
+        for mode in ("linear", "fast_forward"):
+            with pytest.raises(ValueError, match="different elements"):
+                measure_locate(g, F(0), F(1024), mode)
