@@ -209,8 +209,9 @@ class ComponentOrbit:
 
     ``point(i)`` is anchor*g^i; ``locate(q)`` returns the block index of q.
     Points are cached and extended on demand under a lock, so each orbit
-    point is evaluated once; ``locate`` still scans from index 0 on every
-    call, |index| + O(1) comparisons.
+    point is evaluated once.  ``locate`` bisects over the cached points on
+    q's side of the anchor, O(log) comparisons, and evaluates one new orbit
+    point per step only when q lies past the cache.
     """
 
     def __init__(self, g, anchor: Fraction):
@@ -246,11 +247,24 @@ class ComponentOrbit:
         """Index i with point(i) <= q < point(i+1) (mirrored when decreasing)."""
         with self._lock:
             up, with_g = _orientation(self.increasing, self.anchor, q)
-            step = 1 if with_g else -1
-            i = step
-            while (self.point(i) > q) != up:
-                i += step
-            return i - 1 if with_g else i
+            # The walk's k-th point is point(k) with g, point(-k) with g^-1, and
+            # cached as walk[k - off]; find the least k whose point is past q.
+            # The anchor (k = 0) never is.
+            walk, off = (self._fwd, 0) if with_g else (self._bwd, 1)
+            lo, hi = 0, len(walk) - 1 + off
+            if hi and (walk[hi - off] > q) == up:
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if (walk[mid - off] > q) == up:
+                        hi = mid
+                    else:
+                        lo = mid
+            else:
+                step = 1 if with_g else -1
+                hi += 1
+                while (self.point(step * hi) > q) != up:
+                    hi += 1
+            return hi - 1 if with_g else -hi
 
 
 @dataclass(frozen=True)

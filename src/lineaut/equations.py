@@ -10,7 +10,8 @@ Three families are covered, always over exact rationals:
   ``w = x^e w' x^-e`` is solved through ``w'`` and the substitution
   ``x_u -> x^-e x_u x^e`` undone afterwards, since the direct subdivision
   construction is consistent only for cyclically reduced words.
-* the commutator and n-th-root specializations of the above;
+* commutators and n-th roots, through the conjugacy solver: g^n and g share
+  a terrain, and so do g and g^2, so the conjugators they need always exist;
 * ``x g x = f``, solvable for every pair: on each component of the support
   of fg the solution alternates an affine seed bridge with its inverse along
   the interleaved orbits of two anchors, and equals f on the fixed set of
@@ -35,12 +36,14 @@ from .automorphism import (
     apply_power,
     compose,
     inverse,
+    power,
     reflect,
 )
 from .conjugacy import (
     AffineBridge,
     ComponentOrbit,
     anchor_point,
+    conjugation,
     solve_conjugacy,
     verify_pointwise,
 )
@@ -178,40 +181,32 @@ class _VariableComponent:
         cached = self._gathered.get(i)
         if cached is not None:
             return cached
-        pairs = []
-        for blk in (i - 1, i, i + 1):
-            pairs.extend(self._block_pairs(blk))
-        pairs.sort()
+        pairs = sorted(p for blk in (i - 1, i, i + 1) for p in self._block_pairs(blk))
         for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
             if not (a1 < a2 and b1 < b2):
                 raise RuntimeError(
                     "inconsistent word constraints; the word is not cyclically reduced")
-        self._gathered[i] = pairs
-        return pairs
+        self._gathered[i] = keys = tuple(zip(*pairs))  # (sorted inputs, sorted outputs)
+        return keys
 
     def _check_window(self):
         for i in (-2, 0, 2):
             self._gather(i)
 
     @staticmethod
-    def _interpolate(pairs, q, key):
-        points = [p[key] for p in pairs]
-        pos = bisect.bisect_right(points, q) - 1
-        a_in, a_out = pairs[pos]
-        if key == 1:
-            a_in, a_out = a_out, a_in
-        if a_in == q:
-            return a_out
-        b_in, b_out = pairs[pos + 1]
-        if key == 1:
-            b_in, b_out = b_out, b_in
-        return a_out + (b_out - a_out) * (q - a_in) / (b_in - a_in)
+    def _interpolate(src, dst, q):
+        pos = bisect.bisect_right(src, q) - 1
+        if src[pos] == q:
+            return dst[pos]
+        return dst[pos] + (dst[pos + 1] - dst[pos]) * (q - src[pos]) / (src[pos + 1] - src[pos])
 
     def forward(self, q):
-        return self._interpolate(self._gather(self.sub.orbit.locate(q)), q, 0)
+        ins, outs = self._gather(self.sub.orbit.locate(q))
+        return self._interpolate(ins, outs, q)
 
     def backward(self, q):
-        return self._interpolate(self._gather(self.sub.orbit.locate(q)), q, 1)
+        ins, outs = self._gather(self.sub.orbit.locate(q))
+        return self._interpolate(outs, ins, q)
 
 
 def _dispatch_over_terrain(terrain: Terrain, comp_handlers):
@@ -334,20 +329,23 @@ def solve_word(word: Word, g: PLAutomorphism) -> Assignment:
 
 
 def commutator_decomposition(g: PLAutomorphism):
-    """(x, y) with x^-1 y^-1 x y = g; every automorphism is a commutator."""
-    word = Word(((2, -1), (3, -1), (2, 1), (3, 1)))
-    assignment = solve_word(word, g)
-    return assignment[2], assignment[3]
+    """(x, y) with x^-1 y^-1 x y = g: x = g, and y solves y^-1 g y = g^2."""
+    y = solve_conjugacy(g, compose(g, g))
+    if y is None:
+        raise RuntimeError("g and g^2 share a terrain, so they must be conjugate")
+    return g, y
 
 
 def nth_root(g: PLAutomorphism, n: int):
-    """An x with x^n = g, for any positive n."""
+    """An x with x^n = g, for any positive n: x = h^-1 g h with g = h^-1 g^n h."""
     if n < 1:
         raise ValueError(f"root order must be positive; got {n}")
     if n == 1:
         return g
-    assignment = solve_word(Word(((2, 1),) * n), g)
-    return assignment[2]
+    h = solve_conjugacy(power(g, n), g)
+    if h is None:
+        raise RuntimeError("g^n and g share a terrain, so they must be conjugate")
+    return conjugation(g, h)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lineaut import (
     Color,
@@ -32,6 +35,17 @@ T2 = PLAutomorphism.translation(2)
 IDENT = PLAutomorphism()
 
 COMMUTATOR = Word(((2, -1), (3, -1), (2, 1), (3, 1)))
+
+# Terrain "-+" with boundary -5; the "+" component ends there with slope
+# 58/57, so orbits near -5 are long.
+SLOW_BOUNDARY = PLAutomorphism(((-5, -5), (F(9, 2), F(14, 3)), (5, 6)), F(3, 2), 1)
+SLOW_BOUNDARY_POINTS = (default_samples(61, 0, (support_decompose(SLOW_BOUNDARY),))
+                        + [F(4), F(24, 7), F(8)])
+
+# Isolated fixed point 0 between a "+" and a "-" component.
+ATTRACTING_ZERO = PLAutomorphism(((0, 0),), F(1, 2), F(1, 2))
+SHAPED = {"+0-": realize("+0-"), "-0+0-": realize("-0+0-"), "+-": ATTRACTING_ZERO,
+          "identity": IDENT}
 
 
 def samples_for(*maps, count=80, seed=0):
@@ -94,6 +108,80 @@ class TestComponentOrbit:
                     assert orbit.point(i) <= q < orbit.point(i + 1)
                 else:
                     assert orbit.point(i + 1) <= q < orbit.point(i)
+
+
+def walk_locate(orbit, q):
+    """Reference block index: walk the orbit from the anchor one point at a time."""
+    up = q >= orbit.anchor
+    with_g = orbit.increasing == up
+    step = 1 if with_g else -1
+    i = step
+    while (orbit.point(i) > q) != up:
+        i += step
+    return i - 1 if with_g else i
+
+
+class _Recorder:
+    """Passes evaluations through to g and logs them in order."""
+
+    def __init__(self, g):
+        self.g = g
+        self.calls = []
+
+    def forward(self, q):
+        self.calls.append(("forward", q))
+        return self.g.forward(q)
+
+    def backward(self, q):
+        self.calls.append(("backward", q))
+        return self.g.backward(q)
+
+
+ORBITS = [(PLAutomorphism.translation(c), F(0)) for c in (1, -1, F(1, 2), F(-1, 2))]
+ORBITS += [(SLOW_BOUNDARY, anchor_point(e)) for e in support_decompose(SLOW_BOUNDARY)
+           if e.color is not Color.FIXED]
+
+
+def check_locate_against_walk(g, anchor, queries):
+    """locate agrees with the walk, and both orbits evaluate the same points in order."""
+    fast_g, ref_g = _Recorder(g), _Recorder(g)
+    fast, ref = ComponentOrbit(fast_g, anchor), ComponentOrbit(ref_g, anchor)
+    for q in queries:
+        i = fast.locate(q)
+        assert i == walk_locate(ref, q), (g, anchor, q)
+        lo, hi = sorted((ref.point(i), ref.point(i + 1)))
+        assert lo <= q < hi
+    assert fast_g.calls == ref_g.calls
+
+
+class TestLocateAgainstWalk:
+    def test_cases_cover_both_directions(self):
+        assert {ComponentOrbit(g, anchor).increasing for g, anchor in ORBITS} == {True, False}
+
+    @pytest.mark.parametrize("g, anchor", ORBITS)
+    def test_orbit_points_and_between(self, g, anchor):
+        orbit = ComponentOrbit(g, anchor)
+        pts = [orbit.point(i) for i in range(-12, 13)]
+        queries = pts + [(p + r) / 2 for p, r in zip(pts, pts[1:])]
+        for seed in range(4):
+            random.Random(seed).shuffle(queries)
+            check_locate_against_walk(g, anchor, queries)
+
+    @given(st.sampled_from(ORBITS),
+           st.lists(st.tuples(st.integers(-20, 20),
+                              st.fractions(0, 1, max_denominator=8).filter(lambda t: t < 1)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_known_blocks_in_any_order(self, case, picks):
+        g, anchor = case
+        orbit = ComponentOrbit(g, anchor)
+        queries = []
+        for i, t in picks:
+            lo, hi = sorted((orbit.point(i), orbit.point(i + 1)))
+            q = lo + t * (hi - lo)
+            queries.append(q)
+            assert ComponentOrbit(g, anchor).locate(q) == i
+        check_locate_against_walk(g, anchor, queries)
 
 
 class TestSolveWord:
@@ -171,6 +259,21 @@ class TestCommutator:
         for q in samples_for(g, count=100):
             assert apply_word(COMMUTATOR, assignment, q) == g.forward(q)
 
+    @pytest.mark.parametrize("shape", sorted(SHAPED))
+    def test_shaped_terrains(self, shape):
+        g = SHAPED[shape]
+        x, y = commutator_decomposition(g)
+        assert x is g
+        for q in samples_for(g, count=61):
+            assert apply_word(COMMUTATOR, {2: x, 3: y}, q) == g.forward(q)
+            assert y.backward(y.forward(q)) == q
+
+    def test_slow_boundary_orbit(self):
+        g = SLOW_BOUNDARY
+        x, y = commutator_decomposition(g)
+        for q in SLOW_BOUNDARY_POINTS:
+            assert apply_word(COMMUTATOR, {2: x, 3: y}, q) == g.forward(q)
+
 
 def inverse_chain(x, y, q):
     return y.backward(x.backward(q))
@@ -203,6 +306,21 @@ class TestNthRoot:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             nth_root(T1, 0)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPED))
+    @pytest.mark.parametrize("n", (2, 3, 5))
+    def test_shaped_terrains(self, shape, n):
+        g = SHAPED[shape]
+        r = nth_root(g, n)
+        for q in samples_for(g, count=61):
+            assert apply_word(Word(((2, 1),) * n), {2: r}, q) == g.forward(q)
+            assert r.backward(r.forward(q)) == q
+
+    def test_slow_boundary_orbit(self):
+        g = SLOW_BOUNDARY
+        r = nth_root(g, 5)
+        for q in SLOW_BOUNDARY_POINTS:
+            assert apply_word(Word(((2, 1),) * 5), {2: r}, q) == g.forward(q)
 
 
 class TestSolveXgx:
