@@ -58,7 +58,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
-def _load_pl(path: str) -> PLAutomorphism:
+def _load(path: str, from_json_dict):
+    """Read a JSON file and build a value with the class's ``from_json_dict``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -67,23 +68,16 @@ def _load_pl(path: str) -> PLAutomorphism:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        return PLAutomorphism.from_json_dict(data)
+        return from_json_dict(data)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_word(path: str) -> Word:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return Word.from_json_dict(data)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+def _sample_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"sample count must be at least 1; got {count}")
+    return count
 
 
 def _emit(payload: dict):
@@ -105,7 +99,7 @@ def _mode(args) -> str:
 
 
 def cmd_terrain(args) -> int:
-    g = _load_pl(args.map)
+    g = _load(args.map, PLAutomorphism.from_json_dict)
     terrain = support_decompose(g)
     _emit({"color_sequence": terrain.color_sequence(),
            "terrain": terrain.to_json_dict()})
@@ -113,16 +107,16 @@ def cmd_terrain(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    g = _load_pl(args.map)
-    x = parse_rational(args.point)
+    g = _load(args.map, PLAutomorphism.from_json_dict)
+    x = args.point
     y = g.backward(x) if args.inverse else g.forward(x)
     _emit({"x": format_rational(x), "y": format_rational(y)})
     return EXIT_OK
 
 
 def cmd_conjugate(args) -> int:
-    g = _load_pl(args.g)
-    f = _load_pl(args.f)
+    g = _load(args.g, PLAutomorphism.from_json_dict)
+    f = _load(args.f, PLAutomorphism.from_json_dict)
     h = solve_conjugacy(g, f, mode=_mode(args))
     if h is None:
         _emit({
@@ -145,8 +139,8 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_solve_xgx(args) -> int:
-    g = _load_pl(args.g)
-    f = _load_pl(args.f)
+    g = _load(args.g, PLAutomorphism.from_json_dict)
+    f = _load(args.f, PLAutomorphism.from_json_dict)
     x = solve_xgx(g, f)
     samples = _sample_set(args, g, f, compose(f, g))
 
@@ -163,8 +157,8 @@ def cmd_solve_xgx(args) -> int:
 
 
 def cmd_solve_word(args) -> int:
-    word = _load_word(args.word)
-    g = _load_pl(args.g)
+    word = _load(args.word, Word.from_json_dict)
+    g = _load(args.g, PLAutomorphism.from_json_dict)
     try:
         assignment = solve_word(word, g)
     except ValueError as exc:
@@ -185,7 +179,7 @@ def cmd_solve_word(args) -> int:
 
 
 def cmd_root(args) -> int:
-    g = _load_pl(args.g)
+    g = _load(args.g, PLAutomorphism.from_json_dict)
     if args.n < 1:
         raise InputError("root order must be a positive integer")
     x = nth_root(g, args.n)
@@ -201,7 +195,7 @@ def cmd_root(args) -> int:
 
 
 def cmd_commutator(args) -> int:
-    g = _load_pl(args.g)
+    g = _load(args.g, PLAutomorphism.from_json_dict)
     x, y = commutator_decomposition(g)
     samples = _sample_set(args, g)
     lhs = compose(compose(compose(inverse(x), inverse(y)), x), y)
@@ -239,11 +233,9 @@ def cmd_realize(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    g = _load_pl(args.map)
-    alpha = parse_rational(args.alpha)
-    gamma = parse_rational(args.gamma)
+    g = _load(args.map, PLAutomorphism.from_json_dict)
     try:
-        report = measure_locate(g, alpha, gamma, mode=_mode(args))
+        report = measure_locate(g, args.alpha, args.gamma, mode=_mode(args))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(report.to_json_dict())
@@ -251,7 +243,7 @@ def cmd_measure(args) -> int:
 
 
 def _add_sample_flags(parser):
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
+    parser.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLE_COUNT,
                         help="number of verification sample points")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized part of the sample set")
@@ -273,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a map at a rational point")
     p.add_argument("map")
-    p.add_argument("point")
+    p.add_argument("point", type=parse_rational)
     p.add_argument("--inverse", action="store_true", help="evaluate the inverse map")
     p.set_defaults(func=cmd_eval)
 
@@ -318,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="orbit location cost report")
     p.add_argument("map")
-    p.add_argument("--alpha", required=True, help="orbit anchor")
-    p.add_argument("--gamma", required=True, help="query point")
+    p.add_argument("--alpha", required=True, type=parse_rational, help="orbit anchor")
+    p.add_argument("--gamma", required=True, type=parse_rational, help="query point")
     p.add_argument("--mode", choices=("linear", "fast-forward"), default="linear")
     p.set_defaults(func=cmd_measure)
 

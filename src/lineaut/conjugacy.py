@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .automorphism import (
     MAX_ORBIT_STEPS,
@@ -268,6 +268,35 @@ class ComponentOrbit:
 
 
 @dataclass(frozen=True)
+class OrbitTransport:
+    """A seed map on one anchor block, carried along the orbits.
+
+    ``forward(q) = t_out^i(seed(t_in^-i(q)))`` where ``i = locate_in(q)`` is
+    the index of the t_in-orbit block holding q, and ``backward`` mirrors it
+    with ``locate_out`` and t_out.  ``seed`` (any object with forward and
+    backward) maps the anchor block of t_in onto that of t_out; a locator is
+    any callable returning a block index.  Conjugators (t_in = g, t_out = f,
+    an affine seed), x g x = f pieces (fg, gf, a two-case seed) and the word
+    aligner (W, g, the identity) are all of this form.  An orbit index i
+    costs |i| evaluations of each map, plus whatever locating costs.
+    """
+
+    t_in: object
+    t_out: object
+    seed: object
+    locate_in: Callable[[Fraction], int]
+    locate_out: Callable[[Fraction], int]
+
+    def forward(self, q: Fraction) -> Fraction:
+        i = self.locate_in(q)
+        return apply_power(self.t_out, i, self.seed.forward(apply_power(self.t_in, -i, q)))
+
+    def backward(self, q: Fraction) -> Fraction:
+        i = self.locate_out(q)
+        return apply_power(self.t_in, i, self.seed.backward(apply_power(self.t_out, -i, q)))
+
+
+@dataclass(frozen=True)
 class ComponentPairing:
     """A matched pair of terrain elements with their chosen anchors."""
 
@@ -332,22 +361,20 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
     if mode == FAST_FORWARD:
         g_cache = _cache_for(g, g_cache)
         f_cache = _cache_for(f, f_cache)
+    transport = OrbitTransport(
+        g, f, bridge,
+        lambda q: orbit_locate(g, alpha, q, mode, cache=g_cache).index,
+        lambda q: orbit_locate(f, beta, q, mode, cache=f_cache).index)
 
     def fwd(q):
         if not source.contains(q):
             raise DomainError(f"{q} outside source component {source!r}")
-        loc = orbit_locate(g, alpha, q, mode, cache=g_cache)
-        v = apply_power(g, -loc.index, q)
-        v = bridge.forward(v)
-        return apply_power(f, loc.index, v)
+        return transport.forward(q)
 
     def bwd(q):
         if not target.contains(q):
             raise DomainError(f"{q} outside target component {target!r}")
-        loc = orbit_locate(f, beta, q, mode, cache=f_cache)
-        v = apply_power(f, -loc.index, q)
-        v = bridge.backward(v)
-        return apply_power(g, loc.index, v)
+        return transport.backward(q)
 
     return ProceduralAutomorphism(fwd, bwd, f"component-conjugator({source.color.value})")
 

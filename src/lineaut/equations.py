@@ -13,10 +13,11 @@ Three families are covered, always over exact rationals:
 * commutators and n-th roots, through the conjugacy solver: g^n and g share
   a terrain, and so do g and g^2, so the conjugators they need always exist;
 * ``x g x = f``, solvable for every pair: on each component of the support
-  of fg the solution alternates an affine seed bridge with its inverse along
-  the interleaved orbits of two anchors, and equals f on the fixed set of
-  fg.  Equations ``x^e1 g x^e2 = f`` route to the conjugacy solver when
-  e1 = -e2 and to the xgx machinery otherwise.
+  of fg a two-case seed on the anchor block of fg (the affine bridge below
+  beta*g, f after the inverse bridge above it) is carried along the orbits
+  of fg and gf, and x equals f on the fixed set of fg.  Equations
+  ``x^e1 g x^e2 = f`` route to the conjugacy solver when e1 = -e2 and to
+  the xgx machinery otherwise.
 
 Solutions are procedural: their graphs have infinitely many affine pieces,
 so they are returned as evaluation procedures, never as knot lists.
@@ -30,10 +31,8 @@ from fractions import Fraction
 from typing import Dict
 
 from .automorphism import (
-    DomainError,
     PLAutomorphism,
     ProceduralAutomorphism,
-    apply_power,
     compose,
     inverse,
     power,
@@ -42,12 +41,13 @@ from .automorphism import (
 from .conjugacy import (
     AffineBridge,
     ComponentOrbit,
+    OrbitTransport,
     anchor_point,
     conjugation,
     solve_conjugacy,
     verify_pointwise,
 )
-from .terrain import Color, Terrain, TerrainElement, support_decompose
+from .terrain import Color, Terrain, support_decompose
 
 Assignment = Dict[int, object]  # variable index -> automorphism
 
@@ -232,27 +232,6 @@ def _dispatch_over_terrain(terrain: Terrain, comp_handlers):
     return fwd, bwd
 
 
-class _CoreConjugator:
-    """Per-component bridge from the built word value W onto g.
-
-    W and g share the anchor orbit, so the seed bridge is the identity and
-    a point in block i maps through W^-i then g^i.
-    """
-
-    def __init__(self, orbit: ComponentOrbit, g, word_value):
-        self.orbit = orbit
-        self.g = g
-        self.word_value = word_value
-
-    def forward(self, q):
-        i = self.orbit.locate(q)
-        return apply_power(self.g, i, apply_power(self.word_value, -i, q))
-
-    def backward(self, q):
-        i = self.orbit.locate(q)
-        return apply_power(self.word_value, i, apply_power(self.g, -i, q))
-
-
 def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
     variables = word.variables
     m = len(word)
@@ -277,9 +256,13 @@ def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
         fwd, bwd = _dispatch_over_terrain(terrain, handlers)
         assignment[v] = ProceduralAutomorphism(fwd, bwd, f"word-variable({v})")
 
+    # W and g share each anchor orbit, so the seed is the identity
     word_value = word_automorphism(word, assignment)
-    conjugators = {k: _CoreConjugator(subdivisions[k].orbit, g, word_value)
-                   for k in comp_indices}
+    identity = PLAutomorphism.identity()
+    conjugators = {}
+    for k in comp_indices:
+        locate = subdivisions[k].orbit.locate
+        conjugators[k] = OrbitTransport(word_value, g, identity, locate, locate)
     fwd, bwd = _dispatch_over_terrain(terrain, conjugators)
     y = ProceduralAutomorphism(fwd, bwd, "word-orbit-aligner")
     y_inv = inverse(y)
@@ -348,80 +331,47 @@ def nth_root(g: PLAutomorphism, n: int):
     return conjugation(g, h)
 
 
-@dataclass(frozen=True)
-class XgxSolutionData:
-    """Seed data for x g x = f on one positive component of the support of fg:
-    anchors with alpha*g^-1 < beta < alpha*f and the affine bridge
-    [alpha, beta*g) -> [beta, alpha*f)."""
+class _XgxSeed:
+    """Seed of x g x = f on the anchor block [alpha, alpha*fg) of fg.
 
-    alpha: Fraction
-    beta: Fraction
-    bridge: AffineBridge
-
-
-class _XgxComponentPiece:
-    """Solution piece on one positive component of the support of fg.
-
-    Forward evaluation locates the query between the interleaved orbits of
-    alpha and beta*g under fg and applies one of the two case formulas: pull
-    back with (fg)^-i, cross the bridge (or its inverse via g^-1 and f), and
-    push forward with (gf)^i.
+    It maps that block onto [beta, beta*gf) through the affine bridge
+    [alpha, beta*g) -> [beta, alpha*f) below beta*g, and through g^-1, the
+    inverse bridge and f above it.
     """
 
-    def __init__(self, f, g, fg, gf, source: TerrainElement, target: TerrainElement):
+    def __init__(self, f, g, bridge: AffineBridge):
         self.f = f
         self.g = g
-        self.fg = fg
-        self.gf = gf
-        self.source = source
-        self.target = target
-        alpha = anchor_point(source)
-        lo = g.backward(alpha)
-        hi = f.forward(alpha)
-        if not lo < hi:
-            raise RuntimeError("anchor window collapsed; fg is not positive here")
-        beta = (lo + hi) / 2
-        beta_g = g.forward(beta)
-        alpha_fg = fg.forward(alpha)
-        if not (alpha < beta_g < alpha_fg):
-            raise RuntimeError("interleaving failed; fg is not positive here")
-        self.data = XgxSolutionData(alpha, beta, AffineBridge(alpha, beta_g, beta, hi))
-        self.orbit_alpha = ComponentOrbit(fg, alpha)
-        self.orbit_beta_g = ComponentOrbit(fg, beta_g)
-        self.orbit_beta = ComponentOrbit(gf, beta)
-        self.orbit_alpha_f = ComponentOrbit(gf, hi)
+        self.bridge = bridge
 
-    def case_split(self, q):
-        """(i, first_case): block index and which half-open case holds."""
-        i = self.orbit_alpha.locate(q)
-        return i, q < self.orbit_beta_g.point(i)
+    def forward(self, v):
+        if v < self.bridge.source_hi:
+            return self.bridge.forward(v)
+        return self.f.forward(self.bridge.backward(self.g.backward(v)))
 
-    def forward(self, q):
-        if not self.source.contains(q):
-            raise DomainError(f"{q} outside component {self.source!r}")
-        i, first = self.case_split(q)
-        v = apply_power(self.fg, -i, q)
-        if first:
-            v = self.data.bridge.forward(v)
-        else:
-            v = self.g.backward(v)
-            v = self.data.bridge.backward(v)
-            v = self.f.forward(v)
-        return apply_power(self.gf, i, v)
+    def backward(self, v):
+        if v < self.bridge.target_hi:
+            return self.bridge.backward(v)
+        return self.g.forward(self.bridge.forward(self.f.backward(v)))
 
-    def backward(self, q):
-        if not self.target.contains(q):
-            raise DomainError(f"{q} outside component {self.target!r}")
-        i = self.orbit_beta.locate(q)
-        first = q < self.orbit_alpha_f.point(i)
-        v = apply_power(self.gf, -i, q)
-        if first:
-            v = self.data.bridge.backward(v)
-        else:
-            v = self.f.backward(v)
-            v = self.data.bridge.forward(v)
-            v = self.g.forward(v)
-        return apply_power(self.fg, i, v)
+
+def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
+    """Solution piece on the positive component of the support of fg holding
+    alpha: the seed carried along the orbits of fg and gf.  The anchor beta
+    lies between alpha*g^-1 and alpha*f, so the orbits of alpha and beta*g
+    under fg interleave.  A point in block i lies below (beta*g)(fg)^i
+    exactly when its pull-back by (fg)^-i lies below beta*g."""
+    lo = g.backward(alpha)
+    hi = f.forward(alpha)
+    if not lo < hi:
+        raise RuntimeError("anchor window collapsed; fg is not positive here")
+    beta = (lo + hi) / 2
+    beta_g = g.forward(beta)
+    if not (alpha < beta_g < fg.forward(alpha)):
+        raise RuntimeError("interleaving failed; fg is not positive here")
+    seed = _XgxSeed(f, g, AffineBridge(alpha, beta_g, beta, hi))
+    return OrbitTransport(fg, gf, seed, ComponentOrbit(fg, alpha).locate,
+                          ComponentOrbit(gf, beta).locate)
 
 
 class _XgxReflectedPiece:
@@ -433,14 +383,10 @@ class _XgxReflectedPiece:
     for the original equation.
     """
 
-    def __init__(self, f, g, source: TerrainElement, target: TerrainElement):
+    def __init__(self, f, g, alpha: Fraction):
         rf = reflect(f)
         rg = reflect(g)
-        rfg = compose(rf, rg)
-        rgf = compose(rg, rf)
-        r_source = TerrainElement(Color.POS, -source.hi, -source.lo)
-        r_target = TerrainElement(Color.POS, -target.hi, -target.lo)
-        self.inner = _XgxComponentPiece(rf, rg, rfg, rgf, r_source, r_target)
+        self.inner = _xgx_piece(rf, rg, compose(rf, rg), compose(rg, rf), -alpha)
 
     def forward(self, q):
         return -self.inner.forward(-q)
@@ -449,26 +395,13 @@ class _XgxReflectedPiece:
         return -self.inner.backward(-q)
 
 
-class _XgxFixedPiece:
-    """On fixed intervals of fg the solution is f itself."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def forward(self, q):
-        return self.f.forward(q)
-
-    def backward(self, q):
-        return self.f.backward(q)
-
-
 def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:
     """An x with x g x = f (left-to-right composition); always solvable.
 
     The terrain of fg is walked element by element: positive components get
-    the two-case interleaved-orbit construction, negative ones the same
-    construction conjugated by the flip t -> -t, and on fixed points of fg
-    (including isolated ones) x equals f.
+    the two-case seed carried along the orbits of fg and gf, negative ones
+    the same construction conjugated by the flip t -> -t, and on fixed points
+    of fg (including isolated ones) x equals f.
     """
     fg = compose(f, g)
     gf = compose(g, f)
@@ -478,13 +411,13 @@ def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:
         raise RuntimeError("fg and gf must have isomorphic terrains")
 
     pieces = []
-    for efg, egf in zip(terrain_fg, terrain_gf):
+    for efg in terrain_fg:
         if efg.color is Color.FIXED:
-            pieces.append(_XgxFixedPiece(f))
+            pieces.append(f)
         elif efg.color is Color.POS:
-            pieces.append(_XgxComponentPiece(f, g, fg, gf, efg, egf))
+            pieces.append(_xgx_piece(f, g, fg, gf, anchor_point(efg)))
         else:
-            pieces.append(_XgxReflectedPiece(f, g, efg, egf))
+            pieces.append(_XgxReflectedPiece(f, g, anchor_point(efg)))
 
     def fwd(q):
         kind, k = terrain_fg.locate(q)

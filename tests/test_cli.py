@@ -51,6 +51,14 @@ def run(argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def usage_error_code(argv, capsys):
+    """Exit code of an argument that argparse rejects, with nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert capsys.readouterr().out == ""
+    return exc.value.code
+
+
 class TestTerrain:
     def test_identity(self, files):
         code, data = run(["terrain", files["identity"]])
@@ -97,6 +105,9 @@ class TestEval:
         assert code == EXIT_OK
         assert data == {"x": "-3/2", "y": "65/38"}
 
+    def test_malformed_point_is_usage_error(self, files, capsys):
+        assert usage_error_code(["eval", files["t1"], "abc"], capsys) == EXIT_INPUT_ERROR
+
 
 class TestConjugate:
     def test_translations(self, files):
@@ -122,6 +133,11 @@ class TestConjugate:
                           "--samples", "20", "--mode", "fast-forward"])
         assert code == EXIT_OK
         assert data["verification"]["verified"] is True
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_sample_count_below_one_is_usage_error(self, files, capsys, count):
+        argv = ["conjugate", files["t2"], files["t1"], "--samples", count]
+        assert usage_error_code(argv, capsys) == EXIT_INPUT_ERROR
 
 
 class TestSolvers:
@@ -223,6 +239,11 @@ class TestMeasure:
         code, data = run(["measure", files["two_signs"], "--alpha", "-3/2", "--gamma", "1"])
         assert code == EXIT_OK
         assert data == {"mode": "linear", "index": 0, "oracle_calls": 1, "ff_steps": 0}
+
+    @pytest.mark.parametrize("alpha, gamma", [("x", "1"), ("0", "1/0")])
+    def test_malformed_rational_is_usage_error(self, files, capsys, alpha, gamma):
+        argv = ["measure", files["t1"], "--alpha", alpha, "--gamma", gamma]
+        assert usage_error_code(argv, capsys) == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize("mode", ["linear", "fast-forward"])
     def test_different_components_is_input_error(self, files, mode):

@@ -12,6 +12,7 @@ from lineaut import (
     Subdivision,
     Word,
     anchor_point,
+    apply_power,
     apply_word,
     commutator_decomposition,
     compose,
@@ -354,27 +355,47 @@ class TestSolveXgx:
                 assert x.forward(g.forward(x.forward(q))) == f.forward(q)
 
     def test_case_partition_soundness(self, rng):
-        # exactly one of the two half-open case conditions holds per sample
-        from lineaut.equations import _XgxComponentPiece
+        # the seed splits its anchor block [alpha, alpha fg) at beta g; pulled
+        # back by (fg)^-i, a point of block i falls on the side of beta g that
+        # the point itself falls on of (beta g)(fg)^i
+        from lineaut.equations import _xgx_piece
 
-        f, g = PLAutomorphism.translation(3), random_pl(rng, max_knots=2)
-        fg = compose(f, g)
-        terrain = support_decompose(fg)
-        pos = [k for k, e in enumerate(terrain) if e.color is Color.POS]
-        terrain_gf = support_decompose(compose(g, f))
-        for k in pos:
-            piece = _XgxComponentPiece(f, g, fg, compose(g, f), terrain[k], terrain_gf[k])
-            for q in samples_for(fg, count=40):
-                if not terrain[k].contains(q):
+        f = PLAutomorphism.translation(3)
+        pairs = [(f, random_pl(rng, max_knots=2))]
+        pairs += [(f, compose(inverse(f), realize(seq))) for seq in ("+-+", "+0-+")]
+        checked = 0
+        for f, g in pairs:
+            fg, gf = compose(f, g), compose(g, f)
+            for elem in support_decompose(fg):
+                if elem.color is not Color.POS:
                     continue
-                i, first = piece.case_split(q)
-                a_i = piece.orbit_alpha.point(i)
-                a_next = piece.orbit_alpha.point(i + 1)
-                b_i = piece.orbit_beta_g.point(i)
-                in_first = a_i <= q < b_i
-                in_second = b_i <= q < a_next
-                assert in_first != in_second
-                assert first == in_first
+                alpha = anchor_point(elem)
+                piece = _xgx_piece(f, g, fg, gf, alpha)
+                seed, bridge = piece.seed, piece.seed.bridge
+                beta, beta_g, alpha_f = bridge.target_lo, bridge.source_hi, bridge.target_hi
+                alpha_fg, beta_gf = fg.forward(alpha), gf.forward(beta)
+                assert alpha_f == f.forward(alpha)
+                assert seed.forward(alpha) == beta
+                assert bridge.forward(beta_g) == alpha_f  # first case, at its end
+                assert seed.forward(beta_g) == alpha_f  # second case
+                for q in samples_for(fg, count=120):
+                    if not elem.contains(q):
+                        continue
+                    i = piece.locate_in(q)
+                    v = apply_power(fg, -i, q)
+                    assert alpha <= v < alpha_fg
+                    first = q < apply_power(fg, i, beta_g)
+                    assert first == (v < beta_g)
+                    w = seed.forward(v)
+                    if first:
+                        assert w == bridge.forward(v)
+                    else:
+                        assert w == f.forward(bridge.backward(g.backward(v)))
+                    assert beta <= w < beta_gf
+                    assert (w < alpha_f) == first
+                    assert seed.backward(w) == v
+                    checked += 1
+        assert checked >= 20
 
     def test_fixed_point_rule(self, rng):
         # where fg fixes q, the solution equals f there and the equation holds
