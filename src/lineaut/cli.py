@@ -255,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis and equation solving for order-automorphisms "
                     "of the line (composition is left to right).")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--output", choices=("json",), default="json",
-                        help="output format (JSON only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("terrain", help="support decomposition and color sequence")
@@ -319,12 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_index(argv) -> int:
-    """Position of the subcommand: the first argument that is neither a
-    global option nor the value of ``--output``."""
+    """Position of the subcommand: the first argument that is not a global option."""
     i = 0
     while i < len(argv) and argv[i].startswith("-"):
-        takes_value = len(argv[i]) > 2 and "--output".startswith(argv[i])
-        i += 2 if takes_value else 1
+        i += 1
     return i
 
 

@@ -33,7 +33,7 @@ from .automorphism import (
 )
 from .oracle import CallCounter, FastForwardCache, InstrumentedOracle
 from .rational import is_finite
-from .terrain import Color, TerrainElement, support_decompose
+from .terrain import Color, Terrain, TerrainElement, support_decompose
 
 LINEAR = "linear"
 FAST_FORWARD = "fast_forward"
@@ -64,11 +64,6 @@ class AffineBridge:
         return self.source_lo + (q - self.target_lo) / self.slope
 
     __call__ = forward
-
-
-def affine_bridge(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> AffineBridge:
-    """The affine order bijection [a, b) -> [c, d)."""
-    return AffineBridge(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -296,24 +291,6 @@ class OrbitTransport:
         return apply_power(self.t_in, i, self.seed.backward(apply_power(self.t_out, -i, q)))
 
 
-@dataclass(frozen=True)
-class ComponentPairing:
-    """A matched pair of terrain elements with their chosen anchors."""
-
-    source: TerrainElement
-    target: TerrainElement
-    source_anchor: Optional[Fraction] = None
-    target_anchor: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.source.color is not self.target.color:
-            raise ValueError("paired elements must share a color")
-        for elem, anchor in ((self.source, self.source_anchor),
-                             (self.target, self.target_anchor)):
-            if anchor is not None and not elem.contains(anchor):
-                raise ValueError(f"anchor {anchor} outside element {elem!r}")
-
-
 def anchor_point(element: TerrainElement) -> Fraction:
     """Deterministic anchor: midpoint of bounded elements, finite endpoint
     plus/minus 1 for half-unbounded ones, 0 for the whole line."""
@@ -446,31 +423,39 @@ def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
     g_cache = FastForwardCache(g) if mode == FAST_FORWARD else None
     f_cache = FastForwardCache(f) if mode == FAST_FORWARD else None
     pieces = []
-    pairings = []
     for eg, ef in zip(terrain_g, terrain_f):
         if eg.color is Color.FIXED:
-            pairings.append(ComponentPairing(eg, ef))
             pieces.append(conjugate_on_fixed(eg, ef))
         else:
-            alpha = anchor_point(eg)
-            beta = anchor_point(ef)
-            pairings.append(ComponentPairing(eg, ef, alpha, beta))
-            pieces.append(conjugate_on_component(g, f, eg, ef, alpha, beta, mode,
-                                                 g_cache, f_cache))
+            pieces.append(conjugate_on_component(g, f, eg, ef, anchor_point(eg),
+                                                 anchor_point(ef), mode, g_cache, f_cache))
+    return _by_terrain(terrain_g, terrain_f, pieces,
+                       f"conjugator({terrain_g.color_sequence()})")
+
+
+def _by_terrain(terrain_in: Terrain, terrain_out: Terrain, pieces,
+                description: str) -> ProceduralAutomorphism:
+    """The map that sends element k of terrain_in through ``pieces[k]``.
+
+    The isolated fixed point after element k of terrain_in goes to the one
+    after element k of terrain_out, and backward mirrors both rules.  This is
+    exact whenever piece k maps element k onto element k, as conjugators,
+    x g x = f solutions (fg to gf) and the word maps (g to itself) all do.
+    """
 
     def fwd(q):
-        kind, k = terrain_g.locate(q)
+        kind, k = terrain_in.locate(q)
         if kind == "element":
             return pieces[k].forward(q)
-        return terrain_f[k].hi  # isolated fixed point maps to its counterpart
+        return terrain_out[k].hi
 
     def bwd(q):
-        kind, k = terrain_f.locate(q)
+        kind, k = terrain_out.locate(q)
         if kind == "element":
             return pieces[k].backward(q)
-        return terrain_g[k].hi
+        return terrain_in[k].hi
 
-    return ProceduralAutomorphism(fwd, bwd, f"conjugator({terrain_g.color_sequence()})")
+    return ProceduralAutomorphism(fwd, bwd, description)
 
 
 def verify_pointwise(lhs, rhs, samples) -> bool:

@@ -13,11 +13,11 @@ Three families are covered, always over exact rationals:
 * commutators and n-th roots, through the conjugacy solver: g^n and g share
   a terrain, and so do g and g^2, so the conjugators they need always exist;
 * ``x g x = f``, solvable for every pair: on each component of the support
-  of fg a two-case seed on the anchor block of fg (the affine bridge below
-  beta*g, f after the inverse bridge above it) is carried along the orbits
-  of fg and gf, and x equals f on the fixed set of fg.  Equations
-  ``x^e1 g x^e2 = f`` route to the conjugacy solver when e1 = -e2 and to
-  the xgx machinery otherwise.
+  of fg a two-case seed on the anchor block of fg (the affine bridge on
+  alpha's side of beta*g, f after the inverse bridge on the other side) is
+  carried along the orbits of fg and gf, and x equals f on the fixed set of
+  fg.  Equations ``x^e1 g x^e2 = f`` route to the conjugacy solver when
+  e1 = -e2 and to the xgx machinery otherwise.
 
 Solutions are procedural: their graphs have infinitely many affine pieces,
 so they are returned as evaluation procedures, never as knot lists.
@@ -36,18 +36,18 @@ from .automorphism import (
     compose,
     inverse,
     power,
-    reflect,
 )
 from .conjugacy import (
     AffineBridge,
     ComponentOrbit,
     OrbitTransport,
+    _by_terrain,
     anchor_point,
     conjugation,
     solve_conjugacy,
     verify_pointwise,
 )
-from .terrain import Color, Terrain, support_decompose
+from .terrain import Color, support_decompose
 
 Assignment = Dict[int, object]  # variable index -> automorphism
 
@@ -209,29 +209,6 @@ class _VariableComponent:
         return self._interpolate(outs, ins, q)
 
 
-def _dispatch_over_terrain(terrain: Terrain, comp_handlers):
-    """forward/backward pair dispatching queries to per-component handlers.
-
-    ``comp_handlers`` maps terrain element index -> object with
-    forward/backward; everything else (fixed elements, isolated boundary
-    points) is handled by the identity.
-    """
-
-    def fwd(q):
-        kind, k = terrain.locate(q)
-        if kind == "element" and k in comp_handlers:
-            return comp_handlers[k].forward(q)
-        return q
-
-    def bwd(q):
-        kind, k = terrain.locate(q)
-        if kind == "element" and k in comp_handlers:
-            return comp_handlers[k].backward(q)
-        return q
-
-    return fwd, bwd
-
-
 def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
     variables = word.variables
     m = len(word)
@@ -240,33 +217,29 @@ def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
         return {v: g if e == 1 else inverse(g)}
 
     terrain = support_decompose(g)
-    comp_indices = [k for k, e in enumerate(terrain) if e.color is not Color.FIXED]
-    if not comp_indices:
-        return {v: PLAutomorphism.identity() for v in variables}
+    identity = PLAutomorphism.identity()
+    subdivisions = {k: Subdivision(ComponentOrbit(g, anchor_point(e)), m)
+                    for k, e in enumerate(terrain) if e.color is not Color.FIXED}
+    if not subdivisions:
+        return {v: identity for v in variables}
 
-    subdivisions = {}
-    for k in comp_indices:
-        orbit = ComponentOrbit(g, anchor_point(terrain[k]))
-        subdivisions[k] = Subdivision(orbit, m)
+    def on_components(piece, description):
+        # the identity on the fixed set of g
+        pieces = [piece(subdivisions[k]) if k in subdivisions else identity
+                  for k in range(len(terrain))]
+        return _by_terrain(terrain, terrain, pieces, description)
 
     assignment: Assignment = {}
     for v in variables:
         positions = [(j, e) for j, (var, e) in enumerate(word.letters, start=1) if var == v]
-        handlers = {k: _VariableComponent(positions, subdivisions[k]) for k in comp_indices}
-        fwd, bwd = _dispatch_over_terrain(terrain, handlers)
-        assignment[v] = ProceduralAutomorphism(fwd, bwd, f"word-variable({v})")
+        assignment[v] = on_components(lambda sub: _VariableComponent(positions, sub),
+                                      f"word-variable({v})")
 
     # W and g share each anchor orbit, so the seed is the identity
     word_value = word_automorphism(word, assignment)
-    identity = PLAutomorphism.identity()
-    conjugators = {}
-    for k in comp_indices:
-        locate = subdivisions[k].orbit.locate
-        conjugators[k] = OrbitTransport(word_value, g, identity, locate, locate)
-    fwd, bwd = _dispatch_over_terrain(terrain, conjugators)
-    y = ProceduralAutomorphism(fwd, bwd, "word-orbit-aligner")
-    y_inv = inverse(y)
-    return {v: compose(compose(y_inv, assignment[v]), y) for v in variables}
+    y = on_components(lambda sub: OrbitTransport(word_value, g, identity, sub.orbit.locate,
+                                                 sub.orbit.locate), "word-orbit-aligner")
+    return {v: conjugation(assignment[v], y) for v in variables}
 
 
 def solve_word(word: Word, g: PLAutomorphism) -> Assignment:
@@ -297,17 +270,9 @@ def solve_word(word: Word, g: PLAutomorphism) -> Assignment:
         assignment.setdefault(v, PLAutomorphism.identity())
 
     for v, e in reversed(peels):
-        xv = assignment[v]
-        xv_inv = inverse(xv)
-        updated: Assignment = {}
-        for u, val in assignment.items():
-            if u == v:
-                updated[u] = val
-            elif e == 1:
-                updated[u] = compose(compose(xv_inv, val), xv)
-            else:
-                updated[u] = compose(compose(xv, val), xv_inv)
-        assignment = updated
+        xv = assignment[v] if e == 1 else inverse(assignment[v])
+        assignment = {u: val if u == v else conjugation(val, xv)
+                      for u, val in assignment.items()}
     return assignment
 
 
@@ -332,76 +297,56 @@ def nth_root(g: PLAutomorphism, n: int):
 
 
 class _XgxSeed:
-    """Seed of x g x = f on the anchor block [alpha, alpha*fg) of fg.
+    """Seed of x g x = f on the anchor block of fg between alpha and alpha*fg.
 
-    It maps that block onto [beta, beta*gf) through the affine bridge
-    [alpha, beta*g) -> [beta, alpha*f) below beta*g, and through g^-1, the
-    inverse bridge and f above it.
+    It maps that block onto the one between beta and beta*gf: on alpha's
+    side of beta*g through the affine bridge that sends alpha to beta and
+    beta*g to alpha*f, on the other side through g^-1, the inverse bridge and
+    f.  ``backward`` splits the same way at alpha*f, beta's side first.
     """
 
-    def __init__(self, f, g, bridge: AffineBridge):
+    def __init__(self, f, g, alpha: Fraction, beta: Fraction):
         self.f = f
         self.g = g
-        self.bridge = bridge
+        self.beta_g = g.forward(beta)
+        self.alpha_f = f.forward(alpha)
+        # alpha lies below beta*g on positive components, above it on negative ones
+        self.below = alpha < self.beta_g
+        ends = sorted((alpha, self.beta_g)) + sorted((beta, self.alpha_f))
+        self.bridge = AffineBridge(*ends)
 
     def forward(self, v):
-        if v < self.bridge.source_hi:
+        if (v < self.beta_g) == self.below:
             return self.bridge.forward(v)
         return self.f.forward(self.bridge.backward(self.g.backward(v)))
 
     def backward(self, v):
-        if v < self.bridge.target_hi:
+        if (v < self.alpha_f) == self.below:
             return self.bridge.backward(v)
         return self.g.forward(self.bridge.forward(self.f.backward(v)))
 
 
 def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
-    """Solution piece on the positive component of the support of fg holding
-    alpha: the seed carried along the orbits of fg and gf.  The anchor beta
-    lies between alpha*g^-1 and alpha*f, so the orbits of alpha and beta*g
-    under fg interleave.  A point in block i lies below (beta*g)(fg)^i
-    exactly when its pull-back by (fg)^-i lies below beta*g."""
-    lo = g.backward(alpha)
-    hi = f.forward(alpha)
-    if not lo < hi:
-        raise RuntimeError("anchor window collapsed; fg is not positive here")
-    beta = (lo + hi) / 2
-    beta_g = g.forward(beta)
-    if not (alpha < beta_g < fg.forward(alpha)):
-        raise RuntimeError("interleaving failed; fg is not positive here")
-    seed = _XgxSeed(f, g, AffineBridge(alpha, beta_g, beta, hi))
+    """Solution piece on the component of the support of fg holding alpha:
+    the seed carried along the orbits of fg and gf.  The anchor beta lies
+    between alpha*g^-1 and alpha*f, so beta*g lies between alpha and
+    alpha*fg and the orbits of alpha and beta*g under fg interleave.  Since
+    (fg)^-i is increasing, a point in block i lies on alpha's side of
+    (beta*g)(fg)^i exactly when its pull-back lies on alpha's side of beta*g."""
+    beta = (g.backward(alpha) + f.forward(alpha)) / 2
+    seed = _XgxSeed(f, g, alpha, beta)
+    if seed.below != (seed.beta_g < fg.forward(alpha)):
+        raise RuntimeError("interleaving failed; alpha is not in the support of fg")
     return OrbitTransport(fg, gf, seed, ComponentOrbit(fg, alpha).locate,
                           ComponentOrbit(gf, beta).locate)
-
-
-class _XgxReflectedPiece:
-    """Negative component handled through the flip t -> -t.
-
-    Conjugating the whole equation by the flip turns a negative component
-    into a positive one of the reflected problem; since the flip is an
-    involution, wrapping the reflected solution recovers a solution piece
-    for the original equation.
-    """
-
-    def __init__(self, f, g, alpha: Fraction):
-        rf = reflect(f)
-        rg = reflect(g)
-        self.inner = _xgx_piece(rf, rg, compose(rf, rg), compose(rg, rf), -alpha)
-
-    def forward(self, q):
-        return -self.inner.forward(-q)
-
-    def backward(self, q):
-        return -self.inner.backward(-q)
 
 
 def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:
     """An x with x g x = f (left-to-right composition); always solvable.
 
-    The terrain of fg is walked element by element: positive components get
-    the two-case seed carried along the orbits of fg and gf, negative ones
-    the same construction conjugated by the flip t -> -t, and on fixed points
-    of fg (including isolated ones) x equals f.
+    The terrain of fg is walked element by element: each component gets the
+    two-case seed carried along the orbits of fg and gf, and on the fixed
+    set of fg (including isolated fixed points) x equals f.
     """
     fg = compose(f, g)
     gf = compose(g, f)
@@ -409,29 +354,11 @@ def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:
     terrain_gf = support_decompose(gf)
     if terrain_fg.color_sequence() != terrain_gf.color_sequence():
         raise RuntimeError("fg and gf must have isomorphic terrains")
-
-    pieces = []
-    for efg in terrain_fg:
-        if efg.color is Color.FIXED:
-            pieces.append(f)
-        elif efg.color is Color.POS:
-            pieces.append(_xgx_piece(f, g, fg, gf, anchor_point(efg)))
-        else:
-            pieces.append(_XgxReflectedPiece(f, g, anchor_point(efg)))
-
-    def fwd(q):
-        kind, k = terrain_fg.locate(q)
-        if kind == "element":
-            return pieces[k].forward(q)
-        return f.forward(q)  # isolated fixed point of fg
-
-    def bwd(q):
-        kind, k = terrain_gf.locate(q)
-        if kind == "element":
-            return pieces[k].backward(q)
-        return f.backward(q)
-
-    return ProceduralAutomorphism(fwd, bwd, "xgx-solution")
+    # f^-1 (fg) f = gf, so f carries each isolated fixed point of fg to its
+    # counterpart in gf, which is where the dispatcher sends it
+    pieces = [f if e.color is Color.FIXED else _xgx_piece(f, g, fg, gf, anchor_point(e))
+              for e in terrain_fg]
+    return _by_terrain(terrain_fg, terrain_gf, pieces, "xgx-solution")
 
 
 def solve_two_sided(g: PLAutomorphism, f: PLAutomorphism, e1: int, e2: int):

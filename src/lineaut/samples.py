@@ -63,6 +63,8 @@ def random_with_sequence(rng: random.Random, seq: str) -> PLAutomorphism:
 def default_samples(count: int = DEFAULT_SAMPLE_COUNT, seed: int = 0,
                     terrains: tuple = ()) -> list:
     """Deterministic mixed sample set of exactly ``count`` rationals."""
+    if count < 0:
+        raise ValueError(f"sample count must be non-negative; got {count}")
     picks = set()
     for k in range(-8, 9):
         picks.add(Fraction(k))

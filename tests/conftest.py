@@ -3,7 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from lineaut import Word
+from lineaut import Color, Word, support_decompose
 from lineaut.samples import random_pl
 
 
@@ -32,3 +32,10 @@ def fraction_grid(lo: int, hi: int, den: int = 4) -> list:
 
 def sample_pls(rng: random.Random, count: int, **kwargs) -> list:
     return [random_pl(rng, **kwargs) for _ in range(count)]
+
+
+def isolated_fixed_points(g) -> list:
+    """Fixed points of g between two support components, in line order."""
+    terrain = list(support_decompose(g))
+    return [a.hi for a, b in zip(terrain, terrain[1:])
+            if Color.FIXED not in (a.color, b.color)]

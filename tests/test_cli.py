@@ -2,6 +2,7 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +264,36 @@ class TestDeterminism:
                       "--seed", "7"])
             runs.append(buf.getvalue())
         assert runs[0] == runs[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Inputs and expected stdout live in tests/golden.  In the solve-xgx pairs
+# g = f^-1 T, so fg = T is a translated realize() of the named terrain, placed
+# so that its isolated fixed points are among the 17 samples of seed 3; the
+# conjugate pair is likewise placed so that g's isolated fixed points are.
+GOLDEN_CASES = {
+    "solve_xgx_minus": ["solve-xgx", "g_minus.json", "f.json"],
+    "solve_xgx_neg_pos_neg": ["solve-xgx", "g_neg_pos_neg.json", "f.json"],
+    "solve_xgx_neg_fix_pos_fix_neg": ["solve-xgx", "g_neg_fix_pos_fix_neg.json", "f.json"],
+    "solve_xgx_pos_neg": ["solve-xgx", "g_pos_neg.json", "f.json"],
+    "conjugate_linear": ["conjugate", "conj_g.json", "conj_f.json"],
+    "conjugate_fast_forward": ["conjugate", "conj_g.json", "conj_f.json",
+                               "--mode", "fast-forward"],
+    "solve_word": ["solve-word", "word.json", "neg_pos.json"],
+    "root": ["root", "neg_pos.json", "3"],
+    "commutator": ["commutator", "neg_pos.json"],
+}
+
+
+class TestGoldenOutput:
+    """Byte-for-byte stdout of fixed invocations, as README promises."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_stdout_matches_golden(self, name):
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in GOLDEN_CASES[name]]
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(argv + ["--samples", "17", "--seed", "3"])
+        assert code == EXIT_OK
+        assert buf.getvalue() == (GOLDEN / f"{name}.stdout").read_text()

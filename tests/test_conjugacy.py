@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from lineaut import (
+    AffineBridge,
     CallCounter,
     Color,
-    ComponentPairing,
     DomainError,
     PLAutomorphism,
     TerrainElement,
-    affine_bridge,
     anchor_point,
     conjugate_on_component,
     conjugate_on_fixed,
@@ -22,7 +21,7 @@ from lineaut import (
 )
 from lineaut.rational import NEG_INF, POS_INF
 from lineaut.samples import default_samples, random_pl, random_with_sequence
-from conftest import fraction_grid, sample_pls
+from conftest import fraction_grid, isolated_fixed_points, sample_pls
 
 F = Fraction
 T1 = PLAutomorphism.translation(1)
@@ -31,24 +30,24 @@ T2 = PLAutomorphism.translation(2)
 
 class TestAffineBridge:
     def test_identity_bridge(self):
-        b = affine_bridge(F(0), F(1), F(0), F(1))
+        b = AffineBridge(F(0), F(1), F(0), F(1))
         assert b.forward(F(1, 2)) == F(1, 2)
 
     def test_halving(self):
-        b = affine_bridge(F(0), F(2), F(0), F(1))
+        b = AffineBridge(F(0), F(2), F(0), F(1))
         assert b.forward(F(1)) == F(1, 2)
         assert b.backward(F(1, 2)) == F(1)
 
     def test_shift(self):
-        b = affine_bridge(F(0), F(1), F(1), F(2))
+        b = AffineBridge(F(0), F(1), F(1), F(2))
         for q in fraction_grid(0, 1, 8):
             assert b.forward(q) == q + 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            affine_bridge(F(1), F(1), F(0), F(1))
+            AffineBridge(F(1), F(1), F(0), F(1))
         with pytest.raises(ValueError):
-            affine_bridge(F(0), F(1), F(2), F(1))
+            AffineBridge(F(0), F(1), F(2), F(1))
 
 
 class TestOrbitLocate:
@@ -249,19 +248,6 @@ class TestAnchorPoint:
         assert anchor_point(TerrainElement(Color.POS, NEG_INF, POS_INF)) == F(0)
 
 
-class TestComponentPairing:
-    def test_color_mismatch_rejected(self):
-        a = TerrainElement(Color.POS, F(0), F(1))
-        b = TerrainElement(Color.NEG, F(0), F(1))
-        with pytest.raises(ValueError):
-            ComponentPairing(a, b)
-
-    def test_anchor_inside_required(self):
-        a = TerrainElement(Color.POS, F(0), F(1))
-        with pytest.raises(ValueError):
-            ComponentPairing(a, a, F(2), F(1, 2))
-
-
 class TestSolveConjugacy:
     def test_self_conjugacy(self, rng):
         for g in sample_pls(rng, 10):
@@ -328,6 +314,20 @@ class TestSolveConjugacy:
         h_ff = solve_conjugacy(g, f, mode="fast_forward")
         for q in default_samples(50, 7, (support_decompose(g),)):
             assert h_lin.forward(q) == h_ff.forward(q)
+
+    @pytest.mark.parametrize("mode", ["linear", "fast_forward"])
+    @pytest.mark.parametrize("seq", ["+-", "-+-", "+-+", "+-0-+"])
+    def test_isolated_fixed_points_correspond(self, rng, seq, mode):
+        # the k-th isolated fixed point of g maps to the k-th of f, both ways
+        g = random_with_sequence(rng, seq)
+        f = random_with_sequence(rng, seq)
+        h = solve_conjugacy(g, f, mode=mode)
+        iso_g, iso_f = (isolated_fixed_points(m) for m in (g, f))
+        assert len(iso_g) == len(iso_f) == seq.count("+-") + seq.count("-+")
+        for p, q in zip(iso_g, iso_f):
+            assert g.forward(p) == p and f.forward(q) == q
+            assert h.forward(p) == q
+            assert h.backward(q) == p
 
 
 class TestVerifyPointwise:

@@ -28,7 +28,7 @@ from lineaut import (
     word_automorphism,
 )
 from lineaut.samples import default_samples, random_pl
-from conftest import fraction_grid, random_reduced_word, sample_pls
+from conftest import fraction_grid, isolated_fixed_points, random_reduced_word, sample_pls
 
 F = Fraction
 T1 = PLAutomorphism.translation(1)
@@ -355,64 +355,72 @@ class TestSolveXgx:
                 assert x.forward(g.forward(x.forward(q))) == f.forward(q)
 
     def test_case_partition_soundness(self, rng):
-        # the seed splits its anchor block [alpha, alpha fg) at beta g; pulled
-        # back by (fg)^-i, a point of block i falls on the side of beta g that
-        # the point itself falls on of (beta g)(fg)^i
+        # the seed splits its anchor block, between alpha and alpha fg, at beta g;
+        # pulled back by (fg)^-i, a point of block i falls on alpha's side of
+        # beta g exactly when the point itself falls on alpha's side of
+        # (beta g)(fg)^i, on positive and negative components alike
         from lineaut.equations import _xgx_piece
 
         f = PLAutomorphism.translation(3)
         pairs = [(f, random_pl(rng, max_knots=2))]
-        pairs += [(f, compose(inverse(f), realize(seq))) for seq in ("+-+", "+0-+")]
-        checked = 0
+        pairs += [(f, compose(inverse(f), realize(seq)))
+                  for seq in ("+-+", "+0-+", "-+-", "-0+0-")]
+        checked = {Color.POS: 0, Color.NEG: 0}
         for f, g in pairs:
             fg, gf = compose(f, g), compose(g, f)
             for elem in support_decompose(fg):
-                if elem.color is not Color.POS:
+                if elem.color is Color.FIXED:
                     continue
                 alpha = anchor_point(elem)
                 piece = _xgx_piece(f, g, fg, gf, alpha)
                 seed, bridge = piece.seed, piece.seed.bridge
-                beta, beta_g, alpha_f = bridge.target_lo, bridge.source_hi, bridge.target_hi
+                beta = (g.backward(alpha) + f.forward(alpha)) / 2
+                beta_g, alpha_f = g.forward(beta), f.forward(alpha)
                 alpha_fg, beta_gf = fg.forward(alpha), gf.forward(beta)
-                assert alpha_f == f.forward(alpha)
-                assert seed.forward(alpha) == beta
-                assert bridge.forward(beta_g) == alpha_f  # first case, at its end
-                assert seed.forward(beta_g) == alpha_f  # second case
+                below = alpha < beta_g
+                assert below == (elem.color is Color.POS) == (beta < alpha_f)
+                assert (seed.beta_g, seed.alpha_f) == (beta_g, alpha_f)
+                assert bridge.forward(alpha) == beta
+                assert bridge.forward(beta_g) == alpha_f
+                assert seed.forward(alpha) == beta  # first case
+                assert seed.forward(beta_g) == alpha_f  # where the cases meet
                 for q in samples_for(fg, count=120):
                     if not elem.contains(q):
                         continue
                     i = piece.locate_in(q)
                     v = apply_power(fg, -i, q)
-                    assert alpha <= v < alpha_fg
-                    first = q < apply_power(fg, i, beta_g)
-                    assert first == (v < beta_g)
+                    assert min(alpha, alpha_fg) <= v < max(alpha, alpha_fg)
+                    first = (q < apply_power(fg, i, beta_g)) == below
+                    assert first == ((v < beta_g) == below)
                     w = seed.forward(v)
                     if first:
                         assert w == bridge.forward(v)
                     else:
                         assert w == f.forward(bridge.backward(g.backward(v)))
-                    assert beta <= w < beta_gf
-                    assert (w < alpha_f) == first
+                    assert min(beta, beta_gf) <= w < max(beta, beta_gf)
+                    assert ((w < alpha_f) == below) == first
                     assert seed.backward(w) == v
-                    checked += 1
-        assert checked >= 20
+                    checked[elem.color] += 1
+        assert min(checked.values()) >= 20
 
     def test_fixed_point_rule(self, rng):
-        # where fg fixes q, the solution equals f there and the equation holds
-        for trial in range(8):
-            seq = ("0", "+0-", "0-0")[trial % 3]
+        # where fg fixes q, in a fixed interval or as an isolated fixed point,
+        # the solution maps q to f(q) and back, and the equation holds
+        for trial in range(12):
+            seq = ("0", "+0-", "0-0", "+-", "-+-", "+-+")[trial % 6]
             target = realize(seq)
             f = random_pl(rng)
             g = compose(inverse(f), target)
             fg = compose(f, g)
             x = solve_xgx(g, f)
             terrain = support_decompose(fg)
-            for e in terrain:
-                if e.color is not Color.FIXED:
-                    continue
-                q = anchor_point(e)
+            fixed = [anchor_point(e) for e in terrain if e.color is Color.FIXED]
+            fixed += isolated_fixed_points(fg)
+            assert len(fixed) == seq.count("0") + seq.count("+-") + seq.count("-+")
+            for q in fixed:
                 assert fg.forward(q) == q
                 assert x.forward(q) == f.forward(q)
+                assert x.backward(f.forward(q)) == q
                 assert x.forward(g.forward(x.forward(q))) == f.forward(q)
 
     def test_inverse_consistency(self, rng):
