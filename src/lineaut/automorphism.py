@@ -25,6 +25,10 @@ from typing import Callable, Union
 from .rational import format_rational, parse_rational
 
 MAX_ORBIT_STEPS = 1 << 32
+# Steps an orbit takes in one affine piece before the rest of its run there
+# is computed in closed form; a closed form costs about as much as a few
+# dozen steps, and most runs are shorter than this.
+_STEPPED_RUN = 16
 
 
 class DomainError(ValueError):
@@ -157,7 +161,8 @@ class PLAutomorphism:
         )
 
     def _image(self, xn: int, xd: int):
-        """Image of xn/xd (xd > 0) as an unreduced pair with positive denominator.
+        """Image of xn/xd (xd > 0) as an unreduced pair with positive
+        denominator, and the index of the piece that gave it.
 
         A binary search over the knots picks the piece; adjacent pieces agree
         at a shared knot, so which one a knot falls in does not matter.
@@ -171,33 +176,68 @@ class PLAutomorphism:
                 lo = mid + 1
             else:
                 hi = mid
-        return an[lo] * xn * bd[lo] + bn[lo] * ad[lo] * xd, ad[lo] * xd * bd[lo]
+        return an[lo] * xn * bd[lo] + bn[lo] * ad[lo] * xd, ad[lo] * xd * bd[lo], lo
 
     def forward(self, q: Fraction) -> Fraction:
         q = _frac(q)
-        return Fraction(*self._image(q.numerator, q.denominator))
+        yn, yd, _ = self._image(q.numerator, q.denominator)
+        return Fraction(yn, yd)
 
-    def _orbit_until(self, start: Fraction, gamma: Fraction, up: bool):
-        """Iterate from start to the first iterate past gamma.
+    def _iterate(self, q: Fraction, count=None, gamma=None, up=True, trail=None):
+        """The orbit primitive: iterate this map from q.
 
-        Past means above gamma when ``up``, at or below it otherwise.  Returns
-        ``(steps, previous iterate, first iterate past gamma)``.  Raises
-        ValueError on an exact fixed point, which means gamma is not in the
-        orbit's component, or after ``MAX_ORBIT_STEPS`` steps.
+        Stops after ``count`` steps or at the first iterate past ``gamma``,
+        whichever comes first; past means above gamma when ``up``, at or
+        below it otherwise.  Returns ``(steps, previous iterate, last
+        iterate)``, the very values that stepping gives.  The map is affine
+        on each piece, so once an orbit has stayed ``_STEPPED_RUN`` steps in
+        one piece, the rest of its run there has a closed form (see
+        ``_affine_run``) and costs one ceiling division or O(log n) exact
+        powers.  A walk thus takes at most ``_STEPPED_RUN`` steps and one
+        closed form per piece it crosses, whatever its length.  ``trail``,
+        when a list, gets the iterates appended while they come one step at
+        a time.
+
+        With gamma given, raises ValueError when q is a fixed point or the
+        orbit is found never to pass gamma: it converges to a fixed point or
+        runs off to infinity first, so gamma lies in another component.
         """
-        pn, pd = start.numerator, start.denominator
-        gn, gd = gamma.numerator, gamma.denominator
-        for steps in range(1, MAX_ORBIT_STEPS + 1):
-            cn, cd = self._image(pn, pd)
-            common = gcd(cn, cd)
-            cn //= common
-            cd //= common
-            if cn == pn and cd == pd:
+        if count == 0:
+            return 0, q, q
+        gn, gd = (0, 1) if gamma is None else (gamma.numerator, gamma.denominator)
+        pn, pd = q.numerator, q.denominator
+        steps = run = 0
+        piece = None
+        while True:
+            cn, cd, at = self._image(pn, pd)
+            run = run + 1 if at == piece else 1
+            piece = at
+            if run > _STEPPED_RUN:
+                _, _, an, ad, bn, bd = self._table
+                n, prev, cur, done = _affine_run(
+                    Fraction(an[piece], ad[piece]), Fraction(bn[piece], bd[piece]),
+                    Fraction(pn, pd), self.knots[piece - 1][0] if piece else None,
+                    self.knots[piece][0] if piece < len(self.knots) else None,
+                    None if count is None else count - steps, gamma, up)
+                steps += n
+                if trail is not None:
+                    if n == 1:
+                        trail.append(cur)
+                    else:
+                        trail = None
+                if done:
+                    return steps, prev, cur
+                pn, pd = cur.numerator, cur.denominator
+                continue
+            if gamma is not None and cn * pd == pn * cd:
                 raise ValueError("fixed point reached during orbit iteration")
-            if (cn * gd > gn * cd) == up:
-                return steps, Fraction(pn, pd), Fraction(cn, cd)
-            pn, pd = cn, cd
-        raise ValueError(f"orbit iteration exceeded {MAX_ORBIT_STEPS} steps")
+            steps += 1
+            if trail is not None:
+                trail.append(Fraction(cn, cd))
+            if steps == count or (gamma is not None and (cn * gd > gn * cd) == up):
+                return steps, q if steps == 1 else Fraction(pn, pd), Fraction(cn, cd)
+            common = gcd(cn, cd)
+            pn, pd = cn // common, cd // common
 
     def backward(self, q: Fraction) -> Fraction:
         return self._inverse.forward(q)
@@ -339,11 +379,117 @@ def power(f, n: int):
 
 
 def apply_power(f, n: int, q: Fraction) -> Fraction:
-    """Evaluate f^n at q by |n| single applications (black-box friendly)."""
-    step = f.forward if n > 0 else f.backward
-    for _ in range(abs(n)):
-        q = step(q)
-    return q
+    """Evaluate f^n at q: through the orbit primitive for a PL map, by |n|
+    single applications for any other map (black-box friendly)."""
+    return _walk(f, _frac(q), n < 0, count=abs(n))[2]
+
+
+def _walk(g, q: Fraction, backward: bool = False, count=None, gamma=None, up=True,
+          trail=None):
+    """The one orbit walk: iterate g, or g^-1 when ``backward``, from q.
+
+    Takes the arguments and gives the result of ``PLAutomorphism._iterate``,
+    which does the work for PL maps.  Any other map is stepped; with gamma it
+    stops with ValueError at an exact fixed point, and without a count after
+    ``MAX_ORBIT_STEPS`` steps.
+    """
+    if isinstance(g, PLAutomorphism):
+        return (g._inverse if backward else g)._iterate(q, count, gamma, up, trail)
+    if count == 0:
+        return 0, q, q
+    step = g.backward if backward else g.forward
+    prev = cur = q
+    for steps in range(1, (count or MAX_ORBIT_STEPS) + 1):
+        prev, cur = cur, step(cur)
+        if trail is not None:
+            trail.append(cur)
+        if gamma is not None:
+            if cur == prev:
+                raise ValueError("fixed point reached during orbit iteration")
+            if (cur > gamma) == up:
+                return steps, prev, cur
+    if count is None:
+        raise ValueError(f"orbit iteration exceeded {MAX_ORBIT_STEPS} steps")
+    return count, prev, cur
+
+
+def _reaches(a: Fraction, b: Fraction, s: int, c: Fraction) -> bool:
+    """Whether iterates under t -> a t + b that move in direction s ever get
+    past c: always, unless they converge to the fixed point of the line
+    (slope below 1) and c is not before it."""
+    return a >= 1 or s * (c - b / (1 - a)) < 0
+
+
+def _first_past(a: Fraction, b: Fraction, x: Fraction, c: Fraction, s: int, strict: bool,
+                cap=None):
+    """Least n in 1..cap with s (x_n - c) > 0, or >= 0 unless ``strict``, where
+    x_n is the n-th iterate of x under t -> a t + b and the iterates move
+    in direction s and reach c (``_reaches``); None when n exceeds cap.
+
+    With slope 1 this is a ceiling division.  Otherwise x_n - p = a^n (x - p)
+    about the fixed point p of the line, and doubling plus bisection over
+    exact powers of a finds n, never trying a power above cap.
+    """
+    if a == 1:
+        ahead, step = s * (c - x), abs(b)
+        n = max(ahead // step + 1 if strict else -(-ahead // step), 1)
+        return n if cap is None or n <= cap else None
+    p = b / (1 - a)
+    u, k = s * (x - p), s * (c - p)
+
+    def reached(n):
+        v = a ** n * u
+        return v > k if strict else v >= k
+
+    lo, n = 0, 1
+    while not reached(n):
+        if cap is not None and n >= cap:
+            return None
+        lo, n = n, 2 * n if cap is None else min(2 * n, cap)
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        if reached(mid):
+            n = mid
+        else:
+            lo = mid
+    return n
+
+
+def _affine_run(a: Fraction, b: Fraction, x: Fraction, lo, hi, count, gamma, up: bool):
+    """The iterates of x under t -> a t + b while they stay in [lo, hi]
+    (None for an unbounded end), in closed form.
+
+    Returns ``(n, x_(n-1), x_n, done)``: ``done`` when x_n ends the walk of
+    ``PLAutomorphism._iterate`` (the count is reached or x_n is past
+    gamma), otherwise x_n is the first iterate out of [lo, hi].  Raises
+    ValueError when gamma is given and the iterates neither pass it nor
+    leave the piece, whatever the count: no walk from x ever passes gamma.
+    """
+    move = (a - 1) * x + b
+    if move == 0:
+        if gamma is not None:
+            raise ValueError("fixed point reached during orbit iteration")
+        return count, x, x, True
+    s = 1 if move > 0 else -1
+    edge = hi if s > 0 else lo
+    leaves = edge is not None and _reaches(a, b, s, edge)
+    stop = count
+    if gamma is not None:
+        # moving up, the walk stops above gamma; moving down, at or below it
+        if up == (s > 0) and _reaches(a, b, s, gamma):
+            past = _first_past(a, b, x, gamma, s, up, stop)
+            stop = stop if past is None else past
+        elif not leaves:
+            raise ValueError(f"the orbit of {x} never passes {gamma}: it converges to a "
+                             "fixed point or runs off to infinity first")
+    out = _first_past(a, b, x, edge, s, True, stop) if leaves else None
+    done = out is None or (stop is not None and stop <= out)
+    n = stop if done else out
+    if a == 1:
+        return n, x + (n - 1) * b, x + n * b, done
+    p = b / (1 - a)
+    prev = p + a ** (n - 1) * (x - p)
+    return n, prev, a * prev + b, done
 
 
 def _select_pointwise(f: PLAutomorphism, g: PLAutomorphism, want_min: bool) -> PLAutomorphism:

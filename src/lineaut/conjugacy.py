@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .automorphism import (
-    MAX_ORBIT_STEPS,
     DomainError,
     PLAutomorphism,
     ProceduralAutomorphism,
+    _walk,
     apply_power,
     compose,
     inverse,
@@ -93,21 +93,7 @@ def _orientation(increasing: bool, alpha: Fraction, gamma: Fraction):
 
 def _iterate_until(g, start, gamma, up, use_forward, counter):
     """Steps from start to the first iterate past gamma, with the last two iterates."""
-    if isinstance(g, PLAutomorphism):
-        walker = g if use_forward else g._inverse
-        steps, prev, cur = walker._orbit_until(start, gamma, up)
-    else:
-        step = g.forward if use_forward else g.backward
-        prev = start
-        for steps in range(1, MAX_ORBIT_STEPS + 1):
-            cur = step(prev)
-            if cur == prev:
-                raise ValueError("fixed point reached during orbit iteration")
-            if (cur > gamma) == up:
-                break
-            prev = cur
-        else:
-            raise ValueError(f"orbit iteration exceeded {MAX_ORBIT_STEPS} steps")
+    steps, prev, cur = _walk(g, start, not use_forward, gamma=gamma, up=up)
     if counter is not None:
         if use_forward:
             counter.forward += steps
@@ -116,21 +102,29 @@ def _iterate_until(g, start, gamma, up, use_forward, counter):
     return steps, prev, cur
 
 
-def _ff_search(apply_step, alpha, pred, counter):
-    """Minimal e >= 1 with pred(point(e)); returns (e, point(e-1), point(e)).
+def _ff_search(apply_step, alpha, gamma, up, counter):
+    """Minimal e >= 1 with point(e) past gamma; returns (e, point(e-1), point(e)).
 
     Doubling finds the power-of-two bracket, then a nested binary descent
-    adds halving power-of-two steps; every cache application is one
-    fast-forward step.
+    adds halving power-of-two steps; every step application is one
+    fast-forward step.  A step may stop early past gamma: such a point only
+    ever tells the search that it went too far.
     """
-    pt = apply_step(alpha, 0, counter)
-    if pred(pt):
+
+    def step(q, k):
+        return apply_step(q, k, counter, gamma, up)
+
+    def past(p):
+        return (p > gamma) == up
+
+    pt = step(alpha, 0)
+    if past(pt):
         return 1, alpha, pt
     n = 0
-    pt_e = pt  # point(2^n), pred still false
+    pt_e = pt  # point(2^n), not yet past gamma
     while True:
-        nxt = apply_step(pt_e, n, counter)
-        if pred(nxt):
+        nxt = step(pt_e, n)
+        if past(nxt):
             break
         n += 1
         pt_e = nxt
@@ -138,8 +132,8 @@ def _ff_search(apply_step, alpha, pred, counter):
     pt = pt_e
     hit = None
     for k in range(n - 1, -1, -1):
-        cand = apply_step(pt, k, counter)
-        if pred(cand):
+        cand = step(pt, k)
+        if past(cand):
             if k == 0:
                 hit = cand
         else:
@@ -148,7 +142,7 @@ def _ff_search(apply_step, alpha, pred, counter):
             if k == 0:
                 hit = None
     if hit is None:
-        hit = apply_step(pt, 0, counter)
+        hit = step(pt, 0)
     return j + 1, pt, hit
 
 
@@ -167,11 +161,18 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
                  counter: Optional[CallCounter] = None) -> OrbitLocation:
     """Block of the anchor orbit of g containing gamma.
 
-    Both gamma and alpha must lie in the same support component of g (the
-    caller guarantees this; reaching a fixed point raises ValueError).
-    Linear mode walks the orbit step by step, |index| + O(1) evaluations.
-    Fast-forward mode uses doubling plus nested binary descent over cached
-    powers of two, O(log |index|) fast-forward steps.
+    Both gamma and alpha must lie in the same support component of g; when
+    they do not, the walk raises ValueError once it sees that the orbit
+    never passes gamma.  In the counted model linear mode makes |index| + 1
+    evaluations and fast-forward mode O(log |index|) fast-forward steps
+    (doubling plus a nested binary descent over powers of two), and a
+    ``counter`` is charged exactly that.  Wall time differs for a PL map:
+    each walk, and each fast-forward step, takes at most 16 steps and one
+    closed form per affine piece it crosses (``PLAutomorphism._iterate``),
+    so beyond the middle of the component linear mode costs O(log |index|)
+    exact-power operations and fast-forward mode O(log^2 |index|); on a
+    slope-1 tail a closed form is one ceiling division.  Any other map is
+    stepped, as counted.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -187,7 +188,7 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
     up, with_g = _orientation(first > alpha, alpha, gamma)
     if mode == FAST_FORWARD:
         step = ff_cache.apply if with_g else ff_cache.apply_inverse
-        e, prev, cur = _ff_search(step, alpha, lambda p: (p > gamma) == up, counter)
+        e, prev, cur = _ff_search(step, alpha, gamma, up, counter)
     elif not with_g:
         e, prev, cur = _iterate_until(g, alpha, gamma, up, False, counter)
     elif (first > gamma) == up:
@@ -203,62 +204,67 @@ class ComponentOrbit:
     """Lazily cached two-sided anchor orbit inside one support component.
 
     ``point(i)`` is anchor*g^i; ``locate(q)`` returns the block index of q.
-    Points are cached and extended on demand under a lock, so each orbit
-    point is evaluated once.  ``locate`` bisects over the cached points on
-    q's side of the anchor, O(log) comparisons, and evaluates one new orbit
-    point per step only when q lies past the cache.
+    Points are cached under a lock as the orbit walk produces them one step
+    at a time, so each is evaluated once.  ``locate`` bisects over the
+    cached points on q's side of the anchor, O(log) comparisons.  Past the
+    cache both go through the orbit walk from the last cached point.  A
+    black-box g is stepped and every point cached.  For a PL g the cache
+    stops for good where a walk first jumps through the rest of an affine
+    piece in closed form, so it holds at most 16 points per piece crossed,
+    and a far index costs O(log |i|) exact-power operations beyond the
+    middle of the component.
     """
 
     def __init__(self, g, anchor: Fraction):
         self.g = g
         self.anchor = anchor
         self._fwd = [anchor]  # indices 0, 1, 2, ...
-        self._bwd = []  # indices -1, -2, ...
+        self._bwd = [anchor]  # indices 0, -1, -2, ...
         self._lock = threading.RLock()
+        self._sealed = set()  # directions (with_g) whose cache has stopped growing
         first = g.forward(anchor)
         if first == anchor:
             raise ValueError(f"anchor {anchor} is a fixed point; it lies in no component")
         self.increasing = first > anchor
         self._fwd.append(first)
 
+    def _past_cache(self, with_g: bool, count=None, gamma=None, up=True):
+        """Walk on from the last cached point with g (or g^-1).  Returns the
+        walk's last point and its distance from the anchor in steps."""
+        walk = self._fwd if with_g else self._bwd
+        known = len(walk) - 1
+        trail = None if with_g in self._sealed else walk
+        steps, _, cur = _walk(self.g, walk[-1], not with_g, count, gamma, up, trail)
+        if len(walk) - 1 < known + steps:
+            # the walk jumped; points past here are recomputed, not cached
+            self._sealed.add(with_g)
+        return known + steps, cur
+
     def point(self, i: int) -> Fraction:
         with self._lock:
-            if i >= 0:
-                while len(self._fwd) <= i:
-                    nxt = self.g.forward(self._fwd[-1])
-                    if nxt == self._fwd[-1]:
-                        raise ValueError("orbit hit a fixed point")
-                    self._fwd.append(nxt)
-                return self._fwd[i]
-            while len(self._bwd) < -i:
-                prev = self._bwd[-1] if self._bwd else self.anchor
-                nxt = self.g.backward(prev)
-                if nxt == prev:
-                    raise ValueError("orbit hit a fixed point")
-                self._bwd.append(nxt)
-            return self._bwd[-i - 1]
+            walk = self._fwd if i >= 0 else self._bwd
+            if abs(i) < len(walk):
+                return walk[abs(i)]
+            return self._past_cache(i >= 0, count=abs(i) - len(walk) + 1)[1]
 
     def locate(self, q: Fraction) -> int:
         """Index i with point(i) <= q < point(i+1) (mirrored when decreasing)."""
         with self._lock:
             up, with_g = _orientation(self.increasing, self.anchor, q)
-            # The walk's k-th point is point(k) with g, point(-k) with g^-1, and
-            # cached as walk[k - off]; find the least k whose point is past q.
-            # The anchor (k = 0) never is.
-            walk, off = (self._fwd, 0) if with_g else (self._bwd, 1)
-            lo, hi = 0, len(walk) - 1 + off
-            if hi and (walk[hi - off] > q) == up:
+            # The walk's k-th point is point(k) with g and point(-k) with g^-1;
+            # find the least k whose point is past q.  The anchor (k = 0)
+            # never is.
+            walk = self._fwd if with_g else self._bwd
+            lo, hi = 0, len(walk) - 1
+            if (walk[hi] > q) == up:
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    if (walk[mid - off] > q) == up:
+                    if (walk[mid] > q) == up:
                         hi = mid
                     else:
                         lo = mid
             else:
-                step = 1 if with_g else -1
-                hi += 1
-                while (self.point(step * hi) > q) != up:
-                    hi += 1
+                hi = self._past_cache(with_g, gamma=q, up=up)[0]
             return hi - 1 if with_g else -hi
 
 
@@ -272,8 +278,11 @@ class OrbitTransport:
     backward) maps the anchor block of t_in onto that of t_out; a locator is
     any callable returning a block index.  Conjugators (t_in = g, t_out = f,
     an affine seed), x g x = f pieces (fg, gf, a two-case seed) and the word
-    aligner (W, g, the identity) are all of this form.  An orbit index i
-    costs |i| evaluations of each map, plus whatever locating costs.
+    aligner (W, g, the identity) are all of this form.  In the counted
+    model an orbit index i costs |i| evaluations of each map, plus whatever
+    locating costs.  In wall time ``apply_power`` takes a PL map through
+    the middle of the component and O(log |i|) exact-power operations, and
+    steps any other map |i| times.
     """
 
     t_in: object
@@ -315,9 +324,14 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
     ``target`` a component of the support of f with anchor ``beta``; the
     returned x maps source onto target and satisfies f = x^-1 g x on the
     target.  Evaluating x at a point locates its orbit block, pulls it back
-    to the anchor block with single applications of g^-1, crosses the affine
-    bridge, and pushes forward with f, so an orbit index i costs |i|
-    inverse evaluations of g plus |i| forward evaluations of f.
+    to the anchor block with g^-i, crosses the affine bridge, and pushes
+    forward with f^i.  In the counted model an orbit index i costs |i|
+    inverse evaluations of g plus |i| forward evaluations of f, on top of
+    locating: 3|i| + 1 oracle calls in linear mode, 2|i| + O(1) plus
+    O(log |i|) fast-forward steps in fast-forward mode.  In wall time raw
+    PL inputs cost the middle crossing of the component plus O(log |i|)
+    exact-power operations per orbit walk (see ``orbit_locate``); wrapped
+    or procedural inputs are stepped, as counted.
     """
     if source.color is target.color is Color.FIXED:
         raise ValueError("components must be POS or NEG; use conjugate_on_fixed")

@@ -7,18 +7,18 @@ automorphism and counts those evaluations without changing any result.
 
 The fast-forward cost model charges one step for evaluating g^(2^k) at a
 point, independent of k.  :class:`FastForwardCache` realizes it for
-piecewise-linear maps by precomputing powers by repeated squaring; internal
-piecewise-linear arithmetic is excluded from counts, only cache applications
-are charged.
+piecewise-linear maps without building g^(2^k): the orbit primitive crosses
+the middle of the component and the long affine pieces in closed form.
+Counts are the cost model's (one per step, whatever it costs inside);
+wall time is that crossing plus O(k) exact-power operations per step.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automorphism import PLAutomorphism, compose
+from .automorphism import PLAutomorphism, power
 from .terrain import support_decompose
 
 
@@ -72,60 +72,55 @@ def wrap(f) -> InstrumentedOracle:
 
 
 class FastForwardCache:
-    """Powers g^(2^k) and g^(-2^k) of a piecewise-linear map, grown on demand.
+    """Fast-forward steps g^(2^k) and g^(-2^k) of a piecewise-linear map.
 
-    ``powers[k+1] = powers[k] * powers[k]`` by exact composition.  Applying a
-    cached power to a point counts as one fast-forward step when a counter is
-    supplied.  Growth is synchronized, so caches may be shared across
-    threads.
+    ``apply(q, k)`` evaluates g^(2^k) at q and counts one fast-forward step
+    when a counter is supplied.  It builds no power: the orbit primitive
+    ``PLAutomorphism._iterate`` crosses the middle of the component step by
+    step and the long pieces in closed form, so in wall time one step costs
+    that crossing plus O(k) exact-power operations, and nothing is stored.
+    ``power_of_two(k)`` builds the explicit PL power on demand (about
+    ``3 * 2^k`` knots on a generic map) and keeps no copy; ``depth`` is the
+    largest such k asked for, or the construction depth.
     """
 
     def __init__(self, base: PLAutomorphism, depth: int = 0):
         if not isinstance(base, PLAutomorphism):
             raise TypeError("fast-forward cache requires a piecewise-linear base")
         self.base = base
-        self._powers = [base]
-        self._inverse_powers = [base._inverse]
-        self._lock = threading.Lock()
-        for k in range(depth):
-            self.power_of_two(k + 1)
-
-    def _grow(self, powers, k):
-        with self._lock:
-            while len(powers) <= k:
-                top = powers[-1]
-                powers.append(compose(top, top))
-        return powers[k]
+        self.depth = depth
 
     def power_of_two(self, k: int) -> PLAutomorphism:
         """g^(2^k) as an exact piecewise-linear map."""
-        if k < len(self._powers):
-            return self._powers[k]
-        return self._grow(self._powers, k)
+        self.depth = max(self.depth, k)
+        return power(self.base, 1 << k)
 
     def inverse_power_of_two(self, k: int) -> PLAutomorphism:
-        if k < len(self._inverse_powers):
-            return self._inverse_powers[k]
-        return self._grow(self._inverse_powers, k)
+        return power(self.base, -(1 << k))
 
-    @property
-    def depth(self) -> int:
-        return len(self._powers) - 1
+    def apply(self, q: Fraction, k: int, counter: CallCounter = None, gamma=None,
+              up: bool = True) -> Fraction:
+        """One fast-forward step: image of q under g^(2^k).
 
-    def apply(self, q: Fraction, k: int, counter: CallCounter = None) -> Fraction:
-        """One fast-forward step: image of q under g^(2^k)."""
+        With ``gamma`` the step may stop at an earlier iterate past gamma
+        (above it when ``up``, at or below it otherwise), which tells a
+        search as much, and raises ValueError at once when the orbit never
+        passes gamma.
+        """
         if counter is not None:
             counter.ff_steps += 1
-        return self.power_of_two(k).forward(q)
+        return self.base._iterate(q, 1 << k, gamma, up)[2]
 
-    def apply_inverse(self, q: Fraction, k: int, counter: CallCounter = None) -> Fraction:
+    def apply_inverse(self, q: Fraction, k: int, counter: CallCounter = None, gamma=None,
+                      up: bool = True) -> Fraction:
+        """One fast-forward step with g^(-2^k); see ``apply``."""
         if counter is not None:
             counter.ff_steps += 1
-        return self.inverse_power_of_two(k).forward(q)
+        return self.base._inverse._iterate(q, 1 << k, gamma, up)[2]
 
 
 def build_cache(g: PLAutomorphism, depth: int = 0) -> FastForwardCache:
-    """Precompute depth+1 powers of two of g by repeated squaring."""
+    """Fast-forward steps of g, declared to depth ``depth``; nothing is precomputed."""
     if depth < 0:
         raise ValueError("cache depth must be nonnegative")
     return FastForwardCache(g, depth)

@@ -39,3 +39,14 @@ def isolated_fixed_points(g) -> list:
     terrain = list(support_decompose(g))
     return [a.hi for a, b in zip(terrain, terrain[1:])
             if Color.FIXED not in (a.color, b.color)]
+
+
+def walk_locate(orbit, q):
+    """Reference block index: walk the orbit from the anchor one point at a time."""
+    up = q >= orbit.anchor
+    with_g = orbit.increasing == up
+    step = 1 if with_g else -1
+    i = step
+    while (orbit.point(i) > q) != up:
+        i += step
+    return i - 1 if with_g else i

@@ -28,7 +28,13 @@ from lineaut import (
     word_automorphism,
 )
 from lineaut.samples import default_samples, random_pl
-from conftest import fraction_grid, isolated_fixed_points, random_reduced_word, sample_pls
+from conftest import (
+    fraction_grid,
+    isolated_fixed_points,
+    random_reduced_word,
+    sample_pls,
+    walk_locate,
+)
 
 F = Fraction
 T1 = PLAutomorphism.translation(1)
@@ -109,17 +115,6 @@ class TestComponentOrbit:
                     assert orbit.point(i) <= q < orbit.point(i + 1)
                 else:
                     assert orbit.point(i + 1) <= q < orbit.point(i)
-
-
-def walk_locate(orbit, q):
-    """Reference block index: walk the orbit from the anchor one point at a time."""
-    up = q >= orbit.anchor
-    with_g = orbit.increasing == up
-    step = 1 if with_g else -1
-    i = step
-    while (orbit.point(i) > q) != up:
-        i += step
-    return i - 1 if with_g else i
 
 
 class _Recorder:

@@ -1,0 +1,208 @@
+"""The orbit primitive against plain stepping, and what it buys: far orbit
+indices on affine tails, and targets no orbit ever reaches.
+
+``PLAutomorphism._iterate`` steps through a piece for a while and then
+jumps through the rest of the piece in closed form.  Every value it returns
+must be the very rational that stepping ``g.forward`` / ``g.backward``
+gives, and every orbit index the one that walking the orbit gives.
+"""
+
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lineaut import (
+    Color,
+    ComponentOrbit,
+    PLAutomorphism,
+    anchor_point,
+    apply_power,
+    compose,
+    conjugation,
+    orbit_locate,
+    reflect,
+    solve_conjugacy,
+    solve_xgx,
+    support_decompose,
+    wrap,
+)
+from lineaut.automorphism import _STEPPED_RUN, _walk
+from lineaut.rational import is_finite
+from conftest import walk_locate
+
+F = Fraction
+
+# Terrain "+", slope-1 tails: translation by 1 on both ends.
+PROBE = PLAutomorphism(((-2, -1), (0, F(3, 2)), (3, 4)), 1, 1)
+# Terrain "-+-": the tails have slopes 3/2 and 1/2 and fix -11 and 5.
+TWO_SIGNS = PLAutomorphism(((-6, F(-7, 2)), (F(-5, 4), 2), (2, F(7, 2))), F(3, 2), F(1, 2))
+# Terrain "+": tails with slopes 1/2 and 2 whose lines fix -1/2 and 2,
+# outside their pieces, so orbits leave the left tail and grow on the right.
+GEOMETRIC = PLAutomorphism(((0, 1), (1, F(5, 2))), F(1, 2), 2)
+# Terrain "-+": the boundary fixed point -5 is a middle knot.
+SLOW_BOUNDARY = PLAutomorphism(((-5, -5), (F(9, 2), F(14, 3)), (5, 6)), F(3, 2), 1)
+# Terrain "+-": both tails converge to the fixed point 0.
+ATTRACTING_ZERO = PLAutomorphism(((0, 0),), F(1, 2), F(1, 2))
+
+NAMED = [PROBE, reflect(PROBE), TWO_SIGNS, reflect(TWO_SIGNS), GEOMETRIC, reflect(GEOMETRIC),
+         SLOW_BOUNDARY, ATTRACTING_ZERO, PLAutomorphism.translation(F(-1, 3))]
+
+small = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+SLOPES = [F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
+
+
+@st.composite
+def random_maps(draw):
+    count = draw(st.integers(min_value=1, max_value=4))
+    xs = sorted(draw(st.sets(small, min_size=count, max_size=count)))
+    ys = sorted(draw(st.sets(small, min_size=count, max_size=count)))
+    return PLAutomorphism(tuple(zip(xs, ys)), draw(st.sampled_from(SLOPES)),
+                          draw(st.sampled_from(SLOPES)))
+
+
+maps = st.one_of(st.sampled_from(NAMED), random_maps())
+starts = st.fractions(min_value=-14, max_value=14, max_denominator=12)
+# log-uniform up to 10^4: stepping a reference orbit of 10^4 points costs
+# up to a second when its bit sizes grow geometrically
+counts = st.integers(0, 4).flatmap(lambda e: st.integers(0, 10 ** e))
+
+
+def stepped(g, q, n, backward=False):
+    """q and its first n iterates under g (or g^-1), one application each."""
+    step = g.backward if backward else g.forward
+    orbit = [q]
+    for _ in range(n):
+        orbit.append(step(orbit[-1]))
+    return orbit
+
+
+class TestPrimitiveMatchesStepping:
+    def test_named_maps_cover_every_kind_of_piece(self):
+        lines = {line for g in NAMED for line in (g.piece_lines()[0], g.piece_lines()[-1])}
+        assert (F(1), F(1)) in lines  # translation tail
+        assert any(a != 1 for a, _ in lines)  # tail with slope != 1
+        colors = {e.color for g in NAMED for e in support_decompose(g)}
+        assert {Color.POS, Color.NEG} <= colors
+
+    @given(maps, starts, counts, st.booleans(), st.fractions(0, 1, max_denominator=9))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_count_and_gamma(self, g, q, n, backward, t):
+        orbit = stepped(g, q, max(n, 1), backward)
+        for k in {n, n // 2, n // 3 + 1, _STEPPED_RUN + 1}:
+            if k < len(orbit):
+                assert _walk(g, q, backward, count=k) == (k, orbit[max(k - 1, 0)], orbit[k])
+                assert apply_power(g, -k if backward else k, q) == orbit[k]
+        if orbit[1] == q:
+            with pytest.raises(ValueError):
+                _walk(g, q, backward, gamma=q + 1, up=True)
+            return
+        up = orbit[1] > q
+        m = max(n, 1)
+        lo, hi = sorted(orbit[m - 1:m + 1])
+        gamma = lo + t * (hi - lo)
+        if gamma < hi:
+            # moving up, the first iterate above gamma; moving down, at or below it
+            assert _walk(g, q, backward, gamma=gamma, up=up) == (m, orbit[m - 1], orbit[m])
+
+    @given(maps, starts, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_unreachable_gamma_raises(self, g, q, backward):
+        first = g.backward(q) if backward else g.forward(q)
+        if first == q:
+            return
+        up = first > q
+        # behind the start: the orbit only moves away
+        with pytest.raises(ValueError):
+            _walk(g, q, backward, gamma=q - 1 if up else q + 1, up=not up)
+        # beyond the end of the component the orbit converges to
+        terrain = support_decompose(g)
+        element = terrain[terrain.locate(q)[1]]
+        end = element.hi if up else element.lo
+        if is_finite(end):
+            with pytest.raises(ValueError):
+                _walk(g, q, backward, gamma=end + (1 if up else -1), up=up)
+
+
+def components(g):
+    return [e for e in support_decompose(g) if e.color is not Color.FIXED]
+
+
+class TestIndicesMatchWalk:
+    @given(maps, st.data(), counts, st.booleans(),
+           st.fractions(0, 1, max_denominator=9).filter(lambda t: t < 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_block_index(self, g, data, i, negative, t):
+        i = -i - 1 if negative else i
+        comps = components(g)
+        if not comps:
+            return
+        anchor = anchor_point(data.draw(st.sampled_from(comps)))
+        ref = ComponentOrbit(wrap(g), anchor)  # a black box: stepped point by point
+        lo, hi = sorted((ref.point(i), ref.point(i + 1)))
+        q = lo + t * (hi - lo)
+        assert walk_locate(ref, q) == i
+        assert ComponentOrbit(g, anchor).locate(q) == i
+        for mode in ("linear", "fast_forward"):
+            loc = orbit_locate(g, anchor, q, mode)
+            assert (loc.index, loc.lower, loc.upper) == (i, lo, hi)
+
+    @pytest.mark.parametrize("g", NAMED)
+    def test_cached_and_far_points(self, g):
+        # one orbit answers near and far queries in any order, from its cache
+        # or past it, with the points stepping gives
+        for comp in components(g):
+            anchor = anchor_point(comp)
+            orbit, ref = ComponentOrbit(g, anchor), ComponentOrbit(wrap(g), anchor)
+            for i in (3, 400, -2, 40, -300, 1, 1000, -1000, 17, -17):
+                assert orbit.point(i) == ref.point(i)
+                q = (ref.point(i) + ref.point(i + 1)) / 2
+                assert orbit.locate(q) == i
+
+
+class TestFarIndex:
+    """Solutions evaluated 10^6 orbit steps out on a slope-1 tail."""
+
+    @pytest.mark.parametrize("mode", ["linear", "fast_forward"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_conjugator(self, mode, sign):
+        g = PROBE if sign > 0 else reflect(PROBE)
+        f = conjugation(g, PLAutomorphism.translation(F(1, 3)))
+        h = solve_conjugacy(g, f, mode)
+        for q in (F(10 ** 6) + F(2, 7), F(-10 ** 6) - F(3, 5)):
+            beta = anchor_point(support_decompose(f)[0])
+            assert abs(orbit_locate(f, beta, q).index) >= 10 ** 6 - 2
+            assert h.forward(g.forward(h.backward(q))) == f.forward(q)
+            assert h.backward(h.forward(q)) == q
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_xgx(self, sign):
+        g = PROBE if sign > 0 else reflect(PROBE)
+        f = PLAutomorphism(((-1, 0), (2, F(5, 2))), 1, 1)
+        f = f if sign > 0 else reflect(f)
+        x = solve_xgx(g, f)
+        fg = compose(f, g)
+        alpha = anchor_point(support_decompose(fg)[0])
+        for q in (F(2 * 10 ** 6) + F(1, 3), F(-3 * 10 ** 6) - F(4, 9)):
+            assert abs(orbit_locate(fg, alpha, q).index) >= 10 ** 6
+            assert x.forward(g.forward(x.forward(q))) == f.forward(q)
+
+
+class TestUnreachableTarget:
+    """0 lies in the component +(-11, 5) of TWO_SIGNS and 1024 in -(5, inf);
+    the orbit of 0 converges to 5, so no walk from 0 passes 1024."""
+
+    @pytest.mark.parametrize("mode", ["linear", "fast_forward"])
+    def test_orbit_locate_raises_at_once(self, mode):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            orbit_locate(TWO_SIGNS, F(0), F(1024), mode)
+        assert time.perf_counter() - start < 1.0
+
+    def test_component_orbit_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            ComponentOrbit(TWO_SIGNS, F(0)).locate(F(1024))
+        assert time.perf_counter() - start < 1.0
