@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .automorphism import (
@@ -53,7 +54,7 @@ class AffineBridge:
         if self.source_lo >= self.source_hi or self.target_lo >= self.target_hi:
             raise ValueError("degenerate bridge interval")
 
-    @property
+    @cached_property
     def slope(self) -> Fraction:
         return (self.target_hi - self.target_lo) / (self.source_hi - self.source_lo)
 

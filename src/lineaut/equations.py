@@ -2,14 +2,19 @@
 
 Three families are covered, always over exact rationals:
 
-* ``w(x_2, ..., x_n) = g`` for a reduced group word w: solved per support
-  component of g by subdividing each orbit block of an anchor into one slot
-  per letter, reading off interpolated variable maps, and conjugating the
-  resulting word value back onto g along the shared anchor orbit.  Words
-  whose first and last letters are mutually inverse are peeled first:
-  ``w = x^e w' x^-e`` is solved through ``w'`` and the substitution
-  ``x_u -> x^-e x_u x^e`` undone afterwards, since the direct subdivision
-  construction is consistent only for cyclically reduced words.
+* ``w(x_2, ..., x_n) = g`` for a reduced group word w, routed by the
+  exponent sums of its variables.  If some sum n is nonzero, the variable
+  with the smallest such ``|n|`` solves ``x^n = g`` (g or its inverse when
+  ``|n| = 1``, an n-th root otherwise) and every other variable is the
+  identity, since the word then collapses to ``x^n``.  Only words whose sums
+  are all zero are solved per support component of g by subdividing each
+  orbit block of an anchor into one slot per letter, reading off
+  interpolated variable maps, and conjugating the resulting word value back
+  onto g along the shared anchor orbit.  Words whose first and last letters
+  are mutually inverse are peeled first: ``w = x^e w' x^-e`` is solved
+  through ``w'`` and the substitution ``x_u -> x^-e x_u x^e`` undone
+  afterwards, since the direct subdivision construction is consistent only
+  for cyclically reduced words.
 * commutators and n-th roots, through the conjugacy solver: g^n and g share
   a terrain, and so do g and g^2, so the conjugators they need always exist;
 * ``x g x = f``, solvable for every pair: on each component of the support
@@ -19,8 +24,10 @@ Three families are covered, always over exact rationals:
   fg.  Equations ``x^e1 g x^e2 = f`` route to the conjugacy solver when
   e1 = -e2 and to the xgx machinery otherwise.
 
-Solutions are procedural: their graphs have infinitely many affine pieces,
-so they are returned as evaluation procedures, never as knot lists.
+Where a solution has a finite exact description (g, its inverse, the
+identity) it is returned as that PL map; the other solutions have graphs
+with infinitely many affine pieces and are returned as evaluation
+procedures.
 """
 
 from __future__ import annotations
@@ -212,10 +219,6 @@ class _VariableComponent:
 def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
     variables = word.variables
     m = len(word)
-    if m == 1:
-        v, e = word.letters[0]
-        return {v: g if e == 1 else inverse(g)}
-
     terrain = support_decompose(g)
     identity = PLAutomorphism.identity()
     subdivisions = {k: Subdivision(ComponentOrbit(g, anchor_point(e)), m)
@@ -245,15 +248,34 @@ def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
 def solve_word(word: Word, g: PLAutomorphism) -> Assignment:
     """Assignment of automorphisms to the word's variables with w(...) = g.
 
-    The word must be reduced and nonempty.  Mutually inverse outer letter
-    pairs are peeled down to the cyclically reduced core, the core is solved
-    by orbit-block subdivision on each support component of g (variables are
-    the identity on the fixed set), and the peeled conjugations are undone
-    by substitution.  The returned maps satisfy the equation exactly at
-    every rational.
+    The word must be reduced and nonempty.  The exponent sums of its
+    variables choose the route.  If one is nonzero, the variable with the
+    smallest nonzero ``|sum| = n`` (lowest index on ties) takes a value x
+    with ``x^sum = g`` and every other variable is the identity, so the word
+    collapses to ``x^sum``: x is g or ``inverse(g)`` when n = 1 and
+    ``nth_root(g, n)``, inverted for a negative sum, otherwise.  A word
+    whose sums are all zero collapses to the identity under any such
+    choice; its mutually inverse outer letter pairs are peeled down to the
+    cyclically reduced core (peeling keeps every sum), the core is solved
+    by orbit-block subdivision on each support component of g (variables
+    are the identity on the fixed set), and the peeled conjugations are
+    undone by substitution.  The returned maps satisfy the equation exactly
+    at every rational.
     """
     if not validate_word(word):
         raise ValueError(f"word must be nonempty and reduced: {word!r}")
+    sums = {v: 0 for v in word.variables}
+    for v, e in word.letters:
+        sums[v] += e
+    nonzero = [(abs(n), v) for v, n in sums.items() if n]
+    if nonzero:
+        n, v = min(nonzero)
+        x = g if n == 1 else nth_root(g, n)
+        if sums[v] < 0:
+            x = inverse(x)
+        identity = PLAutomorphism.identity()
+        return {u: x if u == v else identity for u in word.variables}
+
     letters = list(word.letters)
     peels = []
     while len(letters) >= 3:

@@ -26,6 +26,17 @@ def random_reduced_word(rng: random.Random, max_len: int = 6, n_vars: int = 3) -
     return Word(tuple(letters))
 
 
+def random_zero_sum_word(rng: random.Random, max_len: int = 6, n_vars: int = 3) -> Word:
+    """Random reduced word whose exponent sums are all zero, by rejection."""
+    while True:
+        word = random_reduced_word(rng, max_len, n_vars)
+        sums = {}
+        for v, e in word.letters:
+            sums[v] = sums.get(v, 0) + e
+        if not any(sums.values()):
+            return word
+
+
 def fraction_grid(lo: int, hi: int, den: int = 4) -> list:
     return [Fraction(n, den) for n in range(lo * den, hi * den + 1)]
 

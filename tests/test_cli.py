@@ -281,6 +281,7 @@ GOLDEN_CASES = {
     "conjugate_fast_forward": ["conjugate", "conj_g.json", "conj_f.json",
                                "--mode", "fast-forward"],
     "solve_word": ["solve-word", "word.json", "neg_pos.json"],
+    "solve_word_zero_sum": ["solve-word", "word_zero_sum.json", "neg_pos.json"],
     "root": ["root", "neg_pos.json", "3"],
     "commutator": ["commutator", "neg_pos.json"],
 }

@@ -32,6 +32,7 @@ from conftest import (
     fraction_grid,
     isolated_fixed_points,
     random_reduced_word,
+    random_zero_sum_word,
     sample_pls,
     walk_locate,
 )
@@ -193,7 +194,7 @@ class TestSolveWord:
         x = a[2]
         for q in samples_for(T2, count=100):
             assert x.forward(x.forward(q)) == q + 2
-            # canonical midpoint subdivision makes the solution t -> t + 1 exactly
+            # the square root of a translation is the half translation, exactly
             assert x.forward(q) == q + 1
 
     def test_identity_parameter(self):
@@ -234,6 +235,59 @@ class TestSolveWord:
         for v in word.variables:
             images = [a[v].forward(q) for q in pts]
             assert all(p < q for p, q in zip(images, images[1:]))
+
+
+# x4 (x2 x3 x2^-1 x3^-1) x4^-1: all sums zero, and it peels once
+PEELING_WORD = Word(((4, 1), (2, 1), (3, 1), (2, -1), (3, -1), (4, -1)))
+
+
+class TestSolveWordRoutes:
+    def test_zero_sum_words(self, rng):
+        words = [PEELING_WORD] + [random_zero_sum_word(rng) for _ in range(20)]
+        assert sum(w.letters[0] == (w.letters[-1][0], -w.letters[-1][1]) for w in words) >= 2
+        for trial, word in enumerate(words):
+            g = random_pl(rng)
+            a = solve_word(word, g)
+            value = word_automorphism(word, a)
+            for q in samples_for(g, count=20, seed=trial):
+                assert value.forward(q) == g.forward(q), (word, g, q)
+                assert value.backward(q) == g.backward(q), (word, g, q)
+
+    @pytest.mark.parametrize("letters, chosen, total", [
+        (((2, 1), (3, -1), (2, 1)), 3, -1),
+        (((3, 1), (2, 1)), 2, 1),  # a tie goes to the lowest index
+        (((2, 1), (3, 1), (2, -1)), 3, 1),  # x2 has sum 0
+        (((2, -1), (2, -1)), 2, -2),
+        (((2, 1), (2, 1), (3, 1), (3, 1), (3, 1)), 2, 2),
+        (((3, -1), (3, -1), (3, -1), (2, 1), (2, 1), (2, 1)), 2, 3),
+        (((4, -1), (2, 1), (3, 1), (2, -1), (3, -1), (4, -1)), 4, -2),
+    ])
+    @pytest.mark.parametrize("shape", ["+0-", "-0+0-"])
+    def test_route_by_exponent_sums(self, letters, chosen, total, shape):
+        word = Word(letters)
+        g = SHAPED[shape]
+        a = solve_word(word, g)
+        assert sorted(a) == list(word.variables)
+        for u in word.variables:
+            if u != chosen:
+                assert a[u] == IDENT
+        x = a[chosen]
+        if total == 1:
+            assert x is g
+        elif total == -1:
+            assert x == inverse(g)
+        else:
+            root = nth_root(g, abs(total))
+            expected = root if total > 0 else inverse(root)
+            pts = samples_for(g, count=20)
+            assert verify_pointwise(x, expected, pts)
+            for q in pts:
+                v = q
+                for _ in range(abs(total)):
+                    v = x.forward(v) if total > 0 else x.backward(v)
+                assert v == g.forward(q)
+        value = word_automorphism(word, a)
+        assert verify_pointwise(value, g, samples_for(g, count=20))
 
 
 class TestCommutator:
