@@ -5,8 +5,12 @@ finitely-described one: finitely many knots with affine interpolation between
 them and affine tails.  It is closed under composition, inversion, pointwise
 min/max, and integer powers, all computed exactly over rationals.
 :class:`ProceduralAutomorphism` wraps a pair of evaluation procedures and is
-how constructed solutions (conjugators, word solutions) are returned: their
-graphs have infinitely many affine pieces, so no finite knot list exists.
+how constructed solutions with infinitely many affine pieces are returned
+(conjugators, x g x = f solutions, n-th roots, solutions of words whose
+exponent sums are all zero): no finite knot list exists for them.  A
+solution with a finite description stays PL: ``solve_word`` gives g, its
+inverse or the identity to the variables of a word with an exponent sum
+of +-1, and the identity to every variable but the one it solves for.
 
 Composition is written left to right everywhere in this library:
 ``compose(f, g)`` applies ``f`` first, so ``compose(f, g)(q) == g(f(q))``.
@@ -183,29 +187,30 @@ class PLAutomorphism:
         yn, yd, _ = self._image(q.numerator, q.denominator)
         return Fraction(yn, yd)
 
-    def _iterate(self, q: Fraction, count=None, gamma=None, up=True, trail=None):
-        """The orbit primitive: iterate this map from q.
+    def _iterate(self, pn: int, pd: int, count=None, gamma=None, up=True, trail=None):
+        """The orbit primitive: iterate this map from pn/pd (pd > 0).
 
         Stops after ``count`` steps or at the first iterate past ``gamma``,
         whichever comes first; past means above gamma when ``up``, at or
         below it otherwise.  Returns ``(steps, previous iterate, last
-        iterate)``, the very values that stepping gives.  The map is affine
-        on each piece, so once an orbit has stayed ``_STEPPED_RUN`` steps in
-        one piece, the rest of its run there has a closed form (see
-        ``_affine_run``) and costs one ceiling division or O(log n) exact
-        powers.  A walk thus takes at most ``_STEPPED_RUN`` steps and one
-        closed form per piece it crosses, whatever its length.  ``trail``,
-        when a list, gets the iterates appended while they come one step at
-        a time.
+        iterate)``, the very values that stepping gives, each iterate as a
+        ``(numerator, denominator)`` pair with positive denominator.  The
+        map is affine on each piece, so once an orbit has stayed
+        ``_STEPPED_RUN`` steps in one piece, the rest of its run there has a
+        closed form (see ``_affine_run``) and costs one ceiling division or
+        O(log n) exact powers.  A walk thus takes at most ``_STEPPED_RUN``
+        steps and one closed form per piece it crosses, whatever its length.
+        ``trail``, when a list, gets the iterates appended as reduced pairs
+        while they come one step at a time.
 
-        With gamma given, raises ValueError when q is a fixed point or the
-        orbit is found never to pass gamma: it converges to a fixed point or
-        runs off to infinity first, so gamma lies in another component.
+        With gamma given, raises ValueError when the start is a fixed point
+        or the orbit is found never to pass gamma: it converges to a fixed
+        point or runs off to infinity first, so gamma lies in another
+        component.
         """
         if count == 0:
-            return 0, q, q
+            return 0, (pn, pd), (pn, pd)
         gn, gd = (0, 1) if gamma is None else (gamma.numerator, gamma.denominator)
-        pn, pd = q.numerator, q.denominator
         steps = run = 0
         piece = None
         while True:
@@ -220,24 +225,25 @@ class PLAutomorphism:
                     self.knots[piece][0] if piece < len(self.knots) else None,
                     None if count is None else count - steps, gamma, up)
                 steps += n
+                pn, pd = cur.numerator, cur.denominator
                 if trail is not None:
                     if n == 1:
-                        trail.append(cur)
+                        trail.append((pn, pd))
                     else:
                         trail = None
                 if done:
-                    return steps, prev, cur
-                pn, pd = cur.numerator, cur.denominator
+                    return steps, (prev.numerator, prev.denominator), (pn, pd)
                 continue
             if gamma is not None and cn * pd == pn * cd:
                 raise ValueError("fixed point reached during orbit iteration")
             steps += 1
-            if trail is not None:
-                trail.append(Fraction(cn, cd))
-            if steps == count or (gamma is not None and (cn * gd > gn * cd) == up):
-                return steps, q if steps == 1 else Fraction(pn, pd), Fraction(cn, cd)
             common = gcd(cn, cd)
-            pn, pd = cn // common, cd // common
+            cn, cd = cn // common, cd // common
+            if trail is not None:
+                trail.append((cn, cd))
+            if steps == count or (gamma is not None and (cn * gd > gn * cd) == up):
+                return steps, (pn, pd), (cn, cd)
+            pn, pd = cn, cd
 
     def backward(self, q: Fraction) -> Fraction:
         return self._inverse.forward(q)
@@ -381,36 +387,40 @@ def power(f, n: int):
 def apply_power(f, n: int, q: Fraction) -> Fraction:
     """Evaluate f^n at q: through the orbit primitive for a PL map, by |n|
     single applications for any other map (black-box friendly)."""
-    return _walk(f, _frac(q), n < 0, count=abs(n))[2]
+    q = _frac(q)
+    return Fraction(*_walk(f, q.numerator, q.denominator, n < 0, count=abs(n))[2])
 
 
-def _walk(g, q: Fraction, backward: bool = False, count=None, gamma=None, up=True,
+def _walk(g, qn: int, qd: int, backward: bool = False, count=None, gamma=None, up=True,
           trail=None):
-    """The one orbit walk: iterate g, or g^-1 when ``backward``, from q.
+    """The one orbit walk: iterate g, or g^-1 when ``backward``, from qn/qd.
 
     Takes the arguments and gives the result of ``PLAutomorphism._iterate``,
-    which does the work for PL maps.  Any other map is stepped; with gamma it
-    stops with ValueError at an exact fixed point, and without a count after
+    which does the work for PL maps: points are ``(numerator,
+    denominator)`` pairs, gamma a Fraction.  Any other map is stepped in
+    Fractions, converted at this boundary; with gamma it stops with
+    ValueError at an exact fixed point, and without a count after
     ``MAX_ORBIT_STEPS`` steps.
     """
     if isinstance(g, PLAutomorphism):
-        return (g._inverse if backward else g)._iterate(q, count, gamma, up, trail)
+        return (g._inverse if backward else g)._iterate(qn, qd, count, gamma, up, trail)
     if count == 0:
-        return 0, q, q
+        return 0, (qn, qd), (qn, qd)
     step = g.backward if backward else g.forward
-    prev = cur = q
+    prev = cur = Fraction(qn, qd)
     for steps in range(1, (count or MAX_ORBIT_STEPS) + 1):
         prev, cur = cur, step(cur)
         if trail is not None:
-            trail.append(cur)
+            trail.append((cur.numerator, cur.denominator))
         if gamma is not None:
             if cur == prev:
                 raise ValueError("fixed point reached during orbit iteration")
             if (cur > gamma) == up:
-                return steps, prev, cur
-    if count is None:
-        raise ValueError(f"orbit iteration exceeded {MAX_ORBIT_STEPS} steps")
-    return count, prev, cur
+                break
+    else:
+        if count is None:
+            raise ValueError(f"orbit iteration exceeded {MAX_ORBIT_STEPS} steps")
+    return steps, (prev.numerator, prev.denominator), (cur.numerator, cur.denominator)
 
 
 def _reaches(a: Fraction, b: Fraction, s: int, c: Fraction) -> bool:

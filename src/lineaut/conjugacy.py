@@ -21,6 +21,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Optional
 
 from .automorphism import (
@@ -28,7 +29,6 @@ from .automorphism import (
     PLAutomorphism,
     ProceduralAutomorphism,
     _walk,
-    apply_power,
     compose,
     inverse,
 )
@@ -41,9 +41,39 @@ FAST_FORWARD = "fast_forward"
 _MODES = (LINEAR, FAST_FORWARD)
 
 
+class _Line:
+    """The increasing map t -> (an/ad) t + bn/bd on integer pairs, in the
+    pair protocol of ``PLAutomorphism``: ``_image`` and ``_inverse``.
+    ``an``, ``ad`` and ``bd`` are positive."""
+
+    def __init__(self, an: int, ad: int, bn: int, bd: int):
+        self.an, self.ad, self.bn, self.bd = an, ad, bn, bd
+
+    def _image(self, n: int, d: int):
+        """Image of n/d (d > 0) as an unreduced pair with positive
+        denominator, and piece 0."""
+        return self.an * n * self.bd + self.bn * self.ad * d, self.ad * d * self.bd, 0
+
+    @cached_property
+    def _inverse(self) -> "_Line":
+        # t -> (ad/an) t - (bn ad) / (bd an)
+        bn, bd = -self.bn * self.ad, self.bd * self.an
+        common = gcd(bn, bd)
+        return _Line(self.ad, self.an, bn // common, bd // common)
+
+
 @dataclass(frozen=True)
 class AffineBridge:
-    """Affine increasing bijection [source_lo, source_hi) -> [target_lo, target_hi)."""
+    """Affine increasing bijection [source_lo, source_hi) -> [target_lo, target_hi).
+
+    ``forward`` and ``backward`` compute in Fractions.  As an
+    ``OrbitTransport`` seed the bridge speaks the pair protocol instead:
+    ``_image`` applies its line, cached as four ints, to an integer pair
+    with six multiplications and one addition, and ``_inverse`` is the
+    inverse line, worked out from those ints.  That saves wall time only;
+    a bridge consults no map, so it costs nothing in the counted model
+    either way.
+    """
 
     source_lo: Fraction
     source_hi: Fraction
@@ -58,11 +88,36 @@ class AffineBridge:
     def slope(self) -> Fraction:
         return (self.target_hi - self.target_lo) / (self.source_hi - self.source_lo)
 
+    @cached_property
+    def _line(self) -> _Line:
+        """The line t -> a t + b of ``forward`` on integer pairs, worked out
+        in ints: a = (th - tl) / (sh - sl), b = tl - a sl."""
+        sln, sld = self.source_lo.numerator, self.source_lo.denominator
+        shn, shd = self.source_hi.numerator, self.source_hi.denominator
+        tln, tld = self.target_lo.numerator, self.target_lo.denominator
+        thn, thd = self.target_hi.numerator, self.target_hi.denominator
+        an = (thn * tld - tln * thd) * shd * sld
+        ad = (shn * sld - sln * shd) * thd * tld
+        common = gcd(an, ad)
+        an, ad = an // common, ad // common
+        bn, bd = tln * ad * sld - an * sln * tld, tld * ad * sld
+        common = gcd(bn, bd)
+        return _Line(an, ad, bn // common, bd // common)
+
+    @property
+    def _inverse(self) -> _Line:
+        return self._line._inverse
+
     def forward(self, q: Fraction) -> Fraction:
         return self.target_lo + self.slope * (q - self.source_lo)
 
     def backward(self, q: Fraction) -> Fraction:
         return self.source_lo + (q - self.target_lo) / self.slope
+
+    def _image(self, n: int, d: int):
+        """``forward`` on the pair n/d (d > 0), as ``PLAutomorphism._image``
+        gives it: an unreduced pair with positive denominator, and piece 0."""
+        return self._line._image(n, d)
 
     __call__ = forward
 
@@ -81,20 +136,22 @@ class OrbitLocation:
     upper: Fraction
 
 
-def _orientation(increasing: bool, alpha: Fraction, gamma: Fraction):
-    """The one rule for walking an orbit from alpha toward gamma.
+def _orientation(increasing: bool, alpha, gamma):
+    """The one rule for walking an orbit from alpha toward gamma, given as
+    ``(numerator, denominator)`` pairs with positive denominators.
 
     The walk goes up the line iff ``gamma >= alpha``.  It applies g iff that
     is the orbit's direction, and g^-1 otherwise, and it stops at the first
     iterate p past gamma: ``(p > gamma) == up``.  Returns ``(up, with_g)``.
     """
-    up = gamma >= alpha
+    up = gamma[0] * alpha[1] >= alpha[0] * gamma[1]
     return up, increasing == up
 
 
 def _iterate_until(g, start, gamma, up, use_forward, counter):
-    """Steps from start to the first iterate past gamma, with the last two iterates."""
-    steps, prev, cur = _walk(g, start, not use_forward, gamma=gamma, up=up)
+    """Steps from the pair start to the first iterate past gamma, with the
+    last two iterates as pairs."""
+    steps, prev, cur = _walk(g, *start, not use_forward, gamma=gamma, up=up)
     if counter is not None:
         if use_forward:
             counter.forward += steps
@@ -175,30 +232,42 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
     slope-1 tail a closed form is one ceiling division.  Any other map is
     stepped, as counted.
     """
+    index, up, prev, cur = _locate(g, alpha, gamma, mode, cache, counter)
+    lower, upper = (prev, cur) if up else (cur, prev)
+    return OrbitLocation(index, Fraction(*lower), Fraction(*upper))
+
+
+def _locate(g, alpha: Fraction, gamma: Fraction, mode: str, cache, counter):
+    """The work of ``orbit_locate``, for locators that want the index
+    alone: ``(index, up, prev, cur)`` with the walk's last two iterates as
+    ``(numerator, denominator)`` pairs."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    a = (alpha.numerator, alpha.denominator)
     if mode == FAST_FORWARD:
         ff_cache = _cache_for(g, cache)
         first = ff_cache.apply(alpha, 0, counter)
+        first = (first.numerator, first.denominator)
     else:
         if counter is not None:
             counter.forward += 1
-        first = g.forward(alpha)
-    if first == alpha:
+        first = _walk(g, *a, count=1)[2]
+    if first[0] * a[1] == a[0] * first[1]:
         raise ValueError(f"anchor {alpha} is a fixed point; it lies in no component")
-    up, with_g = _orientation(first > alpha, alpha, gamma)
+    c = (gamma.numerator, gamma.denominator)
+    up, with_g = _orientation(first[0] * a[1] > a[0] * first[1], a, c)
     if mode == FAST_FORWARD:
         step = ff_cache.apply if with_g else ff_cache.apply_inverse
         e, prev, cur = _ff_search(step, alpha, gamma, up, counter)
+        prev, cur = (prev.numerator, prev.denominator), (cur.numerator, cur.denominator)
     elif not with_g:
-        e, prev, cur = _iterate_until(g, alpha, gamma, up, False, counter)
-    elif (first > gamma) == up:
-        e, prev, cur = 1, alpha, first
+        e, prev, cur = _iterate_until(g, a, gamma, up, False, counter)
+    elif (first[0] * c[1] > c[0] * first[1]) == up:
+        e, prev, cur = 1, a, first
     else:
         e, prev, cur = _iterate_until(g, first, gamma, up, True, counter)
         e += 1
-    lower, upper = (prev, cur) if up else (cur, prev)
-    return OrbitLocation(e - 1 if with_g else -e, lower, upper)
+    return (e - 1 if with_g else -e), up, prev, cur
 
 
 class ComponentOrbit:
@@ -206,36 +275,38 @@ class ComponentOrbit:
 
     ``point(i)`` is anchor*g^i; ``locate(q)`` returns the block index of q.
     Points are cached under a lock as the orbit walk produces them one step
-    at a time, so each is evaluated once.  ``locate`` bisects over the
-    cached points on q's side of the anchor, O(log) comparisons.  Past the
-    cache both go through the orbit walk from the last cached point.  A
-    black-box g is stepped and every point cached.  For a PL g the cache
-    stops for good where a walk first jumps through the rest of an affine
-    piece in closed form, so it holds at most 16 points per piece crossed,
-    and a far index costs O(log |i|) exact-power operations beyond the
-    middle of the component.
+    at a time, so each is evaluated once; the cache holds them as reduced
+    ``(numerator, denominator)`` pairs.  ``locate`` bisects over the cached
+    points on q's side of the anchor, O(log) integer cross-multiplications.
+    Past the cache both go through the orbit walk from the last cached
+    point.  A black-box g is stepped and every point cached.  For a PL g
+    the cache stops for good where a walk first jumps through the rest of
+    an affine piece in closed form, so it holds at most 16 points per piece
+    crossed, and a far index costs O(log |i|) exact-power operations beyond
+    the middle of the component.
     """
 
     def __init__(self, g, anchor: Fraction):
         self.g = g
         self.anchor = anchor
-        self._fwd = [anchor]  # indices 0, 1, 2, ...
-        self._bwd = [anchor]  # indices 0, -1, -2, ...
+        start = (anchor.numerator, anchor.denominator)
+        self._fwd = [start]  # indices 0, 1, 2, ...
+        self._bwd = [start]  # indices 0, -1, -2, ...
         self._lock = threading.RLock()
         self._sealed = set()  # directions (with_g) whose cache has stopped growing
         first = g.forward(anchor)
         if first == anchor:
             raise ValueError(f"anchor {anchor} is a fixed point; it lies in no component")
         self.increasing = first > anchor
-        self._fwd.append(first)
+        self._fwd.append((first.numerator, first.denominator))
 
     def _past_cache(self, with_g: bool, count=None, gamma=None, up=True):
         """Walk on from the last cached point with g (or g^-1).  Returns the
-        walk's last point and its distance from the anchor in steps."""
+        walk's last point as a pair and its distance from the anchor in steps."""
         walk = self._fwd if with_g else self._bwd
         known = len(walk) - 1
         trail = None if with_g in self._sealed else walk
-        steps, _, cur = _walk(self.g, walk[-1], not with_g, count, gamma, up, trail)
+        steps, _, cur = _walk(self.g, *walk[-1], not with_g, count, gamma, up, trail)
         if len(walk) - 1 < known + steps:
             # the walk jumped; points past here are recomputed, not cached
             self._sealed.add(with_g)
@@ -245,22 +316,25 @@ class ComponentOrbit:
         with self._lock:
             walk = self._fwd if i >= 0 else self._bwd
             if abs(i) < len(walk):
-                return walk[abs(i)]
-            return self._past_cache(i >= 0, count=abs(i) - len(walk) + 1)[1]
+                return Fraction(*walk[abs(i)])
+            return Fraction(*self._past_cache(i >= 0, count=abs(i) - len(walk) + 1)[1])
 
     def locate(self, q: Fraction) -> int:
         """Index i with point(i) <= q < point(i+1) (mirrored when decreasing)."""
+        qn, qd = q.numerator, q.denominator
         with self._lock:
-            up, with_g = _orientation(self.increasing, self.anchor, q)
+            up, with_g = _orientation(self.increasing, self._fwd[0], (qn, qd))
             # The walk's k-th point is point(k) with g and point(-k) with g^-1;
             # find the least k whose point is past q.  The anchor (k = 0)
             # never is.
             walk = self._fwd if with_g else self._bwd
             lo, hi = 0, len(walk) - 1
-            if (walk[hi] > q) == up:
+            pn, pd = walk[hi]
+            if (pn * qd > qn * pd) == up:
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    if (walk[mid] > q) == up:
+                    pn, pd = walk[mid]
+                    if (pn * qd > qn * pd) == up:
                         hi = mid
                     else:
                         lo = mid
@@ -275,15 +349,26 @@ class OrbitTransport:
 
     ``forward(q) = t_out^i(seed(t_in^-i(q)))`` where ``i = locate_in(q)`` is
     the index of the t_in-orbit block holding q, and ``backward`` mirrors it
-    with ``locate_out`` and t_out.  ``seed`` (any object with forward and
-    backward) maps the anchor block of t_in onto that of t_out; a locator is
+    with ``locate_out``, t_out and the seed's inverse.  ``seed`` maps the
+    anchor block of t_in onto that of t_out and speaks the pair protocol of
+    ``PLAutomorphism``: ``_image(n, d)`` gives the image of n/d as an
+    unreduced pair with positive denominator (and a piece index), and
+    ``_inverse`` is the inverse map with the same protocol.  A locator is
     any callable returning a block index.  Conjugators (t_in = g, t_out = f,
-    an affine seed), x g x = f pieces (fg, gf, a two-case seed) and the word
-    aligner (W, g, the identity) are all of this form.  In the counted
-    model an orbit index i costs |i| evaluations of each map, plus whatever
-    locating costs.  In wall time ``apply_power`` takes a PL map through
-    the middle of the component and O(log |i|) exact-power operations, and
-    steps any other map |i| times.
+    an ``AffineBridge``), x g x = f pieces (fg, gf, a two-case seed) and the
+    word aligner (W, g, the identity) are all of this form.
+
+    One evaluation is one pass over ``(numerator, denominator)`` pairs: the
+    pull-back walk, the seed and the push-forward walk, all through
+    ``_walk``, with one Fraction built at the end.  In the counted model an
+    orbit index i costs |i| evaluations of each map, plus whatever locating
+    costs; the pair pass leaves that unchanged.  In wall time a walk takes a
+    PL map through the middle of the component and O(log |i|) exact-power
+    operations, and steps any other map |i| times in Fractions.  At small
+    indices the pass costs about as much as the PL arithmetic it does: an
+    x g x = f solution of two random maps evaluates about 2.4 times as fast
+    per point as when every stage built Fractions (README, "Conjugacy
+    machinery").
     """
 
     t_in: object
@@ -293,12 +378,17 @@ class OrbitTransport:
     locate_out: Callable[[Fraction], int]
 
     def forward(self, q: Fraction) -> Fraction:
-        i = self.locate_in(q)
-        return apply_power(self.t_out, i, self.seed.forward(apply_power(self.t_in, -i, q)))
+        return self._carry(q, self.locate_in(q), self.t_in, self.seed, self.t_out)
 
     def backward(self, q: Fraction) -> Fraction:
-        i = self.locate_out(q)
-        return apply_power(self.t_in, i, self.seed.backward(apply_power(self.t_out, -i, q)))
+        return self._carry(q, self.locate_out(q), self.t_out, self.seed._inverse, self.t_in)
+
+    @staticmethod
+    def _carry(q: Fraction, i: int, pull, seed, push) -> Fraction:
+        """push^i(seed(pull^-i(q))) in one pass over integer pairs."""
+        n, d = _walk(pull, q.numerator, q.denominator, i > 0, count=abs(i))[2]
+        n, d, _ = seed._image(n, d)
+        return Fraction(*_walk(push, n, d, i < 0, count=abs(i))[2])
 
 
 def anchor_point(element: TerrainElement) -> Fraction:
@@ -355,8 +445,8 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
         f_cache = _cache_for(f, f_cache)
     transport = OrbitTransport(
         g, f, bridge,
-        lambda q: orbit_locate(g, alpha, q, mode, cache=g_cache).index,
-        lambda q: orbit_locate(f, beta, q, mode, cache=f_cache).index)
+        lambda q: _locate(g, alpha, q, mode, g_cache, None)[0],
+        lambda q: _locate(f, beta, q, mode, f_cache, None)[0])
 
     def fwd(q):
         if not source.contains(q):

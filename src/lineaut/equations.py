@@ -35,6 +35,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict
 
 from .automorphism import (
@@ -318,6 +319,29 @@ def nth_root(g: PLAutomorphism, n: int):
     return conjugation(g, h)
 
 
+class _TwoCase:
+    """One direction of an ``_XgxSeed`` on integer pairs: v -> bridge(v) on
+    one side of ``split`` (below it iff ``below``), v -> after(bridge^-1(
+    before^-1(v))) on the other.  Speaks the ``_image`` protocol of
+    ``PLAutomorphism``, with the case taken (0 or 1) as the piece."""
+
+    def __init__(self, split: Fraction, below: bool, bridge, before, after):
+        self.split = (split.numerator, split.denominator)
+        self.below = below
+        self.bridge = bridge
+        self.before = before
+        self.after = after
+
+    def _image(self, n: int, d: int):
+        sn, sd = self.split
+        if (n * sd < sn * d) == self.below:
+            return self.bridge._image(n, d)
+        n, d, _ = self.before._inverse._image(n, d)
+        n, d, _ = self.bridge._inverse._image(n, d)
+        n, d, _ = self.after._image(n, d)
+        return n, d, 1
+
+
 class _XgxSeed:
     """Seed of x g x = f on the anchor block of fg between alpha and alpha*fg.
 
@@ -325,6 +349,13 @@ class _XgxSeed:
     side of beta*g through the affine bridge that sends alpha to beta and
     beta*g to alpha*f, on the other side through g^-1, the inverse bridge and
     f.  ``backward`` splits the same way at alpha*f, beta's side first.
+    ``forward`` and ``backward`` are the definitions in Fractions;
+    ``_image`` and ``_inverse._image`` compute the same two cases on integer
+    pairs for ``OrbitTransport`` (f and g must be PL maps): one comparison
+    by cross-multiplication, then the bridge, or three pair images.  That
+    changes wall time only: one crossing of the seed of two random maps
+    takes about a sixth of the time it takes in Fractions, and each case
+    still costs the same evaluations of f and g in the counted model.
     """
 
     def __init__(self, f, g, alpha: Fraction, beta: Fraction):
@@ -336,6 +367,14 @@ class _XgxSeed:
         self.below = alpha < self.beta_g
         ends = sorted((alpha, self.beta_g)) + sorted((beta, self.alpha_f))
         self.bridge = AffineBridge(*ends)
+        self._forward = _TwoCase(self.beta_g, self.below, self.bridge, g, f)
+
+    @cached_property
+    def _inverse(self) -> _TwoCase:
+        return _TwoCase(self.alpha_f, self.below, self.bridge._inverse, self.f, self.g)
+
+    def _image(self, n: int, d: int):
+        return self._forward._image(n, d)
 
     def forward(self, v):
         if (v < self.beta_g) == self.below:

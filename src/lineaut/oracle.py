@@ -109,14 +109,15 @@ class FastForwardCache:
         """
         if counter is not None:
             counter.ff_steps += 1
-        return self.base._iterate(q, 1 << k, gamma, up)[2]
+        return Fraction(*self.base._iterate(q.numerator, q.denominator, 1 << k, gamma, up)[2])
 
     def apply_inverse(self, q: Fraction, k: int, counter: CallCounter = None, gamma=None,
                       up: bool = True) -> Fraction:
         """One fast-forward step with g^(-2^k); see ``apply``."""
         if counter is not None:
             counter.ff_steps += 1
-        return self.base._inverse._iterate(q, 1 << k, gamma, up)[2]
+        return Fraction(*self.base._inverse._iterate(q.numerator, q.denominator, 1 << k, gamma,
+                                                     up)[2])
 
 
 def build_cache(g: PLAutomorphism, depth: int = 0) -> FastForwardCache:

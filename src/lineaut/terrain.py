@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .automorphism import PLAutomorphism
@@ -115,16 +116,43 @@ class Terrain:
     def color_sequence(self) -> str:
         return "".join(e.color.value for e in self.elements)
 
+    @cached_property
+    def _boundaries(self):
+        """Finite boundaries as int lists ``(numerators, denominators)``:
+        boundary k is where element k ends and element k+1 begins."""
+        elems = self.elements
+        ends = [e.hi for e in elems[:-1]]
+        # every element has lo < hi, so infinite outer ends are -inf and +inf
+        if (not elems or is_finite(elems[0].lo) or is_finite(elems[-1].hi)
+                or ends != [e.lo for e in elems[1:]]):
+            raise ValueError(f"terrain {self.color_sequence()!r} does not cover the line")
+        return [b.numerator for b in ends], [b.denominator for b in ends]
+
     def locate(self, q: Fraction):
         """('element', k) for the element containing q, or ('boundary', k)
-        when q is the isolated fixed point between elements k and k+1."""
-        for k, e in enumerate(self.elements):
-            if e.contains(q):
-                return ("element", k)
-        for k, e in enumerate(self.elements[:-1]):
-            if e.hi == q:
-                return ("boundary", k)
-        raise ValueError(f"point {q} not located in terrain {self.color_sequence()!r}")
+        when q is the isolated fixed point between elements k and k+1.
+
+        Bisects over the finite boundaries with integer cross-multiplication.
+        A boundary belongs to the fixed interval on either side of it, if
+        there is one.  Raises ValueError on a terrain that does not cover
+        the line.
+        """
+        bn, bd = self._boundaries
+        qn, qd = q.numerator, q.denominator
+        lo, hi = 0, len(bn)
+        while lo < hi:  # least k with q <= boundary k
+            mid = (lo + hi) // 2
+            if bn[mid] * qd < qn * bd[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(bn) or bn[lo] * qd != qn * bd[lo]:
+            return ("element", lo)
+        if self.elements[lo].color is Color.FIXED:
+            return ("element", lo)
+        if self.elements[lo + 1].color is Color.FIXED:
+            return ("element", lo + 1)
+        return ("boundary", lo)
 
     def is_valid(self) -> bool:
         elems = self.elements

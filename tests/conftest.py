@@ -1,9 +1,22 @@
 import random
+from functools import partial
 
 import pytest
 from fractions import Fraction
 
-from lineaut import Color, Word, support_decompose
+from lineaut import (
+    AffineBridge,
+    Color,
+    Word,
+    anchor_point,
+    apply_power,
+    compose,
+    conjugate_on_fixed,
+    orbit_locate,
+    support_decompose,
+)
+from lineaut.conjugacy import OrbitTransport
+from lineaut.equations import _xgx_piece
 from lineaut.samples import random_pl
 
 
@@ -61,3 +74,83 @@ def walk_locate(orbit, q):
     while (orbit.point(i) > q) != up:
         i += step
     return i - 1 if with_g else i
+
+
+def linear_locate(terrain, q):
+    """Reference for ``Terrain.locate``: a linear scan of ``contains``, then
+    of the boundaries between elements."""
+    for k, e in enumerate(terrain):
+        if e.contains(q):
+            return ("element", k)
+    for k, e in enumerate(terrain.elements[:-1]):
+        if e.hi == q:
+            return ("boundary", k)
+    raise ValueError(f"point {q} not located in terrain {terrain.color_sequence()!r}")
+
+
+def transport_forward(t, q):
+    """Reference for ``OrbitTransport.forward``: its formula in Fractions."""
+    i = t.locate_in(q)
+    return apply_power(t.t_out, i, t.seed.forward(apply_power(t.t_in, -i, q)))
+
+
+def transport_backward(t, q):
+    """Reference for ``OrbitTransport.backward``: its formula in Fractions."""
+    i = t.locate_out(q)
+    return apply_power(t.t_in, i, t.seed.backward(apply_power(t.t_out, -i, q)))
+
+
+def by_terrain_reference(terrain_in, terrain_out, forwards, backwards):
+    """(forward, backward) of the terrain dispatcher, located by
+    ``linear_locate``: element k of terrain_in goes through forwards[k], the
+    isolated fixed point after it to the one after element k of terrain_out."""
+
+    def fwd(q):
+        kind, k = linear_locate(terrain_in, q)
+        return forwards[k](q) if kind == "element" else terrain_out[k].hi
+
+    def bwd(q):
+        kind, k = linear_locate(terrain_out, q)
+        return backwards[k](q) if kind == "element" else terrain_in[k].hi
+
+    return fwd, bwd
+
+
+def conjugator_reference(g, f, mode):
+    """(forward, backward) of ``solve_conjugacy(g, f, mode)``: each pair of
+    components through the transport formula in Fractions, with the affine
+    bridge from anchor block to anchor block as its seed."""
+    terrain_g, terrain_f = support_decompose(g), support_decompose(f)
+    forwards, backwards = [], []
+    for eg, ef in zip(terrain_g, terrain_f):
+        if eg.color is Color.FIXED:
+            piece = conjugate_on_fixed(eg, ef)
+            forwards.append(piece.forward)
+            backwards.append(piece.backward)
+            continue
+        alpha, beta = anchor_point(eg), anchor_point(ef)
+        ends = sorted((alpha, g.forward(alpha))) + sorted((beta, f.forward(beta)))
+        t = OrbitTransport(g, f, AffineBridge(*ends),
+                           partial(lambda a, q: orbit_locate(g, a, q, mode).index, alpha),
+                           partial(lambda b, q: orbit_locate(f, b, q, mode).index, beta))
+        forwards.append(partial(transport_forward, t))
+        backwards.append(partial(transport_backward, t))
+    return by_terrain_reference(terrain_g, terrain_f, forwards, backwards)
+
+
+def xgx_reference(g, f):
+    """(forward, backward) of ``solve_xgx(g, f)``: each component of the
+    support of fg through the transport formula in Fractions, f on the
+    fixed set of fg."""
+    fg, gf = compose(f, g), compose(g, f)
+    forwards, backwards = [], []
+    terrain_fg = support_decompose(fg)
+    for e in terrain_fg:
+        if e.color is Color.FIXED:
+            forwards.append(f.forward)
+            backwards.append(f.backward)
+        else:
+            t = _xgx_piece(f, g, fg, gf, anchor_point(e))
+            forwards.append(partial(transport_forward, t))
+            backwards.append(partial(transport_backward, t))
+    return by_terrain_reference(terrain_fg, support_decompose(gf), forwards, backwards)

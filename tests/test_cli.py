@@ -212,7 +212,7 @@ class TestTerrainCatalog:
 
     def test_file_named_realize_is_not_a_command(self, files, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "realize").write_text(open(files["t1"]).read())
+        (tmp_path / "realize").write_text(Path(files["t1"]).read_text())
         code, data = run(["eval", "realize", "5/3", "--inverse"])
         assert code == EXIT_OK
         assert data == {"x": "5/3", "y": "2/3"}

@@ -70,6 +70,12 @@ starts = st.fractions(min_value=-14, max_value=14, max_denominator=12)
 counts = st.integers(0, 4).flatmap(lambda e: st.integers(0, 10 ** e))
 
 
+def walk(g, q, backward, **kwargs):
+    """``_walk`` from a Fraction, its iterates back as Fractions."""
+    steps, prev, cur = _walk(g, q.numerator, q.denominator, backward, **kwargs)
+    return steps, F(*prev), F(*cur)
+
+
 def stepped(g, q, n, backward=False):
     """q and its first n iterates under g (or g^-1), one application each."""
     step = g.backward if backward else g.forward
@@ -93,11 +99,11 @@ class TestPrimitiveMatchesStepping:
         orbit = stepped(g, q, max(n, 1), backward)
         for k in {n, n // 2, n // 3 + 1, _STEPPED_RUN + 1}:
             if k < len(orbit):
-                assert _walk(g, q, backward, count=k) == (k, orbit[max(k - 1, 0)], orbit[k])
+                assert walk(g, q, backward, count=k) == (k, orbit[max(k - 1, 0)], orbit[k])
                 assert apply_power(g, -k if backward else k, q) == orbit[k]
         if orbit[1] == q:
             with pytest.raises(ValueError):
-                _walk(g, q, backward, gamma=q + 1, up=True)
+                walk(g, q, backward, gamma=q + 1, up=True)
             return
         up = orbit[1] > q
         m = max(n, 1)
@@ -105,7 +111,7 @@ class TestPrimitiveMatchesStepping:
         gamma = lo + t * (hi - lo)
         if gamma < hi:
             # moving up, the first iterate above gamma; moving down, at or below it
-            assert _walk(g, q, backward, gamma=gamma, up=up) == (m, orbit[m - 1], orbit[m])
+            assert walk(g, q, backward, gamma=gamma, up=up) == (m, orbit[m - 1], orbit[m])
 
     @given(maps, starts, st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -116,14 +122,14 @@ class TestPrimitiveMatchesStepping:
         up = first > q
         # behind the start: the orbit only moves away
         with pytest.raises(ValueError):
-            _walk(g, q, backward, gamma=q - 1 if up else q + 1, up=not up)
+            walk(g, q, backward, gamma=q - 1 if up else q + 1, up=not up)
         # beyond the end of the component the orbit converges to
         terrain = support_decompose(g)
         element = terrain[terrain.locate(q)[1]]
         end = element.hi if up else element.lo
         if is_finite(end):
             with pytest.raises(ValueError):
-                _walk(g, q, backward, gamma=end + (1 if up else -1), up=up)
+                walk(g, q, backward, gamma=end + (1 if up else -1), up=up)
 
 
 def components(g):

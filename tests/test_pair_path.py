@@ -1,0 +1,211 @@
+"""The integer-pair evaluation path against the Fraction formula.
+
+``OrbitTransport`` pulls a point back along one orbit, crosses its seed and
+pushes the result forward along the other, all on ``(numerator,
+denominator)`` pairs; ``Terrain.locate`` and ``ComponentOrbit.locate``
+bisect with integer cross-multiplication.  The references in ``conftest``
+evaluate the same formula with ``apply_power`` and the seeds' ``forward``
+and ``backward`` in Fractions, and locate terrain elements by a linear
+scan.  Every value must agree exactly, forward and backward, for
+conjugators in both modes, x g x = f solutions and the conjugators inside
+``nth_root``, at exact orbit points, isolated fixed points, points 1/2^k
+from component ends, points with numerators above 2^64, and orbit indices
+up to 10^4 on slope-1 and non-unit-slope tails, where walks take closed
+forms.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lineaut import (
+    Color,
+    PLAutomorphism,
+    anchor_point,
+    apply_power,
+    compose,
+    inverse,
+    nth_root,
+    power,
+    realize,
+    solve_conjugacy,
+    solve_xgx,
+    support_decompose,
+)
+from lineaut.equations import _xgx_piece
+from lineaut.rational import is_finite
+from lineaut.samples import random_pl
+from conftest import conjugator_reference, xgx_reference
+
+F = Fraction
+
+# Terrain "+", slope-1 tails.
+TRANSLATING = PLAutomorphism(((-2, -1), (0, F(3, 2)), (3, 4)), 1, 1)
+# Terrain "-+-": tails with slopes 3/2 and 1/2 that fix -11 and 5.
+TWO_SIGNS = PLAutomorphism(((-6, F(-7, 2)), (F(-5, 4), 2), (2, F(7, 2))), F(3, 2), F(1, 2))
+# Terrain "+": tails with slopes 1/2 and 2, so far orbits grow geometrically.
+GEOMETRIC = PLAutomorphism(((0, 1), (1, F(5, 2))), F(1, 2), 2)
+# Terrain "-+", slopes 3/2 and 1: the boundary fixed point -5 is a knot.
+SLOW_BOUNDARY = PLAutomorphism(((-5, -5), (F(9, 2), F(14, 3)), (5, 6)), F(3, 2), 1)
+SHAPED = [realize("-+-"), realize("-0+0-"), realize("+0-"), realize("+-+"), TRANSLATING,
+          TWO_SIGNS, GEOMETRIC, SLOW_BOUNDARY, inverse(GEOMETRIC)]
+
+shaped = st.sampled_from(SHAPED)
+conjugating = st.integers(0, 2 ** 32).map(lambda s: random_pl(random.Random(s), max_knots=3))
+# orbit indices log-uniform up to 10^4
+indices = st.integers(0, 4).flatmap(lambda e: st.integers(-10 ** e, 10 ** e))
+recipes = st.lists(st.tuples(st.sampled_from(("orbit", "end", "big", "fixed")),
+                             st.integers(0, 7), indices, st.integers(1, 60)),
+                   min_size=1, max_size=6)
+
+
+def points(g, recipes):
+    """Query points on the terrain of g, one or two per recipe.
+
+    ``orbit``: the exact orbit point anchor*g^i of a component.  ``end``:
+    1/2^k inside a finite end of an element, or 2^(k mod 14) out on an
+    infinite one.  ``big``: a point near an anchor whose numerator exceeds
+    2^64.  ``fixed``: every isolated fixed point and closed end of a fixed
+    interval.
+    """
+    terrain = support_decompose(g)
+    components = [e for e in terrain if e.color is not Color.FIXED]
+    out = []
+    for kind, pick, i, k in recipes:
+        e = terrain[pick % len(terrain)]
+        if kind == "orbit" and components:
+            c = components[pick % len(components)]
+            out.append(apply_power(g, i, anchor_point(c)))
+        elif kind == "end":
+            for end, sign in ((e.lo, 1), (e.hi, -1)):
+                out.append(end + F(sign, 2 ** k) if is_finite(end)
+                           else F(-sign * 2 ** (k % 14)))
+        elif kind == "big":
+            out.append(anchor_point(e) + F(2 ** 66 + k, 2 ** 67 + 3 * k))
+        else:
+            out.extend(b for a in terrain for b in (a.lo, a.hi) if is_finite(b))
+    return out
+
+
+def check_agrees(x, reference, qs):
+    """x and the reference agree exactly at qs, forward and backward, and
+    backward inverts forward."""
+    fwd, bwd = reference
+    for q in qs:
+        y = x.forward(q)
+        assert y == fwd(q), q
+        assert x.backward(y) == bwd(y) == q, q
+        assert x.backward(q) == bwd(q), q
+
+
+def conjugate_of(g, h):
+    """h^-1 g h: same terrain and tail slopes as g."""
+    return compose(compose(inverse(h), g), h)
+
+
+class TestTransportMatchesFractionFormula:
+    @given(shaped, conjugating, st.sampled_from(("linear", "fast_forward")), recipes)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_conjugators(self, g, h, mode, recipes):
+        f = conjugate_of(g, h)
+        x = solve_conjugacy(g, f, mode)
+        check_agrees(x, conjugator_reference(g, f, mode), points(g, recipes) + points(f, recipes))
+
+    @given(shaped, conjugating, recipes)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_xgx_pieces(self, fg, f, recipes):
+        # g = f^-1 (fg), so the support of fg has the chosen shape, with
+        # positive and negative components
+        g = compose(inverse(f), fg)
+        x = solve_xgx(g, f)
+        gf = compose(g, f)
+        check_agrees(x, xgx_reference(g, f), points(fg, recipes) + points(gf, recipes))
+
+    @given(shaped, conjugating, st.sampled_from((2, 3, 5)), recipes)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_root_conjugators(self, g, h, n, recipes):
+        g = conjugate_of(g, h)
+        qs = points(g, recipes)
+        gn = power(g, n)
+        # the conjugator nth_root builds, and the root through the reference
+        check_agrees(solve_conjugacy(gn, g), conjugator_reference(gn, g, "linear"), qs)
+        h_fwd, h_bwd = conjugator_reference(gn, g, "linear")
+        x = nth_root(g, n)
+        for q in qs:
+            assert x.forward(q) == h_fwd(g.forward(h_bwd(q)))
+            assert x.backward(q) == h_fwd(g.backward(h_bwd(q)))
+
+    @pytest.mark.parametrize("g", [TRANSLATING, GEOMETRIC])
+    def test_far_indices(self, g):
+        # orbit indices +-10^4 from the anchor, on slope-1 tails and on
+        # tails of slopes 2 and 1/2
+        f = conjugate_of(g, PLAutomorphism(((0, 1), (2, 2)), F(1, 2), 3))
+        qs = [apply_power(g, i, anchor_point(c)) for c in support_decompose(g)
+              if c.color is not Color.FIXED for i in (10 ** 4, -10 ** 4)]
+        for mode in ("linear", "fast_forward"):
+            check_agrees(solve_conjugacy(g, f, mode), conjugator_reference(g, f, mode), qs)
+        g_xgx = compose(inverse(f), g)
+        check_agrees(solve_xgx(g_xgx, f), xgx_reference(g_xgx, f), qs)
+
+    def test_random_pairs(self):
+        rng = random.Random(8)
+        for trial in range(12):
+            g, f = random_pl(rng), random_pl(rng)
+            qs = [F(rng.randint(-300, 300), rng.randint(1, 40)) for _ in range(20)]
+            check_agrees(solve_xgx(g, f), xgx_reference(g, f), qs)
+
+
+class TestSeedImages:
+    """Every seed kind's ``_image`` is its ``forward`` on pairs, and the
+    image under ``_inverse`` its ``backward``, also on unreduced pairs."""
+
+    @staticmethod
+    def check_seed(seed, qs):
+        for q in qs:
+            for scale in (1, 6):
+                n, d = q.numerator * scale, q.denominator * scale
+                yn, yd, _ = seed._image(n, d)
+                assert yd > 0 and F(yn, yd) == seed.forward(q)
+                yn, yd, _ = seed._inverse._image(n, d)
+                assert yd > 0 and F(yn, yd) == seed.backward(q)
+
+    @given(shaped, conjugating, st.lists(st.fractions(-20, 20, max_denominator=50), max_size=8))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_xgx_seeds_and_bridges(self, fg, f, qs):
+        g = compose(inverse(f), fg)
+        gf = compose(g, f)
+        for e in support_decompose(fg):
+            if e.color is Color.FIXED:
+                continue
+            alpha = anchor_point(e)
+            seed = _xgx_piece(f, g, fg, gf, alpha).seed
+            # the anchor block, both sides of the split and the points around it
+            block = sorted((alpha, fg.forward(alpha)))
+            probes = qs + block + [seed.beta_g, seed.alpha_f, (block[0] + block[1]) / 2]
+            self.check_seed(seed, probes)
+            self.check_seed(seed.bridge, probes)
+
+    def test_both_cases_of_the_xgx_seed(self):
+        f = PLAutomorphism.translation(3)
+        for seq in ("-+-", "-0+0-"):
+            fg = realize(seq)
+            g = compose(inverse(f), fg)
+            gf = compose(g, f)
+            cases = set()
+            for e in support_decompose(fg):
+                if e.color is Color.FIXED:
+                    continue
+                alpha = anchor_point(e)
+                seed = _xgx_piece(f, g, fg, gf, alpha).seed
+                lo, hi = sorted((alpha, fg.forward(alpha)))
+                qs = [lo + (hi - lo) * F(j, 16) for j in range(16)]
+                self.check_seed(seed, qs)
+                cases.update(seed._image(q.numerator, q.denominator)[2] for q in qs)
+            assert cases == {0, 1}
+
+    def test_identity_seed(self):
+        seed = PLAutomorphism.identity()
+        self.check_seed(seed, [F(-7, 3), F(0), F(2 ** 70 + 1, 3)])

@@ -8,6 +8,7 @@ from lineaut import (
     PLAutomorphism,
     Terrain,
     TerrainElement,
+    anchor_point,
     color_sequence,
     conjugation,
     enumerate_color_sequences,
@@ -17,7 +18,7 @@ from lineaut import (
     validate_terrain,
 )
 from lineaut.rational import NEG_INF, POS_INF, is_finite
-from conftest import sample_pls
+from conftest import linear_locate, sample_pls
 
 F = Fraction
 
@@ -221,3 +222,53 @@ class TestJsonAndLocate:
                     assert t[k].contains(q)
                 else:
                     assert t[k].hi == q
+
+
+class TestLocateAgainstScan:
+    """``Terrain.locate`` bisects over the boundaries; the linear scan in
+    conftest is the reference."""
+
+    @staticmethod
+    def probes(terrain):
+        """Every finite boundary and points 10^-30 either side of it, every
+        anchor, and points far out on both infinite ends."""
+        eps = F(1, 10 ** 30)
+        out = [F(-10 ** 30), F(10 ** 30), F(-10 ** 6 - 1, 3), F(10 ** 6 + 1, 3)]
+        for e in terrain:
+            out.append(anchor_point(e))
+            if is_finite(e.hi) and e.hi != terrain[-1].hi:
+                out += [e.hi - eps, e.hi, e.hi + eps]
+        return out
+
+    def check(self, terrain):
+        kinds = set()
+        for q in self.probes(terrain):
+            located = terrain.locate(q)
+            assert located == linear_locate(terrain, q), (terrain, q)
+            kinds.add((located[0], terrain[located[1]].color))
+        return kinds
+
+    def test_realized_terrains(self):
+        kinds = set()
+        for n in range(1, 6):
+            for seq in enumerate_color_sequences(n):
+                kinds |= self.check(support_decompose(realize(seq)))
+        # isolated fixed points between POS and NEG components in either order,
+        # and closed ends of fixed intervals on both sides of them
+        assert {("boundary", Color.POS), ("boundary", Color.NEG),
+                ("element", Color.FIXED)} <= kinds
+
+    def test_random_terrains(self, rng):
+        for g in sample_pls(rng, 200):
+            self.check(support_decompose(g))
+
+    def test_closed_ends_of_fixed_intervals(self):
+        t = support_decompose(realize("+0-0+"))
+        for k, e in enumerate(t):
+            if e.color is Color.FIXED:
+                assert t.locate(e.lo) == t.locate(e.hi) == ("element", k)
+
+    def test_terrain_must_cover_the_line(self):
+        t = Terrain((TerrainElement(Color.POS, F(0), POS_INF),))
+        with pytest.raises(ValueError):
+            t.locate(F(1))
