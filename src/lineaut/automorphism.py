@@ -3,7 +3,12 @@
 Two representations are provided.  :class:`PLAutomorphism` is the closed,
 finitely-described one: finitely many knots with affine interpolation between
 them and affine tails.  It is closed under composition, inversion, pointwise
-min/max, and integer powers, all computed exactly over rationals.
+min/max, and integer powers, all computed exactly over rationals.  Each map
+is validated and brought to normal form once, on integer (numerator,
+denominator) pairs, and keeps the result as one table of ints: its knot
+x-coordinates and the line of every piece.  Evaluation, the inverse,
+composition, min/max and the terrain (``terrain.support_decompose``) read
+that table; Fractions are made only for the knots and values they return.
 :class:`ProceduralAutomorphism` wraps a pair of evaluation procedures and is
 how constructed solutions with infinitely many affine pieces are returned
 (conjugators, x g x = f solutions, n-th roots, solutions of words whose
@@ -19,7 +24,6 @@ The ``*`` operator follows the same convention: ``(f * g)(q) == g(f(q))``.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +39,11 @@ MAX_ORBIT_STEPS = 1 << 32
 _STEPPED_RUN = 16
 
 
+# the piece table of the identity: no knots, the one line y = x; shared by
+# every identity map, like all tables it is never mutated
+_IDENTITY_TABLE = ([], [], [1], [1], [0], [1])
+
+
 class DomainError(ValueError):
     """A partial map was evaluated outside its domain."""
 
@@ -45,38 +54,22 @@ def _frac(value) -> Fraction:
     return parse_rational(value)
 
 
-def _piece_lines(knots, left_slope, right_slope):
-    """(slope, intercept) per affine piece of a nonempty knot list, tails included."""
-    x0, y0 = knots[0]
-    lines = [(left_slope, y0 - left_slope * x0)]
-    for (xa, ya), (xb, yb) in zip(knots, knots[1:]):
-        a = (yb - ya) / (xb - xa)
-        lines.append((a, ya - a * xa))
-    xm, ym = knots[-1]
-    lines.append((right_slope, ym - right_slope * xm))
-    return lines
+def _line_through(an: int, ad: int, xn: int, xd: int, yn: int, yd: int):
+    """The line of slope an/ad through (xn/xd, yn/yd) as reduced ints
+    ``(an, ad, bn, bd)``: intercept b = y - a x.  Denominators are positive,
+    and an/ad must be reduced."""
+    bn = yn * ad * xd - an * xn * yd
+    bd = yd * ad * xd
+    common = gcd(bn, bd)
+    return an, ad, bn // common, bd // common
 
 
-def _canonicalize(knots, left_slope, right_slope):
-    """Normal form: boundaries of maximal affine pieces.
-
-    Knots collinear with their surroundings are dropped.  A globally affine
-    map is anchored at x = 0 (so a translation t -> t + c keeps the single
-    knot (0, c)); the identity has no knots at all.
-    """
-    if not knots:
-        if left_slope != 1 or right_slope != 1:
-            raise ValueError("a map without knots must be the identity; got tail slopes "
-                             f"{left_slope}, {right_slope}")
-        return (), Fraction(1), Fraction(1)
-    lines = _piece_lines(knots, left_slope, right_slope)
-    kept = tuple(knots[i] for i in range(len(knots)) if lines[i] != lines[i + 1])
-    if not kept:
-        a, b = lines[0]
-        if a == 1 and b == 0:
-            return (), Fraction(1), Fraction(1)
-        return ((Fraction(0), b),), a, a
-    return kept, left_slope, right_slope
+def _inverse_line(an: int, ad: int, bn: int, bd: int):
+    """The inverse of the increasing line t -> (an/ad) t + bn/bd, reduced:
+    t -> (ad/an) t - (bn ad) / (bd an)."""
+    bn, bd = -bn * ad, bd * an
+    common = gcd(bn, bd)
+    return ad, an, bn // common, bd // common
 
 
 @dataclass(frozen=True)
@@ -92,6 +85,13 @@ class PLAutomorphism:
 
     Instances are immutable and canonical: redundant (collinear) knots are
     removed on construction, so ``==`` compares the induced maps.
+
+    Construction validates and canonicalizes on integer pairs and keeps the
+    result as the piece table ``_table``, which evaluation, the inverse,
+    ``compose``, ``meet``/``join`` and ``support_decompose`` all read: knot
+    x-coordinates and the line of every piece as lists of ints.  The knots
+    and slopes stay Fractions, so equality, hashing, repr and JSON see the
+    canonical map only.
     """
 
     knots: tuple = ()
@@ -104,15 +104,56 @@ class PLAutomorphism:
         rs = _frac(self.right_slope)
         if ls <= 0 or rs <= 0:
             raise ValueError(f"tail slopes must be positive; got {ls}, {rs}")
-        for (xa, ya), (xb, yb) in zip(knots, knots[1:]):
-            if xa >= xb:
-                raise ValueError(f"knot x-coordinates must be strictly increasing: {xa} >= {xb}")
-            if ya >= yb:
-                raise ValueError(f"knot y-coordinates must be strictly increasing: {ya} >= {yb}")
-        knots, ls, rs = _canonicalize(knots, ls, rs)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "left_slope", ls)
-        object.__setattr__(self, "right_slope", rs)
+        if not knots:
+            if ls != 1 or rs != 1:
+                raise ValueError("a map without knots must be the identity; got tail slopes "
+                                 f"{ls}, {rs}")
+            self._fill((), ls, rs, _IDENTITY_TABLE)
+            return
+        xn = [x.numerator for x, _ in knots]
+        xd = [x.denominator for x, _ in knots]
+        yn = [y.numerator for _, y in knots]
+        yd = [y.denominator for _, y in knots]
+        # lines[p] is piece p: the left tail, the chord of knots p-1 and p, the right tail
+        lines = [_line_through(ls.numerator, ls.denominator, xn[0], xd[0], yn[0], yd[0])]
+        for k in range(1, len(knots)):
+            dx = xn[k] * xd[k - 1] - xn[k - 1] * xd[k]
+            dy = yn[k] * yd[k - 1] - yn[k - 1] * yd[k]
+            if dx <= 0:
+                raise ValueError("knot x-coordinates must be strictly increasing: "
+                                 f"{knots[k - 1][0]} >= {knots[k][0]}")
+            if dy <= 0:
+                raise ValueError("knot y-coordinates must be strictly increasing: "
+                                 f"{knots[k - 1][1]} >= {knots[k][1]}")
+            an, ad = dy * xd[k - 1] * xd[k], dx * yd[k - 1] * yd[k]
+            common = gcd(an, ad)
+            lines.append(_line_through(an // common, ad // common, xn[k], xd[k], yn[k], yd[k]))
+        lines.append(_line_through(rs.numerator, rs.denominator, xn[-1], xd[-1], yn[-1], yd[-1]))
+        # normal form: boundaries of maximal affine pieces only
+        kept = [k for k in range(len(knots)) if lines[k] != lines[k + 1]]
+        if not kept:
+            # globally affine: anchored at x = 0, so t -> t + c keeps the knot (0, c)
+            line = lines[0]
+            if line == (1, 1, 0, 1):
+                self._fill((), ls, rs, _IDENTITY_TABLE)
+                return
+            knots, xn, xd = ((Fraction(0), Fraction(line[2], line[3])),), [0], [1]
+            lines, rs = [line] * 2, ls
+        elif len(kept) < len(knots):
+            knots = tuple(knots[k] for k in kept)
+            xn = [xn[k] for k in kept]
+            xd = [xd[k] for k in kept]
+            lines = [lines[0]] + [lines[k + 1] for k in kept]
+        self._fill(knots, ls, rs, (xn, xd, *map(list, zip(*lines))))
+
+    def _fill(self, knots, ls, rs, table):
+        """Set the fields of a canonical map and its piece table
+        ``(bxn, bxd, an, ad, bn, bd)``: piece p is ``y = a[p] x + b[p]`` and
+        covers ``[bx[p-1], bx[p]]``, all reduced with positive denominators.
+        A globally affine map has its one line twice, either side of its
+        anchor at x = 0."""
+        # frozen dataclass: write around __setattr__
+        self.__dict__.update(knots=knots, left_slope=ls, right_slope=rs, _table=table)
 
     @classmethod
     def identity(cls) -> "PLAutomorphism":
@@ -137,32 +178,29 @@ class PLAutomorphism:
 
     def piece_lines(self):
         """(slope, intercept) per affine piece, tails included."""
-        if not self.knots:
-            return [(Fraction(1), Fraction(0))]
-        return _piece_lines(self.knots, self.left_slope, self.right_slope)
-
-    @cached_property
-    def _table(self):
-        """Knot x-coordinates and piece lines as lists of ints:
-        ``(bxn, bxd, an, ad, bn, bd)``.  Piece p is ``y = a[p] x + b[p]`` and
-        covers ``[bx[p-1], bx[p]]``; denominators are positive."""
-        bxn = [x.numerator for x, _ in self.knots]
-        bxd = [x.denominator for x, _ in self.knots]
-        an, ad, bn, bd = [], [], [], []
-        for a, b in self.piece_lines():
-            an.append(a.numerator)
-            ad.append(a.denominator)
-            bn.append(b.numerator)
-            bd.append(b.denominator)
-        return (bxn, bxd, an, ad, bn, bd)
+        _, _, an, ad, bn, bd = self._table
+        return [(Fraction(a, c), Fraction(b, d)) for a, c, b, d in zip(an, ad, bn, bd)]
 
     @cached_property
     def _inverse(self) -> "PLAutomorphism":
-        return PLAutomorphism(
-            tuple((y, x) for x, y in self.knots),
-            1 / self.left_slope,
-            1 / self.right_slope,
-        )
+        """The inverse, from the piece table: knots swapped, lines inverted,
+        with no second validation (the inverse of a canonical map is
+        canonical)."""
+        if not self.knots:
+            return self
+        _, _, an, ad, bn, bd = self._table
+        lines = [_inverse_line(*line) for line in zip(an, ad, bn, bd)]
+        ls, rs = Fraction(ad[0], an[0]), Fraction(ad[-1], an[-1])
+        if len(self.knots) == 1 and ls == rs:
+            # globally affine (one knot, no bend): anchored at x = 0 again
+            knots, xn, xd = ((Fraction(0), Fraction(lines[0][2], lines[0][3])),), [0], [1]
+        else:
+            knots = tuple((y, x) for x, y in self.knots)
+            xn = [y.numerator for _, y in self.knots]
+            xd = [y.denominator for _, y in self.knots]
+        inv = object.__new__(PLAutomorphism)
+        inv._fill(knots, ls, rs, (xn, xd, *map(list, zip(*lines))))
+        return inv
 
     def _image(self, xn: int, xd: int):
         """Image of xn/xd (xd > 0) as an unreduced pair with positive
@@ -337,16 +375,41 @@ def inverse(f):
 
 
 def compose(f, g):
-    """Apply f, then g.  PL inputs give an exact PL result."""
+    """Apply f, then g.  PL inputs give an exact PL result.
+
+    The knots of a PL result lie at f's knot xs and at f^-1 of g's knot xs;
+    both lists are sorted, so one merge orders them, comparing integer
+    pairs.  At f's knot (x, y) the image is g(y), one piece search in g; at
+    x = f^-1(u) for g's knot (u, v) it is v itself.
+    """
     if isinstance(f, PLAutomorphism) and isinstance(g, PLAutomorphism):
         if f.is_identity:
             return g
         if g.is_identity:
             return f
-        xs = {x for x, _ in f.knots}
-        xs.update(f.backward(x) for x, _ in g.knots)
-        knots = tuple(sorted((x, g.forward(f.forward(x))) for x in xs))
-        return PLAutomorphism(knots, f.left_slope * g.left_slope,
+        fxn, fxd = f._table[:2]
+        back, image = f._inverse._image, g._image
+        knots = []
+        i, m = 0, len(f.knots)
+
+        def through_f(k):
+            x, y = f.knots[k]
+            yn, yd, _ = image(y.numerator, y.denominator)
+            knots.append((x, Fraction(yn, yd)))
+
+        for u, v in g.knots:
+            pn, pd, _ = back(u.numerator, u.denominator)
+            while i < m and fxn[i] * pd < pn * fxd[i]:
+                through_f(i)
+                i += 1
+            if i < m and fxn[i] * pd == pn * fxd[i]:
+                knots.append((f.knots[i][0], v))
+                i += 1
+            else:
+                knots.append((Fraction(pn, pd), v))
+        for k in range(i, m):
+            through_f(k)
+        return PLAutomorphism(tuple(knots), f.left_slope * g.left_slope,
                               f.right_slope * g.right_slope)
 
     def fwd(q, f=f, g=g):
@@ -505,46 +568,52 @@ def _affine_run(a: Fraction, b: Fraction, x: Fraction, lo, hi, count, gamma, up:
 def _select_pointwise(f: PLAutomorphism, g: PLAutomorphism, want_min: bool) -> PLAutomorphism:
     if f == g:
         return f
-    boundaries = {x for x, _ in f.knots} | {x for x, _ in g.knots}
-    f_xs = [x for x, _ in f.knots]
-    g_xs = [x for x, _ in g.knots]
-    f_lines = f.piece_lines()
-    g_lines = g.piece_lines()
+    fxn, fxd, fan, fad, fbn, fbd = f._table
+    gxn, gxd, gan, gad, gbn, gbd = g._table
+    # the knot xs of both maps in order, and before each of them and after
+    # the last the crossing of f's and g's lines, if it lies in that region
+    # (the points are nonempty: equal knotless maps returned above)
+    points = []
+    lo, i, j = None, 0, 0
+    while True:
+        if i < len(fxn) and (j == len(gxn) or fxn[i] * gxd[j] <= gxn[j] * fxd[i]):
+            hi = fxn[i], fxd[i]
+        else:
+            hi = (gxn[j], gxd[j]) if j < len(gxn) else None
+        # f - g on (lo, hi) is (fa - ga) t + (fb - gb); its root as cn/cd
+        cn = (gbn[j] * fbd[i] - fbn[i] * gbd[j]) * fad[i] * gad[j]
+        cd = (fan[i] * gad[j] - gan[j] * fad[i]) * fbd[i] * gbd[j]
+        if cd:
+            if cd < 0:
+                cn, cd = -cn, -cd
+            if ((lo is None or lo[0] * cd < cn * lo[1])
+                    and (hi is None or cn * hi[1] < hi[0] * cd)):
+                common = gcd(cn, cd)
+                points.append((cn // common, cd // common))
+        if hi is None:
+            break
+        points.append(hi)
+        lo = hi
+        if i < len(fxn) and (fxn[i], fxd[i]) == hi:
+            i += 1
+        if j < len(gxn) and (gxn[j], gxd[j]) == hi:
+            j += 1
 
-    def line_at(xs, lines, x, side):
-        # piece index at x biased to the requested side
-        if side < 0:
-            return lines[bisect.bisect_left(xs, x)]
-        return lines[bisect.bisect_right(xs, x)]
+    def f_wins(n, d):
+        # whether f(n/d) is picked over g(n/d), f on a tie
+        yn, yd, _ = f._image(n, d)
+        zn, zd, _ = g._image(n, d)
+        return (yn * zd <= zn * yd) == want_min or yn * zd == zn * yd
 
-    ordered = sorted(boundaries)  # nonempty: equal knotless maps returned above
-    # crossings inside every maximal region where both maps are affine
-    regions = [(None, ordered[0])]
-    regions.extend(zip(ordered, ordered[1:]))
-    regions.append((ordered[-1], None))
-    crossings = set()
-    for lo, hi in regions:
-        probe = lo if lo is not None else hi
-        side = 1 if lo is not None else -1
-        fa, fb = line_at(f_xs, f_lines, probe, side)
-        ga, gb = line_at(g_xs, g_lines, probe, side)
-        if fa == ga:
-            continue
-        x_star = (gb - fb) / (fa - ga)
-        if (lo is None or x_star > lo) and (hi is None or x_star < hi):
-            crossings.add(x_star)
-    boundaries |= crossings
-    ordered = sorted(boundaries)
-    pick = min if want_min else max
-    knots = tuple((x, pick(f.forward(x), g.forward(x))) for x in ordered)
-    # tail slopes come from whichever branch wins beyond the last crossing
-    left_probe = ordered[0] - 1
-    right_probe = ordered[-1] + 1
-    fl, gl = f.forward(left_probe), g.forward(left_probe)
-    fr, gr = f.forward(right_probe), g.forward(right_probe)
-    ls = f.left_slope if pick(fl, gl) == fl else g.left_slope
-    rs = f.right_slope if pick(fr, gr) == fr else g.right_slope
-    return PLAutomorphism(knots, ls, rs)
+    knots = []
+    for n, d in points:
+        yn, yd, _ = (f if f_wins(n, d) else g)._image(n, d)
+        knots.append((Fraction(n, d), Fraction(yn, yd)))
+    # tail slopes come from whichever map wins beyond the first and last point
+    (ln, ld), (rn, rd) = points[0], points[-1]
+    ls = f.left_slope if f_wins(ln - ld, ld) else g.left_slope
+    rs = f.right_slope if f_wins(rn + rd, rd) else g.right_slope
+    return PLAutomorphism(tuple(knots), ls, rs)
 
 
 def meet(f: PLAutomorphism, g: PLAutomorphism) -> PLAutomorphism:

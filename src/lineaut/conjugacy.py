@@ -28,6 +28,8 @@ from .automorphism import (
     DomainError,
     PLAutomorphism,
     ProceduralAutomorphism,
+    _inverse_line,
+    _line_through,
     _walk,
     compose,
     inverse,
@@ -56,10 +58,7 @@ class _Line:
 
     @cached_property
     def _inverse(self) -> "_Line":
-        # t -> (ad/an) t - (bn ad) / (bd an)
-        bn, bd = -self.bn * self.ad, self.bd * self.an
-        common = gcd(bn, bd)
-        return _Line(self.ad, self.an, bn // common, bd // common)
+        return _Line(*_inverse_line(self.an, self.ad, self.bn, self.bd))
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,7 @@ class AffineBridge:
         an = (thn * tld - tln * thd) * shd * sld
         ad = (shn * sld - sln * shd) * thd * tld
         common = gcd(an, ad)
-        an, ad = an // common, ad // common
-        bn, bd = tln * ad * sld - an * sln * tld, tld * ad * sld
-        common = gcd(bn, bd)
-        return _Line(an, ad, bn // common, bd // common)
+        return _Line(*_line_through(an // common, ad // common, sln, sld, tln, tld))
 
     @property
     def _inverse(self) -> _Line:

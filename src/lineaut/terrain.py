@@ -180,48 +180,47 @@ class Terrain:
         return f"Terrain({self.color_sequence()!r})"
 
 
-def _displacement_sign(g: PLAutomorphism, q: Fraction) -> int:
-    image = g.forward(q)
-    if image > q:
-        return 1
-    if image < q:
-        return -1
-    return 0
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
 
 
 def support_decompose(g: PLAutomorphism) -> Terrain:
     """Full ordered terrain of a piecewise-linear automorphism.
 
-    The displacement g(t) - t is piecewise affine, so its sign pattern is
-    determined exactly: breakpoints are the knots plus the root of the
-    displacement inside each affine piece, and the sign is constant between
-    consecutive breakpoints.
+    The displacement g(t) - t is affine on each piece of g, so its sign
+    pattern is determined exactly by the piece table: breakpoints are the
+    knots plus the root of the displacement inside each piece, and the
+    sign is constant between consecutive breakpoints.  Signs and roots are
+    worked out on integer pairs by cross-multiplication; Fractions are
+    built only for the roots, which always bound an element.
     """
     if g.is_identity:
         return Terrain((TerrainElement(Color.FIXED, NEG_INF, POS_INF),))
 
-    xs = [x for x, _ in g.knots]
-    lines = g.piece_lines()
-    breakpoints = set(xs)
-    for p, (a, b) in enumerate(lines):
-        if a == 1:
-            continue  # displacement constant on the piece
-        root = b / (1 - a)
-        lo = xs[p - 1] if p > 0 else None
-        hi = xs[p] if p < len(xs) else None
-        if (lo is None or root > lo) and (hi is None or root < hi):
-            breakpoints.add(root)
-    bps = sorted(breakpoints)
-
+    xn, xd, an, ad, bn, bd = g._table
+    last = len(xn)
     # alternating items: tail, point, interval, point, ..., tail
     items = []  # (lo, hi, sign) with lo == hi for single points
-    items.append((NEG_INF, bps[0], _displacement_sign(g, bps[0] - 1)))
-    for k, bp in enumerate(bps):
-        items.append((bp, bp, _displacement_sign(g, bp)))
-        if k + 1 < len(bps):
-            mid = (bp + bps[k + 1]) / 2
-            items.append((bp, bps[k + 1], _displacement_sign(g, mid)))
-    items.append((bps[-1], POS_INF, _displacement_sign(g, bps[-1] + 1)))
+    lo = NEG_INF
+    for p in range(last + 1):
+        hi = g.knots[p][0] if p < last else POS_INF
+        # on piece p the displacement is (a - 1) t + b, rising iff rise > 0
+        rise = _sign(an[p] - ad[p])
+        if rise == 0:
+            items.append((lo, hi, _sign(bn[p])))
+        else:
+            # its root b / (1 - a), denominator made positive
+            rn, rd = -rise * bn[p] * ad[p], -rise * bd[p] * (ad[p] - an[p])
+            above_lo = p == 0 or xn[p - 1] * rd < rn * xd[p - 1]
+            if above_lo and (p == last or rn * xd[p] < xn[p] * rd):
+                root = Fraction(rn, rd)
+                items += [(lo, root, -rise), (root, root, 0), (root, hi, rise)]
+            else:
+                items.append((lo, hi, -rise if above_lo else rise))
+        if p < last:
+            # displacement at knot p, times the positive ad bd xd
+            items.append((hi, hi, _sign(xn[p] * bd[p] * (an[p] - ad[p]) + bn[p] * ad[p] * xd[p])))
+            lo = hi
 
     elements = []
     run_lo, run_hi, run_sign = items[0]

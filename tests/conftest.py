@@ -17,7 +17,9 @@ from lineaut import (
 )
 from lineaut.conjugacy import OrbitTransport
 from lineaut.equations import _xgx_piece
+from lineaut.rational import NEG_INF, POS_INF
 from lineaut.samples import random_pl
+from lineaut.terrain import Terrain, TerrainElement
 
 
 @pytest.fixture
@@ -154,3 +156,139 @@ def xgx_reference(g, f):
             forwards.append(partial(transport_forward, t))
             backwards.append(partial(transport_backward, t))
     return by_terrain_reference(terrain_fg, support_decompose(gf), forwards, backwards)
+
+
+# References for the integer piece table of ``PLAutomorphism``: the Fraction
+# construction, inverse, composition, pointwise min/max and support
+# decomposition it replaced.  A map is handled here as its raw triple
+# (knots, left_slope, right_slope) of Fractions.
+
+
+def triple(f):
+    return f.knots, f.left_slope, f.right_slope
+
+
+def reference_piece_lines(knots, left_slope, right_slope):
+    """(slope, intercept) per affine piece, tails included, in Fractions."""
+    if not knots:
+        return [(Fraction(1), Fraction(0))]
+    x0, y0 = knots[0]
+    lines = [(left_slope, y0 - left_slope * x0)]
+    for (xa, ya), (xb, yb) in zip(knots, knots[1:]):
+        a = (yb - ya) / (xb - xa)
+        lines.append((a, ya - a * xa))
+    xm, ym = knots[-1]
+    lines.append((right_slope, ym - right_slope * xm))
+    return lines
+
+
+def reference_canonical(knots, left_slope, right_slope):
+    """Canonical triple of valid raw knot data: redundant (collinear) knots
+    dropped, a globally affine map anchored at x = 0, the identity knotless."""
+    knots = tuple((Fraction(x), Fraction(y)) for x, y in knots)
+    left_slope, right_slope = Fraction(left_slope), Fraction(right_slope)
+    if not knots:
+        return (), Fraction(1), Fraction(1)
+    lines = reference_piece_lines(knots, left_slope, right_slope)
+    kept = tuple(knots[i] for i in range(len(knots)) if lines[i] != lines[i + 1])
+    if not kept:
+        a, b = lines[0]
+        if a == 1 and b == 0:
+            return (), Fraction(1), Fraction(1)
+        return ((Fraction(0), b),), a, a
+    return kept, left_slope, right_slope
+
+
+def reference_eval(knots, left_slope, right_slope, q):
+    """Image of q under a canonical triple, by a linear scan of the pieces."""
+    if not knots:
+        return q
+    lines = reference_piece_lines(knots, left_slope, right_slope)
+    p = sum(1 for x, _ in knots if x < q)
+    a, b = lines[p]
+    return a * q + b
+
+
+def reference_inverse(f):
+    """Canonical triple of the inverse of f: knots reflected across the diagonal."""
+    return reference_canonical(tuple((y, x) for x, y in f.knots),
+                               1 / f.left_slope, 1 / f.right_slope)
+
+
+def reference_compose(f, g):
+    """Canonical triple of ``compose(f, g)``: knots at f's knot xs and f^-1 of
+    g's knot xs, sorted, with their images under g after f."""
+    f_inv = reference_inverse(f)
+    xs = {x for x, _ in f.knots}
+    xs.update(reference_eval(*f_inv, x) for x, _ in g.knots)
+    knots = tuple(sorted((x, reference_eval(*triple(g), reference_eval(*triple(f), x)))
+                         for x in xs))
+    return reference_canonical(knots, f.left_slope * g.left_slope,
+                               f.right_slope * g.right_slope)
+
+
+def reference_select_pointwise(f, g, want_min):
+    """Canonical triple of ``meet(f, g)`` (``want_min``) or ``join(f, g)``: the
+    knots of both maps plus every crossing of their pieces, in Fractions."""
+    if triple(f) == triple(g):
+        return triple(f)
+    f_xs, g_xs = [x for x, _ in f.knots], [x for x, _ in g.knots]
+    f_lines, g_lines = reference_piece_lines(*triple(f)), reference_piece_lines(*triple(g))
+    ordered = sorted(set(f_xs) | set(g_xs))
+    boundaries = set(ordered)
+    regions = [(None, ordered[0])] + list(zip(ordered, ordered[1:])) + [(ordered[-1], None)]
+    for lo, hi in regions:
+        probe = lo if lo is not None else hi - 1
+        fa, fb = f_lines[sum(1 for x in f_xs if x <= probe)]
+        ga, gb = g_lines[sum(1 for x in g_xs if x <= probe)]
+        if fa != ga:
+            x_star = (gb - fb) / (fa - ga)
+            if (lo is None or x_star > lo) and (hi is None or x_star < hi):
+                boundaries.add(x_star)
+    ordered = sorted(boundaries)
+    pick = min if want_min else max
+
+    def value(q):
+        return pick(reference_eval(*triple(f), q), reference_eval(*triple(g), q))
+
+    def tail(q, f_slope, g_slope):
+        return f_slope if value(q) == reference_eval(*triple(f), q) else g_slope
+
+    knots = tuple((x, value(x)) for x in ordered)
+    return reference_canonical(knots, tail(ordered[0] - 1, f.left_slope, g.left_slope),
+                               tail(ordered[-1] + 1, f.right_slope, g.right_slope))
+
+
+def reference_support_decompose(g):
+    """Terrain of g: breakpoints at the knots and at the root of the
+    displacement inside each piece, each sign read off by evaluating g."""
+    if g.is_identity:
+        return Terrain((TerrainElement(Color.FIXED, NEG_INF, POS_INF),))
+
+    def sign(q):
+        d = reference_eval(*triple(g), q) - q
+        return (d > 0) - (d < 0)
+
+    xs = [x for x, _ in g.knots]
+    breakpoints = set(xs)
+    for p, (a, b) in enumerate(reference_piece_lines(*triple(g))):
+        if a != 1:
+            root = b / (1 - a)
+            if (p == 0 or root > xs[p - 1]) and (p == len(xs) or root < xs[p]):
+                breakpoints.add(root)
+    bps = sorted(breakpoints)
+    items = [(NEG_INF, bps[0], sign(bps[0] - 1))]
+    for k, bp in enumerate(bps):
+        items.append((bp, bp, sign(bp)))
+        if k + 1 < len(bps):
+            items.append((bp, bps[k + 1], sign((bp + bps[k + 1]) / 2)))
+    items.append((bps[-1], POS_INF, sign(bps[-1] + 1)))
+    runs = [list(items[0])]
+    for lo, hi, s in items[1:]:
+        if s == runs[-1][2]:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, s])
+    colors = {1: Color.POS, -1: Color.NEG, 0: Color.FIXED}
+    return Terrain(tuple(TerrainElement(colors[s], lo, hi) for lo, hi, s in runs
+                         if s != 0 or lo != hi))

@@ -90,6 +90,37 @@ class TestTerrain:
         assert code == EXIT_INPUT_ERROR
 
 
+class TestConstructionErrors:
+    """Exit code 2 and the exact message for maps that cannot be built."""
+
+    @pytest.mark.parametrize("knots, slopes, message", [
+        ([("1/2", "0"), ("1/2", "2")], ("1", "1"),
+         "knot x-coordinates must be strictly increasing: 1/2 >= 1/2"),
+        ([("0", "1"), ("1", "2/3")], ("1", "1"),
+         "knot y-coordinates must be strictly increasing: 1 >= 2/3"),
+        ([("0", "1")], ("0", "1"), "tail slopes must be positive; got 0, 1"),
+        ([("0", "1")], ("1", "-1/2"), "tail slopes must be positive; got 1, -1/2"),
+        ([], ("2", "2"), "a map without knots must be the identity; got tail slopes 2, 2"),
+    ])
+    def test_invalid_map(self, tmp_path, capsys, knots, slopes, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"knots": [{"x": x, "y": y} for x, y in knots],
+                                    "left_slope": slopes[0], "right_slope": slopes[1]}))
+        assert run(["terrain", str(path)]) == (EXIT_INPUT_ERROR, None)
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("][", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"knots": [{"x": "0"}], "left_slope": "1", "right_slope": "1"}',
+         "malformed piecewise-linear JSON: 'y'"),
+    ])
+    def test_malformed_json(self, tmp_path, capsys, text, message):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        assert run(["terrain", str(path)]) == (EXIT_INPUT_ERROR, None)
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 class TestEval:
     def test_forward(self, files):
         code, data = run(["eval", files["t1"], "5/3"])
