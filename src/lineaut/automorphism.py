@@ -15,7 +15,8 @@ how constructed solutions with infinitely many affine pieces are returned
 exponent sums are all zero): no finite knot list exists for them.  A
 solution with a finite description stays PL: ``solve_word`` gives g, its
 inverse or the identity to the variables of a word with an exponent sum
-of +-1, and the identity to every variable but the one it solves for.
+of +-1, and the identity to every variable but the one it solves for;
+``nth_root`` of the identity is the identity itself.
 
 Composition is written left to right everywhere in this library:
 ``compose(f, g)`` applies ``f`` first, so ``compose(f, g)(q) == g(f(q))``.

@@ -351,8 +351,9 @@ class OrbitTransport:
     unreduced pair with positive denominator (and a piece index), and
     ``_inverse`` is the inverse map with the same protocol.  A locator is
     any callable returning a block index.  Conjugators (t_in = g, t_out = f,
-    an ``AffineBridge``), x g x = f pieces (fg, gf, a two-case seed) and the
-    word aligner (W, g, the identity) are all of this form.
+    an ``AffineBridge``), x g x = f pieces (fg, gf, a two-case seed), n-th
+    roots (g, g, a two-case root seed) and the word aligner (W, g, the
+    identity) are all of this form.
 
     One evaluation is one pass over ``(numerator, denominator)`` pairs: the
     pull-back walk, the seed and the push-forward walk, all through
@@ -541,7 +542,8 @@ def _by_terrain(terrain_in: Terrain, terrain_out: Terrain, pieces,
     The isolated fixed point after element k of terrain_in goes to the one
     after element k of terrain_out, and backward mirrors both rules.  This is
     exact whenever piece k maps element k onto element k, as conjugators,
-    x g x = f solutions (fg to gf) and the word maps (g to itself) all do.
+    x g x = f solutions (fg to gf), n-th roots and the word maps (g to
+    itself) all do.
     """
 
     def fwd(q):

@@ -1,6 +1,6 @@
 """Solvers for one-parameter group equations.
 
-Three families are covered, always over exact rationals:
+Four families are covered, always over exact rationals:
 
 * ``w(x_2, ..., x_n) = g`` for a reduced group word w, routed by the
   exponent sums of its variables.  If some sum n is nonzero, the variable
@@ -15,8 +15,12 @@ Three families are covered, always over exact rationals:
   through ``w'`` and the substitution ``x_u -> x^-e x_u x^e`` undone
   afterwards, since the direct subdivision construction is consistent only
   for cyclically reduced words.
-* commutators and n-th roots, through the conjugacy solver: g^n and g share
-  a terrain, and so do g and g^2, so the conjugators they need always exist;
+* commutators, through the conjugacy solver: g and g^2 share a terrain, so
+  the conjugator they need always exists;
+* n-th roots x = h^-1 g h, with h the conjugator of g^n onto g (they share
+  a terrain): x commutes with g, so on each support component of g it is a
+  root seed on an anchor block of g carried along the orbits of g itself,
+  and neither g^n nor h is built;
 * ``x g x = f``, solvable for every pair: on each component of the support
   of fg a two-case seed on the anchor block of fg (the affine bridge on
   alpha's side of beta*g, f after the inverse bridge on the other side) is
@@ -41,9 +45,10 @@ from typing import Dict
 from .automorphism import (
     PLAutomorphism,
     ProceduralAutomorphism,
+    _walk,
+    apply_power,
     compose,
     inverse,
-    power,
 )
 from .conjugacy import (
     AffineBridge,
@@ -308,38 +313,67 @@ def commutator_decomposition(g: PLAutomorphism):
 
 
 def nth_root(g: PLAutomorphism, n: int):
-    """An x with x^n = g, for any positive n: x = h^-1 g h with g = h^-1 g^n h."""
+    """An x with x^n = g, for any positive n.
+
+    With h the conjugator ``solve_conjugacy(g^n, g)`` would build, so that
+    g = h^-1 g^n h, the root is x = h^-1 g h: x^n = h^-1 g^n h = g.  That x
+    commutes with g, so on each support component of g it is one
+    ``OrbitTransport`` of a seed along the orbits of g itself: the seed is
+    x on the anchor block of g, in closed form from the affine bridge of h
+    (see ``_RootSeed``).  Neither g^n nor h is built.  On the fixed set of g,
+    x is the identity, and ``n = 1`` or the identity g returns g itself.
+    """
     if n < 1:
         raise ValueError(f"root order must be positive; got {n}")
-    if n == 1:
+    if n == 1 or g.is_identity:
         return g
-    h = solve_conjugacy(power(g, n), g)
-    if h is None:
-        raise RuntimeError("g^n and g share a terrain, so they must be conjugate")
-    return conjugation(g, h)
+    terrain = support_decompose(g)
+    identity = PLAutomorphism.identity()
+    pieces = [identity if e.color is Color.FIXED else _root_piece(g, n, anchor_point(e))
+              for e in terrain]
+    # "composite" is the construction name the CLI has always reported for roots
+    return _by_terrain(terrain, terrain, pieces, "composite")
 
 
 class _TwoCase:
-    """One direction of an ``_XgxSeed`` on integer pairs: v -> bridge(v) on
-    one side of ``split`` (below it iff ``below``), v -> after(bridge^-1(
-    before^-1(v))) on the other.  Speaks the ``_image`` protocol of
-    ``PLAutomorphism``, with the case taken (0 or 1) as the piece."""
+    """One direction of a two-case seed on integer pairs: the chain of pair
+    maps ``near`` on one side of ``split`` (below it iff ``below``), the
+    chain ``far`` on the other, each applied left to right.  Speaks the
+    ``_image`` protocol of ``PLAutomorphism``, with the case taken (0 or 1)
+    as the piece."""
 
-    def __init__(self, split: Fraction, below: bool, bridge, before, after):
+    def __init__(self, split: Fraction, below: bool, near: tuple, far: tuple):
         self.split = (split.numerator, split.denominator)
         self.below = below
-        self.bridge = bridge
-        self.before = before
-        self.after = after
+        self.near = near
+        self.far = far
 
     def _image(self, n: int, d: int):
         sn, sd = self.split
         if (n * sd < sn * d) == self.below:
-            return self.bridge._image(n, d)
-        n, d, _ = self.before._inverse._image(n, d)
-        n, d, _ = self.bridge._inverse._image(n, d)
-        n, d, _ = self.after._image(n, d)
-        return n, d, 1
+            chain, case = self.near, 0
+        else:
+            chain, case = self.far, 1
+        for step in chain:
+            n, d, _ = step._image(n, d)
+        return n, d, case
+
+
+class _Power:
+    """g^k of a PL map g on integer pairs, in the pair protocol: one orbit
+    walk of |k| steps, so at most 16 steps and one closed form per piece."""
+
+    def __init__(self, g: PLAutomorphism, k: int):
+        self.g = g
+        self.k = k
+
+    def _image(self, n: int, d: int):
+        n, d = _walk(self.g, n, d, self.k < 0, count=abs(self.k))[2]
+        return n, d, 0
+
+    @cached_property
+    def _inverse(self) -> "_Power":
+        return _Power(self.g, -self.k)
 
 
 class _XgxSeed:
@@ -367,11 +401,13 @@ class _XgxSeed:
         self.below = alpha < self.beta_g
         ends = sorted((alpha, self.beta_g)) + sorted((beta, self.alpha_f))
         self.bridge = AffineBridge(*ends)
-        self._forward = _TwoCase(self.beta_g, self.below, self.bridge, g, f)
+        self._forward = _TwoCase(self.beta_g, self.below, (self.bridge,),
+                                 (g._inverse, self.bridge._inverse, f))
 
     @cached_property
     def _inverse(self) -> _TwoCase:
-        return _TwoCase(self.alpha_f, self.below, self.bridge._inverse, self.f, self.g)
+        return _TwoCase(self.alpha_f, self.below, (self.bridge._inverse,),
+                        (self.f._inverse, self.bridge, self.g))
 
     def _image(self, n: int, d: int):
         return self._forward._image(n, d)
@@ -400,6 +436,71 @@ def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
         raise RuntimeError("interleaving failed; alpha is not in the support of fg")
     return OrbitTransport(fg, gf, seed, ComponentOrbit(fg, alpha).locate,
                           ComponentOrbit(gf, beta).locate)
+
+
+class _RootSeed:
+    """Seed of the n-th root x = h^-1 g h of g (n >= 2) on the anchor block
+    of g between a and a g.
+
+    h is the conjugator ``solve_conjugacy(g^n, g)`` builds on this
+    component: the affine bridge b, which sends a to a and a g^n to a g,
+    carried along the orbits of G = g^n and g, so that h(G(z)) = g(h(z)).
+    For p in the block, h^-1(p) = b^-1(p), and z = g(b^-1(p)) lies in block
+    0 or 1 of the G-orbit of a, where h is b or g b g^-n: the seed is b(z)
+    on a's side of a g^n and g(b(g^-n(z))) on the other.  It maps the block
+    onto the one between ``start`` = b(a g) and ``start`` g.  Its inverse is
+    u -> b(g^-1(v)), with v = b^-1(u) on a's side of a g and
+    v = g^n(b^-1(g^-1(u))) on the other.  ``forward`` and ``backward`` are
+    these definitions in Fractions.  ``_image`` and ``_inverse._image``
+    compute them on integer pairs, with the forward split moved onto the
+    block (z passes a g^n exactly when p passes b(a g^(n-1))) and g^-n g
+    taken as one walk g^(1-n).  Both cases agree at each split, since b
+    continues affinely to b(a g^n) = a g.
+    """
+
+    def __init__(self, g: PLAutomorphism, n: int, a: Fraction):
+        self.g = g
+        self.n = n
+        self.a_g = g.forward(a)
+        a_last = apply_power(g, n - 1, a)
+        self.a_gn = g.forward(a_last)
+        # a lies below a g on positive components, above it on negative ones
+        self.below = a < self.a_g
+        self.bridge = b = AffineBridge(*sorted((a, self.a_gn)), *sorted((a, self.a_g)))
+        self.start = b.forward(self.a_g)
+        self._forward = _TwoCase(b.forward(a_last), self.below, (b._inverse, g, b),
+                                 (b._inverse, _Power(g, 1 - n), b, g))
+
+    @cached_property
+    def _inverse(self) -> _TwoCase:
+        b, g_inv = self.bridge, self.g._inverse
+        return _TwoCase(self.a_g, self.below, (b._inverse, g_inv, b),
+                        (g_inv, b._inverse, _Power(self.g, self.n - 1), b))
+
+    def _image(self, n: int, d: int):
+        return self._forward._image(n, d)
+
+    def forward(self, p):
+        z = self.g.forward(self.bridge.backward(p))
+        if (z < self.a_gn) == self.below:
+            return self.bridge.forward(z)
+        return self.g.forward(self.bridge.forward(apply_power(self.g, -self.n, z)))
+
+    def backward(self, u):
+        if (u < self.a_g) == self.below:
+            v = self.bridge.backward(u)
+        else:
+            v = apply_power(self.g, self.n, self.bridge.backward(self.g.backward(u)))
+        return self.bridge.forward(self.g.backward(v))
+
+
+def _root_piece(g: PLAutomorphism, n: int, a: Fraction) -> OrbitTransport:
+    """The n-th root of g on the component of its support holding the anchor
+    a: the root seed carried along the orbits of g, located by the cached
+    orbits of a and of the seed's image of a."""
+    seed = _RootSeed(g, n, a)
+    return OrbitTransport(g, g, seed, ComponentOrbit(g, a).locate,
+                          ComponentOrbit(g, seed.start).locate)
 
 
 def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:

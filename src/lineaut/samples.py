@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .automorphism import PLAutomorphism, compose, inverse
 from .rational import is_finite
@@ -60,26 +61,38 @@ def random_with_sequence(rng: random.Random, seq: str) -> PLAutomorphism:
     return compose(compose(inverse(h), base), h)
 
 
+# the fixed part of every default sample set: the integers -8..8 and the
+# rationals in [-4, 4] with denominators 2, 3, 5 and 7
+_GRID = frozenset([Fraction(k) for k in range(-8, 9)]
+                  + [Fraction(num, den) for den in (2, 3, 5, 7)
+                     for num in range(-4 * den, 4 * den + 1)])
+
+
 def default_samples(count: int = DEFAULT_SAMPLE_COUNT, seed: int = 0,
                     terrains: tuple = ()) -> list:
-    """Deterministic mixed sample set of exactly ``count`` rationals."""
+    """Deterministic mixed sample set of exactly ``count`` rationals.
+
+    Sorting compares exact integer keys: each pick scaled to the common
+    denominator L of all picks, n/d -> n (L / d), which orders them as the
+    rationals do without a Fraction comparison.
+    """
     if count < 0:
         raise ValueError(f"sample count must be non-negative; got {count}")
-    picks = set()
-    for k in range(-8, 9):
-        picks.add(Fraction(k))
-    for den in (2, 3, 5, 7):
-        for num in range(-4 * den, 4 * den + 1):
-            picks.add(Fraction(num, den))
+    picks = set(_GRID)
     for terrain in terrains:
         picks.update(_terrain_probes(terrain))
     rng = random.Random(seed)
     while len(picks) < count:
         picks.add(random_fraction(rng, span=12, max_den=64))
-    ordered = sorted(picks)
+    common = lcm(*{q.denominator for q in picks})
+
+    def key(q):
+        return q.numerator * (common // q.denominator)
+
+    ordered = sorted(picks, key=key)
     if len(ordered) > count:
         rng.shuffle(ordered)
-        ordered = sorted(ordered[:count])
+        ordered = sorted(ordered[:count], key=key)
     return ordered
 
 

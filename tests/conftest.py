@@ -7,6 +7,7 @@ from fractions import Fraction
 from lineaut import (
     AffineBridge,
     Color,
+    PLAutomorphism,
     Word,
     anchor_point,
     apply_power,
@@ -18,8 +19,16 @@ from lineaut import (
 from lineaut.conjugacy import OrbitTransport
 from lineaut.equations import _xgx_piece
 from lineaut.rational import NEG_INF, POS_INF
-from lineaut.samples import random_pl
+from lineaut.samples import _terrain_probes, default_samples, random_fraction, random_pl
 from lineaut.terrain import Terrain, TerrainElement
+
+# Terrain "-+" with boundary -5, slopes 3/2 and 1: the boundary fixed point
+# is a knot, and the "+" component ends there with slope 58/57, so orbits
+# near -5 are long.
+SLOW_BOUNDARY = PLAutomorphism(((-5, -5), (Fraction(9, 2), Fraction(14, 3)), (5, 6)),
+                               Fraction(3, 2), 1)
+SLOW_BOUNDARY_POINTS = (default_samples(61, 0, (support_decompose(SLOW_BOUNDARY),))
+                        + [Fraction(4), Fraction(24, 7), Fraction(8)])
 
 
 @pytest.fixture
@@ -50,6 +59,27 @@ def random_zero_sum_word(rng: random.Random, max_len: int = 6, n_vars: int = 3) 
             sums[v] = sums.get(v, 0) + e
         if not any(sums.values()):
             return word
+
+
+def reference_default_samples(count, seed=0, terrains=()):
+    """Reference for ``default_samples``: the grid built on every call and
+    sorted by Fraction comparison."""
+    picks = set()
+    for k in range(-8, 9):
+        picks.add(Fraction(k))
+    for den in (2, 3, 5, 7):
+        for num in range(-4 * den, 4 * den + 1):
+            picks.add(Fraction(num, den))
+    for terrain in terrains:
+        picks.update(_terrain_probes(terrain))
+    rng = random.Random(seed)
+    while len(picks) < count:
+        picks.add(random_fraction(rng, span=12, max_den=64))
+    ordered = sorted(picks)
+    if len(ordered) > count:
+        rng.shuffle(ordered)
+        ordered = sorted(ordered[:count])
+    return ordered
 
 
 def fraction_grid(lo: int, hi: int, den: int = 4) -> list:

@@ -29,6 +29,8 @@ from lineaut import (
 )
 from lineaut.samples import default_samples, random_pl
 from conftest import (
+    SLOW_BOUNDARY,
+    SLOW_BOUNDARY_POINTS,
     fraction_grid,
     isolated_fixed_points,
     random_reduced_word,
@@ -43,12 +45,6 @@ T2 = PLAutomorphism.translation(2)
 IDENT = PLAutomorphism()
 
 COMMUTATOR = Word(((2, -1), (3, -1), (2, 1), (3, 1)))
-
-# Terrain "-+" with boundary -5; the "+" component ends there with slope
-# 58/57, so orbits near -5 are long.
-SLOW_BOUNDARY = PLAutomorphism(((-5, -5), (F(9, 2), F(14, 3)), (5, 6)), F(3, 2), 1)
-SLOW_BOUNDARY_POINTS = (default_samples(61, 0, (support_decompose(SLOW_BOUNDARY),))
-                        + [F(4), F(24, 7), F(8)])
 
 # Isolated fixed point 0 between a "+" and a "-" component.
 ATTRACTING_ZERO = PLAutomorphism(((0, 0),), F(1, 2), F(1, 2))
@@ -371,6 +367,23 @@ class TestNthRoot:
         r = nth_root(g, 5)
         for q in SLOW_BOUNDARY_POINTS:
             assert apply_word(Word(((2, 1),) * 5), {2: r}, q) == g.forward(q)
+
+    def test_thousandth_root(self):
+        # the bridge of each component spans 1000 orbit steps of g
+        g = realize("-+-")
+        r = nth_root(g, 1000)
+        for q in (F(-3), F(5, 4), F(3, 2), F(7, 4), F(5)):
+            assert apply_power(r, 1000, q) == g.forward(q)
+
+    def test_large_order(self):
+        # n = 10^5: on the middle component a g^n lies within about 2^-100000
+        # of the fixed point 2, so the bridge has rationals of about 10^5
+        # bits; a few points suffice
+        g = realize("-+-")
+        r = nth_root(g, 10 ** 5)
+        for q in (F(-3), F(3, 2), F(5)):
+            assert r.backward(r.forward(q)) == q
+            assert r.forward(g.forward(q)) == g.forward(r.forward(q))
 
 
 class TestSolveXgx:

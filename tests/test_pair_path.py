@@ -7,11 +7,11 @@ bisect with integer cross-multiplication.  The references in ``conftest``
 evaluate the same formula with ``apply_power`` and the seeds' ``forward``
 and ``backward`` in Fractions, and locate terrain elements by a linear
 scan.  Every value must agree exactly, forward and backward, for
-conjugators in both modes, x g x = f solutions and the conjugators inside
-``nth_root``, at exact orbit points, isolated fixed points, points 1/2^k
-from component ends, points with numerators above 2^64, and orbit indices
-up to 10^4 on slope-1 and non-unit-slope tails, where walks take closed
-forms.
+conjugators in both modes, x g x = f solutions and n-th roots (against
+h^-1 g h, h the conjugator of g^n onto g), at exact orbit points, isolated
+fixed points, points 1/2^k from component ends, points with numerators
+above 2^64, and orbit indices up to 10^4 on slope-1 and non-unit-slope
+tails, where walks take closed forms.
 """
 
 import random
@@ -35,10 +35,10 @@ from lineaut import (
     solve_xgx,
     support_decompose,
 )
-from lineaut.equations import _xgx_piece
+from lineaut.equations import _root_piece, _xgx_piece
 from lineaut.rational import is_finite
 from lineaut.samples import random_pl
-from conftest import conjugator_reference, xgx_reference
+from conftest import SLOW_BOUNDARY, SLOW_BOUNDARY_POINTS, conjugator_reference, xgx_reference
 
 F = Fraction
 
@@ -48,8 +48,6 @@ TRANSLATING = PLAutomorphism(((-2, -1), (0, F(3, 2)), (3, 4)), 1, 1)
 TWO_SIGNS = PLAutomorphism(((-6, F(-7, 2)), (F(-5, 4), 2), (2, F(7, 2))), F(3, 2), F(1, 2))
 # Terrain "+": tails with slopes 1/2 and 2, so far orbits grow geometrically.
 GEOMETRIC = PLAutomorphism(((0, 1), (1, F(5, 2))), F(1, 2), 2)
-# Terrain "-+", slopes 3/2 and 1: the boundary fixed point -5 is a knot.
-SLOW_BOUNDARY = PLAutomorphism(((-5, -5), (F(9, 2), F(14, 3)), (5, 6)), F(3, 2), 1)
 SHAPED = [realize("-+-"), realize("-0+0-"), realize("+0-"), realize("+-+"), TRANSLATING,
           TWO_SIGNS, GEOMETRIC, SLOW_BOUNDARY, inverse(GEOMETRIC)]
 
@@ -106,6 +104,22 @@ def conjugate_of(g, h):
     return compose(compose(inverse(h), g), h)
 
 
+def far_orbit_points(g):
+    """The orbit points anchor*g^i at i = +-10^4 of every component of g."""
+    return [apply_power(g, i, anchor_point(c)) for c in support_decompose(g)
+            if c.color is not Color.FIXED for i in (10 ** 4, -10 ** 4)]
+
+
+def check_root(g, n, qs):
+    """nth_root(g, n) is h^-1 g h at qs, forward and backward, for h the
+    conjugator of g^n onto g (evaluated through the reference)."""
+    h_fwd, h_bwd = conjugator_reference(power(g, n), g, "linear")
+    x = nth_root(g, n)
+    for q in qs:
+        assert x.forward(q) == h_fwd(g.forward(h_bwd(q))), q
+        assert x.backward(q) == h_fwd(g.backward(h_bwd(q))), q
+
+
 class TestTransportMatchesFractionFormula:
     @given(shaped, conjugating, st.sampled_from(("linear", "fast_forward")), recipes)
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -130,21 +144,26 @@ class TestTransportMatchesFractionFormula:
         g = conjugate_of(g, h)
         qs = points(g, recipes)
         gn = power(g, n)
-        # the conjugator nth_root builds, and the root through the reference
+        # the conjugator the root is derived from, and the root through the reference
         check_agrees(solve_conjugacy(gn, g), conjugator_reference(gn, g, "linear"), qs)
-        h_fwd, h_bwd = conjugator_reference(gn, g, "linear")
-        x = nth_root(g, n)
-        for q in qs:
-            assert x.forward(q) == h_fwd(g.forward(h_bwd(q)))
-            assert x.backward(q) == h_fwd(g.backward(h_bwd(q)))
+        check_root(g, n, qs)
+
+    @pytest.mark.parametrize("n", (2, 5))
+    @pytest.mark.parametrize("g, qs", [(TRANSLATING, far_orbit_points(TRANSLATING)),
+                                       (GEOMETRIC, far_orbit_points(GEOMETRIC)),
+                                       (SLOW_BOUNDARY, SLOW_BOUNDARY_POINTS)],
+                             ids=["translating", "geometric", "slow-boundary"])
+    def test_root_far_and_slow(self, g, qs, n):
+        # orbit indices +-10^4 on slope-1 tails and on tails of slopes 2 and
+        # 1/2; long orbits near the boundary fixed point of SLOW_BOUNDARY
+        check_root(g, n, qs)
 
     @pytest.mark.parametrize("g", [TRANSLATING, GEOMETRIC])
     def test_far_indices(self, g):
         # orbit indices +-10^4 from the anchor, on slope-1 tails and on
         # tails of slopes 2 and 1/2
         f = conjugate_of(g, PLAutomorphism(((0, 1), (2, 2)), F(1, 2), 3))
-        qs = [apply_power(g, i, anchor_point(c)) for c in support_decompose(g)
-              if c.color is not Color.FIXED for i in (10 ** 4, -10 ** 4)]
+        qs = far_orbit_points(g)
         for mode in ("linear", "fast_forward"):
             check_agrees(solve_conjugacy(g, f, mode), conjugator_reference(g, f, mode), qs)
         g_xgx = compose(inverse(f), g)
@@ -205,6 +224,28 @@ class TestSeedImages:
                 self.check_seed(seed, qs)
                 cases.update(seed._image(q.numerator, q.denominator)[2] for q in qs)
             assert cases == {0, 1}
+
+    @given(shaped, conjugating, st.sampled_from((2, 3, 5)),
+           st.lists(st.fractions(-20, 20, max_denominator=50), max_size=8))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_root_seeds(self, g, h, n, qs):
+        g = conjugate_of(g, h)
+        for e in support_decompose(g):
+            if e.color is Color.FIXED:
+                continue
+            a = anchor_point(e)
+            seed = _root_piece(g, n, a).seed
+            lo, hi = sorted((a, seed.a_g))
+            block = [lo + (hi - lo) * F(j, 16) for j in range(16)]
+            # the forward split b(a g^(n-1)) lies in the block, the inverse
+            # split a g between start and start g
+            split = seed.bridge.forward(apply_power(g, n - 1, a))
+            self.check_seed(seed, qs + block + [split, seed.a_g, seed.start])
+            # a and a g lie either side of the forward split, start and
+            # start g either side of the inverse one
+            for image, probes in ((seed._image, (a, seed.a_g)),
+                                  (seed._inverse._image, (seed.start, g.forward(seed.start)))):
+                assert [image(q.numerator, q.denominator)[2] for q in probes] == [0, 1]
 
     def test_identity_seed(self):
         seed = PLAutomorphism.identity()
