@@ -351,8 +351,9 @@ class OrbitTransport:
     unreduced pair with positive denominator (and a piece index), and
     ``_inverse`` is the inverse map with the same protocol.  A locator is
     any callable returning a block index.  Conjugators (t_in = g, t_out = f,
-    an ``AffineBridge``), x g x = f pieces (fg, gf, a two-case seed), n-th
-    roots (g, g, a two-case root seed) and the word aligner (W, g, the
+    an ``AffineBridge``), x g x = f pieces (fg, gf) and n-th roots (g, g),
+    both with a two-case seed whose inverse is derived from its forward
+    chains (``equations._TwoCase``), and the word aligner (W, g, the
     identity) are all of this form.
 
     One evaluation is one pass over ``(numerator, denominator)`` pairs: the
@@ -402,6 +403,24 @@ def anchor_point(element: TerrainElement) -> Fraction:
     return Fraction(0)
 
 
+def _guarded(x, source: TerrainElement, target: TerrainElement, what: str,
+             description: str) -> ProceduralAutomorphism:
+    """x restricted to source (forward) and target (backward): a point
+    outside raises DomainError."""
+
+    def fwd(q):
+        if not source.contains(q):
+            raise DomainError(f"{q} outside {what} {source!r}")
+        return x.forward(q)
+
+    def bwd(q):
+        if not target.contains(q):
+            raise DomainError(f"{q} outside {what} {target!r}")
+        return x.backward(q)
+
+    return ProceduralAutomorphism(fwd, bwd, description)
+
+
 def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
                            alpha: Fraction, beta: Fraction, mode: str = LINEAR,
                            g_cache: Optional[FastForwardCache] = None,
@@ -444,18 +463,8 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
         g, f, bridge,
         lambda q: _locate(g, alpha, q, mode, g_cache, None)[0],
         lambda q: _locate(f, beta, q, mode, f_cache, None)[0])
-
-    def fwd(q):
-        if not source.contains(q):
-            raise DomainError(f"{q} outside source component {source!r}")
-        return transport.forward(q)
-
-    def bwd(q):
-        if not target.contains(q):
-            raise DomainError(f"{q} outside target component {target!r}")
-        return transport.backward(q)
-
-    return ProceduralAutomorphism(fwd, bwd, f"component-conjugator({source.color.value})")
+    return _guarded(transport, source, target, "component",
+                    f"component-conjugator({source.color.value})")
 
 
 def conjugate_on_fixed(source: TerrainElement, target: TerrainElement) -> ProceduralAutomorphism:
@@ -473,35 +482,14 @@ def conjugate_on_fixed(source: TerrainElement, target: TerrainElement) -> Proced
 
     lo_fin, hi_fin = kind
     if lo_fin and hi_fin:
-        scale = (target.hi - target.lo) / (source.hi - source.lo)
-
-        def fwd_map(q):
-            return target.lo + scale * (q - source.lo)
-
-        def bwd_map(q):
-            return source.lo + (q - target.lo) / scale
-    elif not lo_fin and not hi_fin:
-        fwd_map = bwd_map = lambda q: q
+        x = AffineBridge(source.lo, source.hi, target.lo, target.hi)
+    elif hi_fin:
+        x = PLAutomorphism.translation(target.hi - source.hi)
+    elif lo_fin:
+        x = PLAutomorphism.translation(target.lo - source.lo)
     else:
-        shift = (target.hi - source.hi) if hi_fin else (target.lo - source.lo)
-
-        def fwd_map(q):
-            return q + shift
-
-        def bwd_map(q):
-            return q - shift
-
-    def fwd(q):
-        if not source.contains(q):
-            raise DomainError(f"{q} outside fixed interval {source!r}")
-        return fwd_map(q)
-
-    def bwd(q):
-        if not target.contains(q):
-            raise DomainError(f"{q} outside fixed interval {target!r}")
-        return bwd_map(q)
-
-    return ProceduralAutomorphism(fwd, bwd, "fixed-interval-conjugator")
+        x = PLAutomorphism.identity()
+    return _guarded(x, source, target, "fixed interval", "fixed-interval-conjugator")
 
 
 def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,

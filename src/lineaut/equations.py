@@ -28,6 +28,11 @@ Four families are covered, always over exact rationals:
   fg.  Equations ``x^e1 g x^e2 = f`` route to the conjugacy solver when
   e1 = -e2 and to the xgx machinery otherwise.
 
+Both seeds, of roots and of ``x g x = f``, are one ``_TwoCase`` each: a
+split point and a chain of integer-pair maps on either side of it, written
+once in the forward direction; the inverse the transport needs is derived
+from those chains.
+
 Where a solution has a finite exact description (g, its inverse, the
 identity) it is returned as that PL map; the other solutions have graphs
 with infinitely many affine pieces and are returned as evaluation
@@ -72,8 +77,11 @@ class Word:
     letters: tuple = ()
 
     def __post_init__(self):
-        letters = tuple((int(v), int(e)) for v, e in self.letters)
+        letters = tuple((v, e) for v, e in self.letters)
         for v, e in letters:
+            # exact type: no float, and no bool, which subclasses int
+            if type(v) is not int or type(e) is not int:
+                raise ValueError(f"variable indices and exponents must be ints; got {v!r}, {e!r}")
             if v < 2:
                 raise ValueError(f"variable indices start at 2; got {v}")
             if e not in (1, -1):
@@ -320,7 +328,7 @@ def nth_root(g: PLAutomorphism, n: int):
     commutes with g, so on each support component of g it is one
     ``OrbitTransport`` of a seed along the orbits of g itself: the seed is
     x on the anchor block of g, in closed form from the affine bridge of h
-    (see ``_RootSeed``).  Neither g^n nor h is built.  On the fixed set of g,
+    (see ``_root_piece``).  Neither g^n nor h is built.  On the fixed set of g,
     x is the identity, and ``n = 1`` or the identity g returns g itself.
     """
     if n < 1:
@@ -336,11 +344,17 @@ def nth_root(g: PLAutomorphism, n: int):
 
 
 class _TwoCase:
-    """One direction of a two-case seed on integer pairs: the chain of pair
-    maps ``near`` on one side of ``split`` (below it iff ``below``), the
-    chain ``far`` on the other, each applied left to right.  Speaks the
-    ``_image`` protocol of ``PLAutomorphism``, with the case taken (0 or 1)
-    as the piece."""
+    """A two-case seed on integer pairs: the chain of pair maps ``near`` on
+    one side of ``split`` (below it iff ``below``), the chain ``far`` on the
+    other, each applied left to right.  Speaks the ``_image`` protocol of
+    ``PLAutomorphism``, with the case taken (0 or 1) as the piece.
+
+    Both chains must be increasing, agree at ``split`` and carry every step's
+    ``_inverse``; then ``_inverse`` is derived, never written by hand: its
+    split is the image of ``split`` under ``near``, each chain is reversed
+    with every step inverted, and ``below`` stays, since increasing maps
+    keep each side of the split on the same side of its image.
+    """
 
     def __init__(self, split: Fraction, below: bool, near: tuple, far: tuple):
         self.split = (split.numerator, split.denominator)
@@ -357,6 +371,15 @@ class _TwoCase:
         for step in chain:
             n, d, _ = step._image(n, d)
         return n, d, case
+
+    @cached_property
+    def _inverse(self) -> "_TwoCase":
+        n, d = self.split
+        for step in self.near:
+            n, d, _ = step._image(n, d)
+        return _TwoCase(Fraction(n, d), self.below,
+                        tuple(step._inverse for step in reversed(self.near)),
+                        tuple(step._inverse for step in reversed(self.far)))
 
 
 class _Power:
@@ -376,71 +399,36 @@ class _Power:
         return _Power(self.g, -self.k)
 
 
-class _XgxSeed:
-    """Seed of x g x = f on the anchor block of fg between alpha and alpha*fg.
-
-    It maps that block onto the one between beta and beta*gf: on alpha's
-    side of beta*g through the affine bridge that sends alpha to beta and
-    beta*g to alpha*f, on the other side through g^-1, the inverse bridge and
-    f.  ``backward`` splits the same way at alpha*f, beta's side first.
-    ``forward`` and ``backward`` are the definitions in Fractions;
-    ``_image`` and ``_inverse._image`` compute the same two cases on integer
-    pairs for ``OrbitTransport`` (f and g must be PL maps): one comparison
-    by cross-multiplication, then the bridge, or three pair images.  That
-    changes wall time only: one crossing of the seed of two random maps
-    takes about a sixth of the time it takes in Fractions, and each case
-    still costs the same evaluations of f and g in the counted model.
-    """
-
-    def __init__(self, f, g, alpha: Fraction, beta: Fraction):
-        self.f = f
-        self.g = g
-        self.beta_g = g.forward(beta)
-        self.alpha_f = f.forward(alpha)
-        # alpha lies below beta*g on positive components, above it on negative ones
-        self.below = alpha < self.beta_g
-        ends = sorted((alpha, self.beta_g)) + sorted((beta, self.alpha_f))
-        self.bridge = AffineBridge(*ends)
-        self._forward = _TwoCase(self.beta_g, self.below, (self.bridge,),
-                                 (g._inverse, self.bridge._inverse, f))
-
-    @cached_property
-    def _inverse(self) -> _TwoCase:
-        return _TwoCase(self.alpha_f, self.below, (self.bridge._inverse,),
-                        (self.f._inverse, self.bridge, self.g))
-
-    def _image(self, n: int, d: int):
-        return self._forward._image(n, d)
-
-    def forward(self, v):
-        if (v < self.beta_g) == self.below:
-            return self.bridge.forward(v)
-        return self.f.forward(self.bridge.backward(self.g.backward(v)))
-
-    def backward(self, v):
-        if (v < self.alpha_f) == self.below:
-            return self.bridge.backward(v)
-        return self.g.forward(self.bridge.forward(self.f.backward(v)))
-
-
 def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
     """Solution piece on the component of the support of fg holding alpha:
-    the seed carried along the orbits of fg and gf.  The anchor beta lies
-    between alpha*g^-1 and alpha*f, so beta*g lies between alpha and
-    alpha*fg and the orbits of alpha and beta*g under fg interleave.  Since
-    (fg)^-i is increasing, a point in block i lies on alpha's side of
-    (beta*g)(fg)^i exactly when its pull-back lies on alpha's side of beta*g."""
+    a two-case seed carried along the orbits of fg and gf.
+
+    The seed maps the anchor block between alpha and alpha*fg onto the one
+    between beta and beta*gf: on alpha's side of beta*g through the affine
+    bridge that sends alpha to beta and beta*g to alpha*f, on the other side
+    through g^-1, the inverse bridge and f.  Its inverse splits the same way
+    at alpha*f, the bridge's image of beta*g.  The anchor beta lies between
+    alpha*g^-1 and alpha*f, so beta*g lies between alpha and alpha*fg and the
+    orbits of alpha and beta*g under fg interleave.  Since (fg)^-i is
+    increasing, a point in block i lies on alpha's side of (beta*g)(fg)^i
+    exactly when its pull-back lies on alpha's side of beta*g.  f and g must
+    be PL maps."""
     beta = (g.backward(alpha) + f.forward(alpha)) / 2
-    seed = _XgxSeed(f, g, alpha, beta)
-    if seed.below != (seed.beta_g < fg.forward(alpha)):
+    beta_g = g.forward(beta)
+    # alpha lies below beta*g on positive components, above it on negative ones
+    below = alpha < beta_g
+    if below != (beta_g < fg.forward(alpha)):
         raise RuntimeError("interleaving failed; alpha is not in the support of fg")
+    bridge = AffineBridge(*sorted((alpha, beta_g)), *sorted((beta, f.forward(alpha))))
+    seed = _TwoCase(beta_g, below, (bridge,), (g._inverse, bridge._inverse, f))
     return OrbitTransport(fg, gf, seed, ComponentOrbit(fg, alpha).locate,
                           ComponentOrbit(gf, beta).locate)
 
 
-class _RootSeed:
-    """Seed of the n-th root x = h^-1 g h of g (n >= 2) on the anchor block
-    of g between a and a g.
+def _root_piece(g: PLAutomorphism, n: int, a: Fraction) -> OrbitTransport:
+    """The n-th root x = h^-1 g h of g (n >= 2) on the component of its
+    support holding the anchor a: a root seed on the anchor block of g
+    between a and a g, carried along the orbits of g.
 
     h is the conjugator ``solve_conjugacy(g^n, g)`` builds on this
     component: the affine bridge b, which sends a to a and a g^n to a g,
@@ -448,59 +436,21 @@ class _RootSeed:
     For p in the block, h^-1(p) = b^-1(p), and z = g(b^-1(p)) lies in block
     0 or 1 of the G-orbit of a, where h is b or g b g^-n: the seed is b(z)
     on a's side of a g^n and g(b(g^-n(z))) on the other.  It maps the block
-    onto the one between ``start`` = b(a g) and ``start`` g.  Its inverse is
-    u -> b(g^-1(v)), with v = b^-1(u) on a's side of a g and
-    v = g^n(b^-1(g^-1(u))) on the other.  ``forward`` and ``backward`` are
-    these definitions in Fractions.  ``_image`` and ``_inverse._image``
-    compute them on integer pairs, with the forward split moved onto the
-    block (z passes a g^n exactly when p passes b(a g^(n-1))) and g^-n g
-    taken as one walk g^(1-n).  Both cases agree at each split, since b
-    continues affinely to b(a g^n) = a g.
+    onto the one between ``start`` = b(a g) and ``start`` g, located by the
+    cached orbit of ``start``.  On integer pairs the split is moved onto the
+    block (z passes a g^n exactly when p passes b(a g^(n-1))) and g^-n g is
+    taken as one walk g^(1-n).  Both cases agree at the split, since b
+    continues affinely to b(a g^n) = a g; the inverse, derived by
+    ``_TwoCase``, splits at that image a g.
     """
-
-    def __init__(self, g: PLAutomorphism, n: int, a: Fraction):
-        self.g = g
-        self.n = n
-        self.a_g = g.forward(a)
-        a_last = apply_power(g, n - 1, a)
-        self.a_gn = g.forward(a_last)
-        # a lies below a g on positive components, above it on negative ones
-        self.below = a < self.a_g
-        self.bridge = b = AffineBridge(*sorted((a, self.a_gn)), *sorted((a, self.a_g)))
-        self.start = b.forward(self.a_g)
-        self._forward = _TwoCase(b.forward(a_last), self.below, (b._inverse, g, b),
-                                 (b._inverse, _Power(g, 1 - n), b, g))
-
-    @cached_property
-    def _inverse(self) -> _TwoCase:
-        b, g_inv = self.bridge, self.g._inverse
-        return _TwoCase(self.a_g, self.below, (b._inverse, g_inv, b),
-                        (g_inv, b._inverse, _Power(self.g, self.n - 1), b))
-
-    def _image(self, n: int, d: int):
-        return self._forward._image(n, d)
-
-    def forward(self, p):
-        z = self.g.forward(self.bridge.backward(p))
-        if (z < self.a_gn) == self.below:
-            return self.bridge.forward(z)
-        return self.g.forward(self.bridge.forward(apply_power(self.g, -self.n, z)))
-
-    def backward(self, u):
-        if (u < self.a_g) == self.below:
-            v = self.bridge.backward(u)
-        else:
-            v = apply_power(self.g, self.n, self.bridge.backward(self.g.backward(u)))
-        return self.bridge.forward(self.g.backward(v))
-
-
-def _root_piece(g: PLAutomorphism, n: int, a: Fraction) -> OrbitTransport:
-    """The n-th root of g on the component of its support holding the anchor
-    a: the root seed carried along the orbits of g, located by the cached
-    orbits of a and of the seed's image of a."""
-    seed = _RootSeed(g, n, a)
+    a_g = g.forward(a)
+    a_last = apply_power(g, n - 1, a)
+    b = AffineBridge(*sorted((a, g.forward(a_last))), *sorted((a, a_g)))
+    # a lies below a g on positive components, above it on negative ones
+    seed = _TwoCase(b.forward(a_last), a < a_g, (b._inverse, g, b),
+                    (b._inverse, _Power(g, 1 - n), b, g))
     return OrbitTransport(g, g, seed, ComponentOrbit(g, a).locate,
-                          ComponentOrbit(g, seed.start).locate)
+                          ComponentOrbit(g, b.forward(a_g)).locate)
 
 
 def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:

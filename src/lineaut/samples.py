@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .automorphism import PLAutomorphism, compose, inverse
+from .conjugacy import anchor_point
 from .rational import is_finite
 from .terrain import Terrain, realize
 
@@ -99,18 +100,9 @@ def default_samples(count: int = DEFAULT_SAMPLE_COUNT, seed: int = 0,
 def _terrain_probes(terrain: Terrain) -> list:
     probes = []
     for element in terrain:
-        lo_fin = is_finite(element.lo)
-        hi_fin = is_finite(element.hi)
-        if lo_fin and hi_fin:
-            probes.append((element.lo + element.hi) / 2)
-        elif lo_fin:
-            probes.append(element.lo + 1)
-        elif hi_fin:
-            probes.append(element.hi - 1)
-        else:
-            probes.append(Fraction(0))
-        for end, fin, sign in ((element.lo, lo_fin, 1), (element.hi, hi_fin, -1)):
-            if not fin:
+        probes.append(anchor_point(element))
+        for end, sign in ((element.lo, 1), (element.hi, -1)):
+            if not is_finite(end):
                 continue
             for den in (4, 16, 64):
                 probe = end + Fraction(sign, den)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -170,10 +171,69 @@ def conjugator_reference(g, f, mode):
     return by_terrain_reference(terrain_g, terrain_f, forwards, backwards)
 
 
+class XgxSeed:
+    """Reference for the seed of x g x = f on the anchor block of fg between
+    alpha and alpha*fg, in Fractions.  It maps that block onto the one
+    between beta and beta*gf: on alpha's side of beta*g through the affine
+    bridge that sends alpha to beta and beta*g to alpha*f, on the other side
+    through g^-1, the inverse bridge and f.  ``backward`` splits the same way
+    at alpha*f, beta's side first.  beta is the anchor ``_xgx_piece`` pairs
+    with alpha, midway between alpha*g^-1 and alpha*f."""
+
+    def __init__(self, f, g, alpha):
+        self.f, self.g = f, g
+        self.beta = beta = (g.backward(alpha) + f.forward(alpha)) / 2
+        self.beta_g = g.forward(beta)
+        self.alpha_f = f.forward(alpha)
+        self.below = alpha < self.beta_g
+        self.bridge = AffineBridge(*sorted((alpha, self.beta_g)), *sorted((beta, self.alpha_f)))
+
+    def forward(self, v):
+        if (v < self.beta_g) == self.below:
+            return self.bridge.forward(v)
+        return self.f.forward(self.bridge.backward(self.g.backward(v)))
+
+    def backward(self, v):
+        if (v < self.alpha_f) == self.below:
+            return self.bridge.backward(v)
+        return self.g.forward(self.bridge.forward(self.f.backward(v)))
+
+
+class RootSeed:
+    """Reference for the seed of the n-th root x = h^-1 g h of g on the
+    anchor block of g between a and a g, in Fractions.  b is the affine
+    bridge that sends a to a and a g^n to a g.  With z = g(b^-1(p)), the seed
+    is b(z) on a's side of a g^n and g(b(g^-n(z))) on the other; it maps the
+    block onto the one between ``start`` = b(a g) and ``start`` g.  Its
+    inverse is u -> b(g^-1(v)), with v = b^-1(u) on a's side of a g and
+    v = g^n(b^-1(g^-1(u))) on the other."""
+
+    def __init__(self, g, n, a):
+        self.g, self.n = g, n
+        self.a_g = g.forward(a)
+        self.a_gn = apply_power(g, n, a)
+        self.below = a < self.a_g
+        self.bridge = AffineBridge(*sorted((a, self.a_gn)), *sorted((a, self.a_g)))
+        self.start = self.bridge.forward(self.a_g)
+
+    def forward(self, p):
+        z = self.g.forward(self.bridge.backward(p))
+        if (z < self.a_gn) == self.below:
+            return self.bridge.forward(z)
+        return self.g.forward(self.bridge.forward(apply_power(self.g, -self.n, z)))
+
+    def backward(self, u):
+        if (u < self.a_g) == self.below:
+            v = self.bridge.backward(u)
+        else:
+            v = apply_power(self.g, self.n, self.bridge.backward(self.g.backward(u)))
+        return self.bridge.forward(self.g.backward(v))
+
+
 def xgx_reference(g, f):
     """(forward, backward) of ``solve_xgx(g, f)``: each component of the
-    support of fg through the transport formula in Fractions, f on the
-    fixed set of fg."""
+    support of fg through the transport formula in Fractions, with the
+    reference seed ``XgxSeed``, f on the fixed set of fg."""
     fg, gf = compose(f, g), compose(g, f)
     forwards, backwards = [], []
     terrain_fg = support_decompose(fg)
@@ -182,7 +242,9 @@ def xgx_reference(g, f):
             forwards.append(f.forward)
             backwards.append(f.backward)
         else:
-            t = _xgx_piece(f, g, fg, gf, anchor_point(e))
+            alpha = anchor_point(e)
+            t = replace(_xgx_piece(f, g, fg, gf, alpha),
+                        seed=XgxSeed(f, g, alpha))
             forwards.append(partial(transport_forward, t))
             backwards.append(partial(transport_backward, t))
     return by_terrain_reference(terrain_fg, support_decompose(gf), forwards, backwards)

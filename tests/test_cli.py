@@ -194,6 +194,13 @@ class TestSolvers:
         code, _ = run(["solve-word", str(bad), files["t2"]])
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("letter", [{"var": 2.7, "exp": 1.0}, {"var": 2, "exp": True}])
+    def test_solve_word_rejects_non_int_letters(self, files, tmp_path, letter):
+        bad = tmp_path / "wfloat.json"
+        bad.write_text(json.dumps({"letters": [letter]}))
+        code, _ = run(["solve-word", str(bad), files["t2"]])
+        assert code == EXIT_INPUT_ERROR
+
     def test_root(self, files):
         code, data = run(["root", files["t2"], "2", "--samples", "20"])
         assert code == EXIT_OK

@@ -35,6 +35,7 @@ from conftest import (
     isolated_fixed_points,
     random_reduced_word,
     random_zero_sum_word,
+    XgxSeed,
     sample_pls,
     walk_locate,
 )
@@ -68,6 +69,14 @@ class TestWord:
             Word(((1, 1),))
         with pytest.raises(ValueError):
             Word(((2, 2),))
+
+    @pytest.mark.parametrize("letter", [(2.7, 1), (2, 1.0), (True, 1), (2, True), ("2", 1),
+                                        (None, 1)])
+    def test_rejects_non_int_letters(self, letter):
+        with pytest.raises(ValueError):
+            Word((letter,))
+        with pytest.raises(ValueError):
+            Word.from_json_dict({"letters": [{"var": letter[0], "exp": letter[1]}]})
 
     def test_json_roundtrip(self):
         data = COMMUTATOR.to_json_dict()
@@ -435,13 +444,18 @@ class TestSolveXgx:
                     continue
                 alpha = anchor_point(elem)
                 piece = _xgx_piece(f, g, fg, gf, alpha)
-                seed, bridge = piece.seed, piece.seed.bridge
+                seed = XgxSeed(f, g, alpha)
                 beta = (g.backward(alpha) + f.forward(alpha)) / 2
+                assert seed.beta == beta
+                bridge = piece.seed.near[0]
                 beta_g, alpha_f = g.forward(beta), f.forward(alpha)
                 alpha_fg, beta_gf = fg.forward(alpha), gf.forward(beta)
                 below = alpha < beta_g
                 assert below == (elem.color is Color.POS) == (beta < alpha_f)
                 assert (seed.beta_g, seed.alpha_f) == (beta_g, alpha_f)
+                assert (piece.seed.split, piece.seed.below) == ((beta_g.numerator,
+                                                                 beta_g.denominator), below)
+                assert bridge == seed.bridge
                 assert bridge.forward(alpha) == beta
                 assert bridge.forward(beta_g) == alpha_f
                 assert seed.forward(alpha) == beta  # first case
@@ -455,6 +469,8 @@ class TestSolveXgx:
                     first = (q < apply_power(fg, i, beta_g)) == below
                     assert first == ((v < beta_g) == below)
                     w = seed.forward(v)
+                    wn, wd, case = piece.seed._image(v.numerator, v.denominator)
+                    assert (F(wn, wd), case) == (w, 0 if first else 1)
                     if first:
                         assert w == bridge.forward(v)
                     else:

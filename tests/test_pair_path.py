@@ -4,8 +4,8 @@
 pushes the result forward along the other, all on ``(numerator,
 denominator)`` pairs; ``Terrain.locate`` and ``ComponentOrbit.locate``
 bisect with integer cross-multiplication.  The references in ``conftest``
-evaluate the same formula with ``apply_power`` and the seeds' ``forward``
-and ``backward`` in Fractions, and locate terrain elements by a linear
+evaluate the same formula with ``apply_power`` and the Fraction
+definitions of the seeds, and locate terrain elements by a linear
 scan.  Every value must agree exactly, forward and backward, for
 conjugators in both modes, x g x = f solutions and n-th roots (against
 h^-1 g h, h the conjugator of g^n onto g), at exact orbit points, isolated
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lineaut import (
+    AffineBridge,
     Color,
     PLAutomorphism,
     anchor_point,
@@ -35,10 +36,17 @@ from lineaut import (
     solve_xgx,
     support_decompose,
 )
-from lineaut.equations import _root_piece, _xgx_piece
+from lineaut.equations import _root_piece, _TwoCase, _xgx_piece
 from lineaut.rational import is_finite
-from lineaut.samples import random_pl
-from conftest import SLOW_BOUNDARY, SLOW_BOUNDARY_POINTS, conjugator_reference, xgx_reference
+from lineaut.samples import random_fraction, random_pl
+from conftest import (
+    SLOW_BOUNDARY,
+    SLOW_BOUNDARY_POINTS,
+    RootSeed,
+    XgxSeed,
+    conjugator_reference,
+    xgx_reference,
+)
 
 F = Fraction
 
@@ -177,19 +185,41 @@ class TestTransportMatchesFractionFormula:
             check_agrees(solve_xgx(g, f), xgx_reference(g, f), qs)
 
 
+def random_step(rng):
+    """A random increasing map of the pair protocol: a PL map, an affine
+    bridge or the inverse line of one."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_pl(rng, max_knots=3)
+    source, target = random_fraction(rng), random_fraction(rng)
+    bridge = AffineBridge(source, source + F(rng.randint(1, 12), rng.randint(1, 5)),
+                          target, target + F(rng.randint(1, 12), rng.randint(1, 5)))
+    return bridge if kind == 1 else bridge._inverse
+
+
+def chain_image(steps, q):
+    """q through the pair maps ``steps``, left to right, as a Fraction."""
+    n, d = q.numerator, q.denominator
+    for step in steps:
+        n, d, _ = step._image(n, d)
+    return F(n, d)
+
+
 class TestSeedImages:
-    """Every seed kind's ``_image`` is its ``forward`` on pairs, and the
-    image under ``_inverse`` its ``backward``, also on unreduced pairs."""
+    """Every seed kind's ``_image`` is its reference's ``forward`` on pairs,
+    and the image under ``_inverse`` its ``backward``, also on unreduced
+    pairs.  The references in ``conftest`` are the seeds' definitions in
+    Fractions."""
 
     @staticmethod
-    def check_seed(seed, qs):
+    def check_seed(seed, reference, qs):
         for q in qs:
             for scale in (1, 6):
                 n, d = q.numerator * scale, q.denominator * scale
                 yn, yd, _ = seed._image(n, d)
-                assert yd > 0 and F(yn, yd) == seed.forward(q)
+                assert yd > 0 and F(yn, yd) == reference.forward(q)
                 yn, yd, _ = seed._inverse._image(n, d)
-                assert yd > 0 and F(yn, yd) == seed.backward(q)
+                assert yd > 0 and F(yn, yd) == reference.backward(q)
 
     @given(shaped, conjugating, st.lists(st.fractions(-20, 20, max_denominator=50), max_size=8))
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -201,11 +231,13 @@ class TestSeedImages:
                 continue
             alpha = anchor_point(e)
             seed = _xgx_piece(f, g, fg, gf, alpha).seed
+            reference = XgxSeed(f, g, alpha)
             # the anchor block, both sides of the split and the points around it
             block = sorted((alpha, fg.forward(alpha)))
-            probes = qs + block + [seed.beta_g, seed.alpha_f, (block[0] + block[1]) / 2]
-            self.check_seed(seed, probes)
-            self.check_seed(seed.bridge, probes)
+            probes = qs + block + [reference.beta_g, reference.alpha_f, (block[0] + block[1]) / 2]
+            self.check_seed(seed, reference, probes)
+            assert seed.near[0] == reference.bridge
+            self.check_seed(reference.bridge, reference.bridge, probes)
 
     def test_both_cases_of_the_xgx_seed(self):
         f = PLAutomorphism.translation(3)
@@ -221,7 +253,7 @@ class TestSeedImages:
                 seed = _xgx_piece(f, g, fg, gf, alpha).seed
                 lo, hi = sorted((alpha, fg.forward(alpha)))
                 qs = [lo + (hi - lo) * F(j, 16) for j in range(16)]
-                self.check_seed(seed, qs)
+                self.check_seed(seed, XgxSeed(f, g, alpha), qs)
                 cases.update(seed._image(q.numerator, q.denominator)[2] for q in qs)
             assert cases == {0, 1}
 
@@ -235,18 +267,42 @@ class TestSeedImages:
                 continue
             a = anchor_point(e)
             seed = _root_piece(g, n, a).seed
-            lo, hi = sorted((a, seed.a_g))
+            reference = RootSeed(g, n, a)
+            a_g, start = reference.a_g, reference.start
+            lo, hi = sorted((a, a_g))
             block = [lo + (hi - lo) * F(j, 16) for j in range(16)]
             # the forward split b(a g^(n-1)) lies in the block, the inverse
             # split a g between start and start g
-            split = seed.bridge.forward(apply_power(g, n - 1, a))
-            self.check_seed(seed, qs + block + [split, seed.a_g, seed.start])
+            split = reference.bridge.forward(apply_power(g, n - 1, a))
+            self.check_seed(seed, reference, qs + block + [split, a_g, start])
             # a and a g lie either side of the forward split, start and
             # start g either side of the inverse one
-            for image, probes in ((seed._image, (a, seed.a_g)),
-                                  (seed._inverse._image, (seed.start, g.forward(seed.start)))):
+            for image, probes in ((seed._image, (a, a_g)),
+                                  (seed._inverse._image, (start, g.forward(start)))):
                 assert [image(q.numerator, q.denominator)[2] for q in probes] == [0, 1]
+
+    @given(st.integers(0, 2 ** 32), st.booleans(), st.fractions(-10, 10, max_denominator=30),
+           st.lists(st.fractions(-20, 20, max_denominator=50), max_size=6))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_derived_two_case_inverse(self, s, below, split, qs):
+        # random chains of PL maps, bridges and inverse bridge lines; a last
+        # translation makes the far chain agree with the near one at the split
+        rng = random.Random(s)
+        near = tuple(random_step(rng) for _ in range(rng.randint(1, 3)))
+        far = [random_step(rng) for _ in range(rng.randint(1, 3))]
+        image = chain_image(near, split)
+        far.append(PLAutomorphism.translation(image - chain_image(far, split)))
+        seed = _TwoCase(split, below, near, tuple(far))
+        around = [F(sign, 2 ** k) for sign in (1, -1) for k in (0, 5, 40)]
+        for there, back, ps in ((seed, seed._inverse, [split] + [split + e for e in around]),
+                                (seed._inverse, seed, [image] + [image + e for e in around])):
+            for q in ps + qs:
+                for scale in (1, 6):
+                    yn, yd, case = there._image(q.numerator * scale, q.denominator * scale)
+                    zn, zd, back_case = back._image(yn * scale, yd * scale)
+                    assert yd > 0 and zd > 0
+                    assert (F(zn, zd), back_case) == (q, case), q
 
     def test_identity_seed(self):
         seed = PLAutomorphism.identity()
-        self.check_seed(seed, [F(-7, 3), F(0), F(2 ** 70 + 1, 3)])
+        self.check_seed(seed, seed, [F(-7, 3), F(0), F(2 ** 70 + 1, 3)])
