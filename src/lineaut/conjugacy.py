@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Optional
+from typing import Optional
 
 from .automorphism import (
     DomainError,
@@ -234,9 +234,9 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
 
 
 def _locate(g, alpha: Fraction, gamma: Fraction, mode: str, cache, counter):
-    """The work of ``orbit_locate``, for locators that want the index
-    alone: ``(index, up, prev, cur)`` with the walk's last two iterates as
-    ``(numerator, denominator)`` pairs."""
+    """The work of ``orbit_locate``, for the fast-forward transport, which
+    wants the index alone: ``(index, up, prev, cur)`` with the walk's last
+    two iterates as ``(numerator, denominator)`` pairs."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     a = (alpha.numerator, alpha.denominator)
@@ -267,7 +267,7 @@ def _locate(g, alpha: Fraction, gamma: Fraction, mode: str, cache, counter):
 
 
 class ComponentOrbit:
-    """Lazily cached two-sided anchor orbit inside one support component.
+    """Lazily cached two-sided anchor orbit of a word variable's component.
 
     ``point(i)`` is anchor*g^i; ``locate(q)`` returns the block index of q.
     Points are cached under a lock as the orbit walk produces them one step
@@ -343,50 +343,79 @@ class ComponentOrbit:
 class OrbitTransport:
     """A seed map on one anchor block, carried along the orbits.
 
-    ``forward(q) = t_out^i(seed(t_in^-i(q)))`` where ``i = locate_in(q)`` is
-    the index of the t_in-orbit block holding q, and ``backward`` mirrors it
-    with ``locate_out``, t_out and the seed's inverse.  ``seed`` maps the
-    anchor block of t_in onto that of t_out and speaks the pair protocol of
-    ``PLAutomorphism``: ``_image(n, d)`` gives the image of n/d as an
-    unreduced pair with positive denominator (and a piece index), and
-    ``_inverse`` is the inverse map with the same protocol.  A locator is
-    any callable returning a block index.  Conjugators (t_in = g, t_out = f,
-    an ``AffineBridge``), x g x = f pieces (fg, gf) and n-th roots (g, g),
-    both with a two-case seed whose inverse is derived from its forward
-    chains (``equations._TwoCase``), and the word aligner (W, g, the
-    identity) are all of this form.
+    ``forward(q) = t_out^i(seed(t_in^-i(q)))``, where i = ``locate_in(q)`` is
+    the block of q in the t_in-orbit of ``anchor_in``; ``backward`` mirrors
+    it with t_out, ``anchor_out`` and the seed's inverse.  ``seed`` maps the
+    anchor block of t_in onto that of t_out in the pair protocol of
+    ``PLAutomorphism``: ``_image(n, d)`` on pairs with positive denominator
+    (unreduced, with a piece index), and ``_inverse``.  Transports: conjugators
+    (g, f), x g x = f pieces (fg, gf), roots (g, g), the word aligner (W, g).
 
-    One evaluation is one pass over ``(numerator, denominator)`` pairs: the
-    pull-back walk, the seed and the push-forward walk, all through
-    ``_walk``, with one Fraction built at the end.  In the counted model an
-    orbit index i costs |i| evaluations of each map, plus whatever locating
-    costs; the pair pass leaves that unchanged.  In wall time a walk takes a
-    PL map through the middle of the component and O(log |i|) exact-power
-    operations, and steps any other map |i| times in Fractions.  At small
-    indices the pass costs about as much as the PL arithmetic it does: an
-    x g x = f solution of two random maps evaluates about 2.4 times as fast
-    per point as when every stage built Fractions (README, "Conjugacy
-    machinery").
+    An evaluation is one pass over integer pairs, every walk through
+    ``_walk``.  In ``linear`` mode one walk toward the anchor block [lo, hi)
+    finds i and t_in^-i(q) together: down from q >= hi to the first iterate
+    at or below hi (hi itself is one step short of lo), up from q < lo to
+    the first iterate above lo (one step too far when the one before is lo).
+    With the push-forward walk that costs at most 2|i| + 1 evaluations in
+    the counted model.  ``fast_forward`` mode finds i first with ``_locate``,
+    then walks.  In wall time a PL walk costs O(log |i|) exact-power
+    operations past the middle of the component.  A point outside the
+    anchor's component raises ValueError.
     """
 
     t_in: object
     t_out: object
     seed: object
-    locate_in: Callable[[Fraction], int]
-    locate_out: Callable[[Fraction], int]
+    anchor_in: Fraction
+    anchor_out: Fraction
+    mode: str = LINEAR
+
+    def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
+        sides = []
+        for t, anchor in ((self.t_in, self.anchor_in), (self.t_out, self.anchor_out)):
+            first = t.forward(anchor)
+            if first == anchor:
+                raise ValueError(f"anchor {anchor} is a fixed point; it lies in no component")
+            cache = _cache_for(t, None) if self.mode == FAST_FORWARD else None
+            sides.append((t, anchor, cache, *sorted((anchor, first)), first > anchor))
+        object.__setattr__(self, "_sides", sides)
 
     def forward(self, q: Fraction) -> Fraction:
-        return self._carry(q, self.locate_in(q), self.t_in, self.seed, self.t_out)
+        i, n, d = self._pull(q, self._sides[0])
+        n, d, _ = self.seed._image(n, d)
+        return Fraction(*_walk(self.t_out, n, d, i < 0, count=abs(i))[2])
 
     def backward(self, q: Fraction) -> Fraction:
-        return self._carry(q, self.locate_out(q), self.t_out, self.seed._inverse, self.t_in)
+        i, n, d = self._pull(q, self._sides[1])
+        n, d, _ = self.seed._inverse._image(n, d)
+        return Fraction(*_walk(self.t_in, n, d, i < 0, count=abs(i))[2])
 
-    @staticmethod
-    def _carry(q: Fraction, i: int, pull, seed, push) -> Fraction:
-        """push^i(seed(pull^-i(q))) in one pass over integer pairs."""
-        n, d = _walk(pull, q.numerator, q.denominator, i > 0, count=abs(i))[2]
-        n, d, _ = seed._image(n, d)
-        return Fraction(*_walk(push, n, d, i < 0, count=abs(i))[2])
+    def locate_in(self, q: Fraction) -> int:
+        return self._pull(q, self._sides[0])[0]
+
+    def locate_out(self, q: Fraction) -> int:
+        return self._pull(q, self._sides[1])[0]
+
+    def _pull(self, q: Fraction, side):
+        """``(i, n, d)``: the block index i of q on one side, n/d = t^-i(q)."""
+        n, d = q.numerator, q.denominator
+        t, anchor, cache, lo, hi, increasing = side
+        if cache is not None:
+            i = _locate(t, anchor, q, FAST_FORWARD, cache, None)[0]
+            return (i, *_walk(t, n, d, i > 0, count=abs(i))[2])
+        if n * hi.denominator >= hi.numerator * d:
+            steps, _, (n, d) = _walk(t, n, d, increasing, gamma=hi, up=False)
+            if n * hi.denominator == hi.numerator * d:
+                steps, n, d = steps + 1, lo.numerator, lo.denominator
+            return (steps if increasing else -steps), n, d
+        if n * lo.denominator < lo.numerator * d:
+            steps, (pn, pd), (n, d) = _walk(t, n, d, not increasing, gamma=lo, up=True)
+            if pn * lo.denominator == lo.numerator * pd:
+                steps, n, d = steps - 1, pn, pd
+            return (-steps if increasing else steps), n, d
+        return 0, n, d
 
 
 def anchor_point(element: TerrainElement) -> Fraction:
@@ -422,23 +451,22 @@ def _guarded(x, source: TerrainElement, target: TerrainElement, what: str,
 
 
 def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
-                           alpha: Fraction, beta: Fraction, mode: str = LINEAR,
-                           g_cache: Optional[FastForwardCache] = None,
-                           f_cache: Optional[FastForwardCache] = None) -> ProceduralAutomorphism:
+                           alpha: Fraction, beta: Fraction,
+                           mode: str = LINEAR) -> ProceduralAutomorphism:
     """Partial conjugator between support components of the same sign.
 
     ``source`` is a component of the support of g with anchor ``alpha``,
     ``target`` a component of the support of f with anchor ``beta``; the
     returned x maps source onto target and satisfies f = x^-1 g x on the
-    target.  Evaluating x at a point locates its orbit block, pulls it back
-    to the anchor block with g^-i, crosses the affine bridge, and pushes
-    forward with f^i.  In the counted model an orbit index i costs |i|
-    inverse evaluations of g plus |i| forward evaluations of f, on top of
-    locating: 3|i| + 1 oracle calls in linear mode, 2|i| + O(1) plus
-    O(log |i|) fast-forward steps in fast-forward mode.  In wall time raw
-    PL inputs cost the middle crossing of the component plus O(log |i|)
-    exact-power operations per orbit walk (see ``orbit_locate``); wrapped
-    or procedural inputs are stepped, as counted.
+    target.  Evaluating x at a point finds its orbit block i and pulls it
+    back to the anchor block with g^-i, in one walk in linear mode, crosses
+    the affine bridge, and pushes forward with f^i (``OrbitTransport``).  In
+    the counted model an orbit index i costs at most 2|i| + 1 oracle calls
+    in linear mode, and 2|i| + O(1) plus O(log |i|) fast-forward steps in
+    fast-forward mode.  In wall time raw PL inputs cost the middle crossing
+    of the component plus O(log |i|) exact-power operations per orbit walk
+    (see ``orbit_locate``); wrapped or procedural inputs are stepped, as
+    counted.
     """
     if source.color is target.color is Color.FIXED:
         raise ValueError("components must be POS or NEG; use conjugate_on_fixed")
@@ -449,20 +477,8 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
     if not target.contains(beta):
         raise DomainError(f"anchor {beta} outside target component")
 
-    alpha_g = g.forward(alpha)
-    beta_f = f.forward(beta)
-    if source.color is Color.POS:
-        bridge = AffineBridge(alpha, alpha_g, beta, beta_f)
-    else:
-        bridge = AffineBridge(alpha_g, alpha, beta_f, beta)
-
-    if mode == FAST_FORWARD:
-        g_cache = _cache_for(g, g_cache)
-        f_cache = _cache_for(f, f_cache)
-    transport = OrbitTransport(
-        g, f, bridge,
-        lambda q: _locate(g, alpha, q, mode, g_cache, None)[0],
-        lambda q: _locate(f, beta, q, mode, f_cache, None)[0])
+    bridge = AffineBridge(*sorted((alpha, g.forward(alpha))), *sorted((beta, f.forward(beta))))
+    transport = OrbitTransport(g, f, bridge, alpha, beta, mode)
     return _guarded(transport, source, target, "component",
                     f"component-conjugator({source.color.value})")
 
@@ -510,15 +526,13 @@ def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
     if terrain_g.color_sequence() != terrain_f.color_sequence():
         return None
 
-    g_cache = FastForwardCache(g) if mode == FAST_FORWARD else None
-    f_cache = FastForwardCache(f) if mode == FAST_FORWARD else None
     pieces = []
     for eg, ef in zip(terrain_g, terrain_f):
         if eg.color is Color.FIXED:
             pieces.append(conjugate_on_fixed(eg, ef))
         else:
             pieces.append(conjugate_on_component(g, f, eg, ef, anchor_point(eg),
-                                                 anchor_point(ef), mode, g_cache, f_cache))
+                                                 anchor_point(ef), mode))
     return _by_terrain(terrain_g, terrain_f, pieces,
                        f"conjugator({terrain_g.color_sequence()})")
 

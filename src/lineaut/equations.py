@@ -254,8 +254,8 @@ def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
 
     # W and g share each anchor orbit, so the seed is the identity
     word_value = word_automorphism(word, assignment)
-    y = on_components(lambda sub: OrbitTransport(word_value, g, identity, sub.orbit.locate,
-                                                 sub.orbit.locate), "word-orbit-aligner")
+    y = on_components(lambda sub: OrbitTransport(word_value, g, identity, sub.orbit.anchor,
+                                                 sub.orbit.anchor), "word-orbit-aligner")
     return {v: conjugation(assignment[v], y) for v in variables}
 
 
@@ -399,6 +399,14 @@ class _Power:
         return _Power(self.g, -self.k)
 
 
+class _Backward:
+    """g^-1 of a PL map g in the pair protocol, with g itself as ``_inverse``:
+    no rebuilt piece table, and no reference cycle, since g holds none to it."""
+
+    def __init__(self, g: PLAutomorphism):
+        self._image, self._inverse = g._inverse._image, g
+
+
 def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
     """Solution piece on the component of the support of fg holding alpha:
     a two-case seed carried along the orbits of fg and gf.
@@ -420,9 +428,8 @@ def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
     if below != (beta_g < fg.forward(alpha)):
         raise RuntimeError("interleaving failed; alpha is not in the support of fg")
     bridge = AffineBridge(*sorted((alpha, beta_g)), *sorted((beta, f.forward(alpha))))
-    seed = _TwoCase(beta_g, below, (bridge,), (g._inverse, bridge._inverse, f))
-    return OrbitTransport(fg, gf, seed, ComponentOrbit(fg, alpha).locate,
-                          ComponentOrbit(gf, beta).locate)
+    seed = _TwoCase(beta_g, below, (bridge,), (_Backward(g), bridge._inverse, f))
+    return OrbitTransport(fg, gf, seed, alpha, beta)
 
 
 def _root_piece(g: PLAutomorphism, n: int, a: Fraction) -> OrbitTransport:
@@ -436,8 +443,8 @@ def _root_piece(g: PLAutomorphism, n: int, a: Fraction) -> OrbitTransport:
     For p in the block, h^-1(p) = b^-1(p), and z = g(b^-1(p)) lies in block
     0 or 1 of the G-orbit of a, where h is b or g b g^-n: the seed is b(z)
     on a's side of a g^n and g(b(g^-n(z))) on the other.  It maps the block
-    onto the one between ``start`` = b(a g) and ``start`` g, located by the
-    cached orbit of ``start``.  On integer pairs the split is moved onto the
+    onto the one between ``start`` = b(a g) and ``start`` g, located along
+    the orbit of ``start``.  On integer pairs the split is moved onto the
     block (z passes a g^n exactly when p passes b(a g^(n-1))) and g^-n g is
     taken as one walk g^(1-n).  Both cases agree at the split, since b
     continues affinely to b(a g^n) = a g; the inverse, derived by
@@ -449,8 +456,7 @@ def _root_piece(g: PLAutomorphism, n: int, a: Fraction) -> OrbitTransport:
     # a lies below a g on positive components, above it on negative ones
     seed = _TwoCase(b.forward(a_last), a < a_g, (b._inverse, g, b),
                     (b._inverse, _Power(g, 1 - n), b, g))
-    return OrbitTransport(g, g, seed, ComponentOrbit(g, a).locate,
-                          ComponentOrbit(g, b.forward(a_g)).locate)
+    return OrbitTransport(g, g, seed, a, b.forward(a_g))
 
 
 def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:

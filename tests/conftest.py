@@ -13,13 +13,12 @@ from lineaut import (
     anchor_point,
     apply_power,
     compose,
-    conjugate_on_fixed,
     orbit_locate,
     support_decompose,
 )
 from lineaut.conjugacy import OrbitTransport
 from lineaut.equations import _xgx_piece
-from lineaut.rational import NEG_INF, POS_INF
+from lineaut.rational import NEG_INF, POS_INF, is_finite
 from lineaut.samples import _terrain_probes, default_samples, random_fraction, random_pl
 from lineaut.terrain import Terrain, TerrainElement
 
@@ -122,14 +121,16 @@ def linear_locate(terrain, q):
 
 
 def transport_forward(t, q):
-    """Reference for ``OrbitTransport.forward``: its formula in Fractions."""
-    i = t.locate_in(q)
+    """Reference for ``OrbitTransport.forward``: its formula in Fractions,
+    with the block index from ``orbit_locate``, not the transport's walk."""
+    i = orbit_locate(t.t_in, t.anchor_in, q, t.mode).index
     return apply_power(t.t_out, i, t.seed.forward(apply_power(t.t_in, -i, q)))
 
 
 def transport_backward(t, q):
-    """Reference for ``OrbitTransport.backward``: its formula in Fractions."""
-    i = t.locate_out(q)
+    """Reference for ``OrbitTransport.backward``: its formula in Fractions,
+    with the block index from ``orbit_locate``, not the transport's walk."""
+    i = orbit_locate(t.t_out, t.anchor_out, q, t.mode).index
     return apply_power(t.t_in, i, t.seed.backward(apply_power(t.t_out, -i, q)))
 
 
@@ -149,23 +150,40 @@ def by_terrain_reference(terrain_in, terrain_out, forwards, backwards):
     return fwd, bwd
 
 
+def fixed_interval_reference(source, target):
+    """(forward, backward) of ``conjugate_on_fixed(source, target)`` in
+    Fractions: the affine map of the closed intervals when both are bounded,
+    the translation that aligns the finite ends when one end is infinite,
+    and the identity on the whole line."""
+    if is_finite(source.lo) and is_finite(source.hi):
+        slope = (target.hi - target.lo) / (source.hi - source.lo)
+        return (lambda q: target.lo + slope * (q - source.lo),
+                lambda q: source.lo + (q - target.lo) / slope)
+    if is_finite(source.hi):
+        shift = target.hi - source.hi
+    elif is_finite(source.lo):
+        shift = target.lo - source.lo
+    else:
+        shift = 0
+    return (lambda q: q + shift), (lambda q: q - shift)
+
+
 def conjugator_reference(g, f, mode):
     """(forward, backward) of ``solve_conjugacy(g, f, mode)``: each pair of
     components through the transport formula in Fractions, with the affine
-    bridge from anchor block to anchor block as its seed."""
+    bridge from anchor block to anchor block as its seed, and each pair of
+    fixed intervals through ``fixed_interval_reference``."""
     terrain_g, terrain_f = support_decompose(g), support_decompose(f)
     forwards, backwards = [], []
     for eg, ef in zip(terrain_g, terrain_f):
         if eg.color is Color.FIXED:
-            piece = conjugate_on_fixed(eg, ef)
-            forwards.append(piece.forward)
-            backwards.append(piece.backward)
+            fwd, bwd = fixed_interval_reference(eg, ef)
+            forwards.append(fwd)
+            backwards.append(bwd)
             continue
         alpha, beta = anchor_point(eg), anchor_point(ef)
         ends = sorted((alpha, g.forward(alpha))) + sorted((beta, f.forward(beta)))
-        t = OrbitTransport(g, f, AffineBridge(*ends),
-                           partial(lambda a, q: orbit_locate(g, a, q, mode).index, alpha),
-                           partial(lambda b, q: orbit_locate(f, b, q, mode).index, beta))
+        t = OrbitTransport(g, f, AffineBridge(*ends), alpha, beta, mode)
         forwards.append(partial(transport_forward, t))
         backwards.append(partial(transport_backward, t))
     return by_terrain_reference(terrain_g, terrain_f, forwards, backwards)

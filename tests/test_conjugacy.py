@@ -182,22 +182,28 @@ class TestConjugateOnComponent:
             x.forward(F(2))
 
     def test_oracle_call_counts(self):
-        # per evaluation: orbit index i costs i + 1 locate calls plus i
-        # unwind calls on g, and i push calls on f (2|i| + O(1) total on g)
+        # per evaluation: one walk of |i| calls on g finds the block index i
+        # and pulls the point back, then |i| push calls on f; an exact orbit
+        # point below the anchor block costs one more call on g
         g = wrap(T2)
         f = wrap(T1)
         tg = support_decompose(T2)
         tf = support_decompose(T1)
         x = conjugate_on_component(g, f, tg[0], tf[0], F(0), F(0))
-        g.reset()
-        f.reset()
-        gamma = F(21)  # block index 10 for t -> t + 2
-        assert x.forward(gamma) == F(21, 2)
-        i = 10
-        assert g.forward_count == i + 1
-        assert g.inverse_count == i
-        assert f.forward_count == i
-        assert f.inverse_count == 0
+        # block index i for t -> t + 2, the image, and the calls of g and f
+        # as (forward, inverse) counts
+        cases = [(F(21), 10, F(21, 2), (0, 10), (10, 0)),
+                 (F(-19), -10, F(-19, 2), (10, 0), (0, 10)),
+                 (F(20), 10, F(10), (0, 9), (10, 0)),  # lands on the block's top end
+                 (F(-20), -10, F(-10), (11, 0), (0, 10)),  # steps one past the anchor
+                 (F(1), 0, F(1, 2), (0, 0), (0, 0))]
+        for gamma, i, image, g_calls, f_calls in cases:
+            g.reset()
+            f.reset()
+            assert x.forward(gamma) == image
+            assert (g.forward_count, g.inverse_count) == g_calls
+            assert (f.forward_count, f.inverse_count) == f_calls
+            assert sum(g_calls) + sum(f_calls) <= 2 * abs(i) + 1
 
 
 class TestConjugateOnFixed:

@@ -30,6 +30,7 @@ from lineaut import (
     wrap,
 )
 from lineaut.automorphism import _STEPPED_RUN, _walk
+from lineaut.conjugacy import OrbitTransport
 from lineaut.rational import is_finite
 from conftest import walk_locate
 
@@ -166,6 +167,88 @@ class TestIndicesMatchWalk:
                 assert orbit.point(i) == ref.point(i)
                 q = (ref.point(i) + ref.point(i + 1)) / 2
                 assert orbit.locate(q) == i
+
+
+class _Recorder:
+    """The identity seed in the pair protocol: records every point it maps."""
+
+    def __init__(self):
+        self.seen = []
+        self._inverse = self
+
+    def _image(self, n, d):
+        self.seen.append(F(n, d))
+        return n, d, 0
+
+
+def check_one_walk(g, m, anchor, q):
+    """The transport of m along its own orbit locates q and pulls it back as
+    ``orbit_locate`` and ``apply_power`` on the PL map g do, both ways."""
+    seed = _Recorder()
+    x = OrbitTransport(m, m, seed, anchor, anchor)
+    i = orbit_locate(g, anchor, q).index
+    pulled = apply_power(g, -i, q)
+    assert min(anchor, g.forward(anchor)) <= pulled < max(anchor, g.forward(anchor))
+    assert x.locate_in(q) == x.locate_out(q) == i
+    # t^i(t^-i(q)) = q, with t^-i(q) the point the seed saw
+    assert x.forward(q) == q and seed.seen[-1] == pulled
+    assert x.backward(q) == q and seed.seen[-1] == pulled
+    return i
+
+
+class TestOneWalkLocates:
+    """``OrbitTransport`` finds a point's block index and its pull-back into
+    the anchor block in one walk; both must be the ones ``orbit_locate`` and
+    ``apply_power`` give, for PL and ``wrap``-ped maps, positive and
+    negative components and both sides of the anchor."""
+
+    @given(maps, st.data(), counts, st.booleans(),
+           st.fractions(0, 1, max_denominator=9).filter(lambda t: t < 1), st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_index_and_pull_back(self, g, data, i, negative, t, wrapped):
+        if wrapped:
+            i %= 300  # a wrapped map is stepped in Fractions
+        i = -i - 1 if negative else i
+        comps = components(g)
+        if not comps:
+            return
+        anchor = anchor_point(data.draw(st.sampled_from(comps)))
+        lo, hi = sorted((apply_power(g, i, anchor), apply_power(g, i + 1, anchor)))
+        q = lo + t * (hi - lo)
+        assert check_one_walk(g, wrap(g) if wrapped else g, anchor, q) == i
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("g", NAMED)
+    def test_exact_orbit_points(self, g, wrapped):
+        # anchor*g^k is the lower end of block k of an increasing orbit, of
+        # block k - 1 of a decreasing one; a walk down lands on the top end
+        # of the anchor block, a walk up steps one past its lower end
+        for comp in components(g):
+            anchor = anchor_point(comp)
+            for k in range(-5, 6):
+                q = apply_power(g, k, anchor)
+                i = k if comp.color is Color.POS else k - 1
+                assert check_one_walk(g, wrap(g) if wrapped else g, anchor, q) == i
+
+    def test_both_colors_covered(self):
+        assert {c.color for g in NAMED for c in components(g)} == {Color.POS, Color.NEG}
+
+    @pytest.mark.parametrize("g", NAMED)
+    def test_other_component_raises(self, g):
+        # fixed points, and points of other elements, are no block of the
+        # anchor's orbit; a wrapped map is stepped, so it is tried at fixed
+        # points only, where its first step shows it
+        terrain = support_decompose(g)
+        fixed = [b for e in terrain for b in (e.lo, e.hi) if is_finite(b)]
+        for comp in components(g):
+            anchor = anchor_point(comp)
+            others = [anchor_point(e) for e in terrain if e != comp]
+            for m, qs in ((g, fixed + others), (wrap(g), fixed)):
+                x = OrbitTransport(m, m, _Recorder(), anchor, anchor)
+                for q in qs:
+                    for evaluate in (x.forward, x.backward):
+                        with pytest.raises(ValueError):
+                            evaluate(q)
 
 
 class TestFarIndex:

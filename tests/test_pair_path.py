@@ -2,11 +2,11 @@
 
 ``OrbitTransport`` pulls a point back along one orbit, crosses its seed and
 pushes the result forward along the other, all on ``(numerator,
-denominator)`` pairs; ``Terrain.locate`` and ``ComponentOrbit.locate``
-bisect with integer cross-multiplication.  The references in ``conftest``
-evaluate the same formula with ``apply_power`` and the Fraction
-definitions of the seeds, and locate terrain elements by a linear
-scan.  Every value must agree exactly, forward and backward, for
+denominator)`` pairs; ``Terrain.locate`` bisects with integer
+cross-multiplication.  The references in ``conftest`` evaluate the same
+formula with ``orbit_locate``, ``apply_power`` and the Fraction definitions
+of the seeds and of the fixed-interval maps, and locate terrain elements by
+a linear scan.  Every value must agree exactly, forward and backward, for
 conjugators in both modes, x g x = f solutions and n-th roots (against
 h^-1 g h, h the conjugator of g^n onto g), at exact orbit points, isolated
 fixed points, points 1/2^k from component ends, points with numerators
@@ -28,6 +28,7 @@ from lineaut import (
     anchor_point,
     apply_power,
     compose,
+    conjugate_on_fixed,
     inverse,
     nth_root,
     power,
@@ -37,14 +38,16 @@ from lineaut import (
     support_decompose,
 )
 from lineaut.equations import _root_piece, _TwoCase, _xgx_piece
-from lineaut.rational import is_finite
+from lineaut.rational import NEG_INF, POS_INF, is_finite
 from lineaut.samples import random_fraction, random_pl
+from lineaut.terrain import TerrainElement
 from conftest import (
     SLOW_BOUNDARY,
     SLOW_BOUNDARY_POINTS,
     RootSeed,
     XgxSeed,
     conjugator_reference,
+    fixed_interval_reference,
     xgx_reference,
 )
 
@@ -176,6 +179,26 @@ class TestTransportMatchesFractionFormula:
             check_agrees(solve_conjugacy(g, f, mode), conjugator_reference(g, f, mode), qs)
         g_xgx = compose(inverse(f), g)
         check_agrees(solve_xgx(g_xgx, f), xgx_reference(g_xgx, f), qs)
+
+    @given(st.sampled_from([(True, True), (False, True), (True, False), (False, False)]),
+           st.lists(st.fractions(-20, 20, max_denominator=30), min_size=4, max_size=4,
+                    unique=True),
+           st.lists(st.fractions(0, 1, max_denominator=40), max_size=5))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_fixed_intervals(self, kind, ends, ts):
+        # every kind of fixed-interval pair, at both ends and between them
+        lo_fin, hi_fin = kind
+        (a, b), (c, d) = sorted(ends[:2]), sorted(ends[2:])
+        source = TerrainElement(Color.FIXED, a if lo_fin else NEG_INF, b if hi_fin else POS_INF)
+        target = TerrainElement(Color.FIXED, c if lo_fin else NEG_INF, d if hi_fin else POS_INF)
+        x = conjugate_on_fixed(source, target)
+        fwd, bwd = fixed_interval_reference(source, target)
+        for t in [F(0), F(1)] + ts:
+            q, p = a + t * (b - a), c + t * (d - c)
+            assert x.forward(q) == fwd(q) and x.backward(fwd(q)) == q, q
+            assert x.backward(p) == bwd(p) and x.forward(bwd(p)) == p, p
+        if lo_fin and hi_fin:
+            assert (fwd(a), fwd(b)) == (c, d)
 
     def test_random_pairs(self):
         rng = random.Random(8)
