@@ -271,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
                                          "with f = h^-1 g h")
     p.add_argument("g")
     p.add_argument("f")
-    p.add_argument("--mode", choices=("linear", "fast-forward"), default="linear")
+    p.add_argument("--mode", choices=("linear", "fast-forward"), default="linear",
+                   help="accepted for compatibility: both values build the same h, "
+                        "evaluated by the same walk, at most 2|i| + 1 oracle calls "
+                        "at orbit index i")
     _add_sample_flags(p)
     p.set_defaults(func=cmd_conjugate)
 

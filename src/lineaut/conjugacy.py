@@ -28,13 +28,12 @@ from .automorphism import (
     DomainError,
     PLAutomorphism,
     ProceduralAutomorphism,
-    _inverse_line,
     _line_through,
     _walk,
     compose,
     inverse,
 )
-from .oracle import CallCounter, FastForwardCache, InstrumentedOracle
+from .oracle import CallCounter, FastForwardCache
 from .rational import is_finite
 from .terrain import Color, Terrain, TerrainElement, support_decompose
 
@@ -43,35 +42,22 @@ FAST_FORWARD = "fast_forward"
 _MODES = (LINEAR, FAST_FORWARD)
 
 
-class _Line:
-    """The increasing map t -> (an/ad) t + bn/bd on integer pairs, in the
-    pair protocol of ``PLAutomorphism``: ``_image`` and ``_inverse``.
-    ``an``, ``ad`` and ``bd`` are positive."""
-
-    def __init__(self, an: int, ad: int, bn: int, bd: int):
-        self.an, self.ad, self.bn, self.bd = an, ad, bn, bd
-
-    def _image(self, n: int, d: int):
-        """Image of n/d (d > 0) as an unreduced pair with positive
-        denominator, and piece 0."""
-        return self.an * n * self.bd + self.bn * self.ad * d, self.ad * d * self.bd, 0
-
-    @cached_property
-    def _inverse(self) -> "_Line":
-        return _Line(*_inverse_line(self.an, self.ad, self.bn, self.bd))
+def _check_mode(mode: str):
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
 
 
 @dataclass(frozen=True)
 class AffineBridge:
     """Affine increasing bijection [source_lo, source_hi) -> [target_lo, target_hi).
 
-    ``forward`` and ``backward`` compute in Fractions.  As an
-    ``OrbitTransport`` seed the bridge speaks the pair protocol instead:
-    ``_image`` applies its line, cached as four ints, to an integer pair
-    with six multiplications and one addition, and ``_inverse`` is the
-    inverse line, worked out from those ints.  That saves wall time only;
-    a bridge consults no map, so it costs nothing in the counted model
-    either way.
+    Construction works out the line t -> (an/ad) t + bn/bd in ints, and
+    every evaluation goes through it: ``_image`` applies it to an integer
+    pair with six multiplications and one addition, in the pair protocol of
+    ``PLAutomorphism``, and ``forward`` is ``_image`` made a Fraction.
+    ``_inverse`` is the bridge with its intervals swapped, and ``backward``
+    its ``forward``.  A bridge consults no map, so it costs nothing in the
+    counted model.
     """
 
     source_lo: Fraction
@@ -82,15 +68,7 @@ class AffineBridge:
     def __post_init__(self):
         if self.source_lo >= self.source_hi or self.target_lo >= self.target_hi:
             raise ValueError("degenerate bridge interval")
-
-    @cached_property
-    def slope(self) -> Fraction:
-        return (self.target_hi - self.target_lo) / (self.source_hi - self.source_lo)
-
-    @cached_property
-    def _line(self) -> _Line:
-        """The line t -> a t + b of ``forward`` on integer pairs, worked out
-        in ints: a = (th - tl) / (sh - sl), b = tl - a sl."""
+        # a = (th - tl) / (sh - sl), b = tl - a sl
         sln, sld = self.source_lo.numerator, self.source_lo.denominator
         shn, shd = self.source_hi.numerator, self.source_hi.denominator
         tln, tld = self.target_lo.numerator, self.target_lo.denominator
@@ -98,22 +76,24 @@ class AffineBridge:
         an = (thn * tld - tln * thd) * shd * sld
         ad = (shn * sld - sln * shd) * thd * tld
         common = gcd(an, ad)
-        return _Line(*_line_through(an // common, ad // common, sln, sld, tln, tld))
-
-    @property
-    def _inverse(self) -> _Line:
-        return self._line._inverse
-
-    def forward(self, q: Fraction) -> Fraction:
-        return self.target_lo + self.slope * (q - self.source_lo)
-
-    def backward(self, q: Fraction) -> Fraction:
-        return self.source_lo + (q - self.target_lo) / self.slope
+        object.__setattr__(self, "_line", _line_through(an // common, ad // common,
+                                                        sln, sld, tln, tld))
 
     def _image(self, n: int, d: int):
-        """``forward`` on the pair n/d (d > 0), as ``PLAutomorphism._image``
-        gives it: an unreduced pair with positive denominator, and piece 0."""
-        return self._line._image(n, d)
+        """Image of n/d (d > 0) as an unreduced pair with positive
+        denominator, and piece 0."""
+        an, ad, bn, bd = self._line
+        return an * n * bd + bn * ad * d, ad * d * bd, 0
+
+    @cached_property
+    def _inverse(self) -> "AffineBridge":
+        return AffineBridge(self.target_lo, self.target_hi, self.source_lo, self.source_hi)
+
+    def forward(self, q: Fraction) -> Fraction:
+        return Fraction(*self._image(q.numerator, q.denominator)[:2])
+
+    def backward(self, q: Fraction) -> Fraction:
+        return self._inverse.forward(q)
 
     __call__ = forward
 
@@ -142,18 +122,6 @@ def _orientation(increasing: bool, alpha, gamma):
     """
     up = gamma[0] * alpha[1] >= alpha[0] * gamma[1]
     return up, increasing == up
-
-
-def _iterate_until(g, start, gamma, up, use_forward, counter):
-    """Steps from the pair start to the first iterate past gamma, with the
-    last two iterates as pairs."""
-    steps, prev, cur = _walk(g, *start, not use_forward, gamma=gamma, up=up)
-    if counter is not None:
-        if use_forward:
-            counter.forward += steps
-        else:
-            counter.inverse += steps
-    return steps, prev, cur
 
 
 def _ff_search(apply_step, alpha, gamma, up, counter):
@@ -200,18 +168,7 @@ def _ff_search(apply_step, alpha, gamma, up, counter):
     return j + 1, pt, hit
 
 
-def _cache_for(g, cache: Optional[FastForwardCache]) -> FastForwardCache:
-    if cache is not None:
-        return cache
-    if isinstance(g, PLAutomorphism):
-        return FastForwardCache(g)
-    if isinstance(g, InstrumentedOracle) and isinstance(g.inner, PLAutomorphism):
-        return FastForwardCache(g.inner)
-    raise TypeError("fast-forward mode needs a piecewise-linear map or an explicit cache")
-
-
 def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
-                 cache: Optional[FastForwardCache] = None,
                  counter: Optional[CallCounter] = None) -> OrbitLocation:
     """Block of the anchor orbit of g containing gamma.
 
@@ -220,28 +177,19 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
     never passes gamma.  In the counted model linear mode makes |index| + 1
     evaluations and fast-forward mode O(log |index|) fast-forward steps
     (doubling plus a nested binary descent over powers of two), and a
-    ``counter`` is charged exactly that.  Wall time differs for a PL map:
-    each walk, and each fast-forward step, takes at most 16 steps and one
-    closed form per affine piece it crosses (``PLAutomorphism._iterate``),
-    so beyond the middle of the component linear mode costs O(log |index|)
-    exact-power operations and fast-forward mode O(log^2 |index|); on a
-    slope-1 tail a closed form is one ceiling division.  Any other map is
-    stepped, as counted.
+    ``counter`` is charged exactly that.  Fast-forward mode needs a PL g,
+    not a wrapped one (TypeError from ``FastForwardCache``).  Wall time
+    differs for a PL map: each walk, and each fast-forward step, takes at
+    most 16 steps and one closed form per affine piece it crosses
+    (``PLAutomorphism._iterate``), so beyond the middle of the component
+    linear mode costs O(log |index|) exact-power operations and fast-forward
+    mode O(log^2 |index|); on a slope-1 tail a closed form is one ceiling
+    division.  Any other map is stepped, as counted.
     """
-    index, up, prev, cur = _locate(g, alpha, gamma, mode, cache, counter)
-    lower, upper = (prev, cur) if up else (cur, prev)
-    return OrbitLocation(index, Fraction(*lower), Fraction(*upper))
-
-
-def _locate(g, alpha: Fraction, gamma: Fraction, mode: str, cache, counter):
-    """The work of ``orbit_locate``, for the fast-forward transport, which
-    wants the index alone: ``(index, up, prev, cur)`` with the walk's last
-    two iterates as ``(numerator, denominator)`` pairs."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    _check_mode(mode)
     a = (alpha.numerator, alpha.denominator)
     if mode == FAST_FORWARD:
-        ff_cache = _cache_for(g, cache)
+        ff_cache = FastForwardCache(g)
         first = ff_cache.apply(alpha, 0, counter)
         first = (first.numerator, first.denominator)
     else:
@@ -256,14 +204,19 @@ def _locate(g, alpha: Fraction, gamma: Fraction, mode: str, cache, counter):
         step = ff_cache.apply if with_g else ff_cache.apply_inverse
         e, prev, cur = _ff_search(step, alpha, gamma, up, counter)
         prev, cur = (prev.numerator, prev.denominator), (cur.numerator, cur.denominator)
-    elif not with_g:
-        e, prev, cur = _iterate_until(g, a, gamma, up, False, counter)
-    elif (first[0] * c[1] > c[0] * first[1]) == up:
+    elif with_g and (first[0] * c[1] > c[0] * first[1]) == up:
         e, prev, cur = 1, a, first
     else:
-        e, prev, cur = _iterate_until(g, first, gamma, up, True, counter)
-        e += 1
-    return (e - 1 if with_g else -e), up, prev, cur
+        # on with g from the first iterate, or back with g^-1 from the anchor
+        e, prev, cur = _walk(g, *(first if with_g else a), not with_g, gamma=gamma, up=up)
+        if counter is not None:
+            if with_g:
+                counter.forward += e
+            else:
+                counter.inverse += e
+        e += with_g
+    lower, upper = (prev, cur) if up else (cur, prev)
+    return OrbitLocation(e - 1 if with_g else -e, Fraction(*lower), Fraction(*upper))
 
 
 class ComponentOrbit:
@@ -352,13 +305,12 @@ class OrbitTransport:
     (g, f), x g x = f pieces (fg, gf), roots (g, g), the word aligner (W, g).
 
     An evaluation is one pass over integer pairs, every walk through
-    ``_walk``.  In ``linear`` mode one walk toward the anchor block [lo, hi)
-    finds i and t_in^-i(q) together: down from q >= hi to the first iterate
-    at or below hi (hi itself is one step short of lo), up from q < lo to
-    the first iterate above lo (one step too far when the one before is lo).
-    With the push-forward walk that costs at most 2|i| + 1 evaluations in
-    the counted model.  ``fast_forward`` mode finds i first with ``_locate``,
-    then walks.  In wall time a PL walk costs O(log |i|) exact-power
+    ``_walk``.  One walk toward the anchor block [lo, hi) finds i and
+    t_in^-i(q) together: down from q >= hi to the first iterate at or below
+    hi (hi itself is one step short of lo), up from q < lo to the first
+    iterate above lo (one step too far when the one before is lo).  With
+    the push-forward walk that costs at most 2|i| + 1 evaluations in the
+    counted model.  In wall time a PL walk costs O(log |i|) exact-power
     operations past the middle of the component.  A point outside the
     anchor's component raises ValueError.
     """
@@ -368,18 +320,14 @@ class OrbitTransport:
     seed: object
     anchor_in: Fraction
     anchor_out: Fraction
-    mode: str = LINEAR
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         sides = []
         for t, anchor in ((self.t_in, self.anchor_in), (self.t_out, self.anchor_out)):
             first = t.forward(anchor)
             if first == anchor:
                 raise ValueError(f"anchor {anchor} is a fixed point; it lies in no component")
-            cache = _cache_for(t, None) if self.mode == FAST_FORWARD else None
-            sides.append((t, anchor, cache, *sorted((anchor, first)), first > anchor))
+            sides.append((t, *sorted((anchor, first)), first > anchor))
         object.__setattr__(self, "_sides", sides)
 
     def forward(self, q: Fraction) -> Fraction:
@@ -401,10 +349,7 @@ class OrbitTransport:
     def _pull(self, q: Fraction, side):
         """``(i, n, d)``: the block index i of q on one side, n/d = t^-i(q)."""
         n, d = q.numerator, q.denominator
-        t, anchor, cache, lo, hi, increasing = side
-        if cache is not None:
-            i = _locate(t, anchor, q, FAST_FORWARD, cache, None)[0]
-            return (i, *_walk(t, n, d, i > 0, count=abs(i))[2])
+        t, lo, hi, increasing = side
         if n * hi.denominator >= hi.numerator * d:
             steps, _, (n, d) = _walk(t, n, d, increasing, gamma=hi, up=False)
             if n * hi.denominator == hi.numerator * d:
@@ -459,15 +404,16 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
     ``target`` a component of the support of f with anchor ``beta``; the
     returned x maps source onto target and satisfies f = x^-1 g x on the
     target.  Evaluating x at a point finds its orbit block i and pulls it
-    back to the anchor block with g^-i, in one walk in linear mode, crosses
-    the affine bridge, and pushes forward with f^i (``OrbitTransport``).  In
-    the counted model an orbit index i costs at most 2|i| + 1 oracle calls
-    in linear mode, and 2|i| + O(1) plus O(log |i|) fast-forward steps in
-    fast-forward mode.  In wall time raw PL inputs cost the middle crossing
-    of the component plus O(log |i|) exact-power operations per orbit walk
-    (see ``orbit_locate``); wrapped or procedural inputs are stepped, as
-    counted.
+    back to the anchor block with g^-i, in one walk, crosses the affine
+    bridge, and pushes forward with f^i (``OrbitTransport``).  In the
+    counted model an orbit index i costs at most 2|i| + 1 oracle calls.  In
+    wall time raw PL inputs cost the middle crossing of the component plus
+    O(log |i|) exact-power operations per orbit walk (see ``orbit_locate``);
+    wrapped or procedural inputs are stepped, as counted.  ``mode`` must be
+    ``"linear"`` or ``"fast_forward"`` (ValueError otherwise); both build
+    the same map, evaluated by the same walk.
     """
+    _check_mode(mode)
     if source.color is target.color is Color.FIXED:
         raise ValueError("components must be POS or NEG; use conjugate_on_fixed")
     if source.color is not target.color:
@@ -478,8 +424,7 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
         raise DomainError(f"anchor {beta} outside target component")
 
     bridge = AffineBridge(*sorted((alpha, g.forward(alpha))), *sorted((beta, f.forward(beta))))
-    transport = OrbitTransport(g, f, bridge, alpha, beta, mode)
-    return _guarded(transport, source, target, "component",
+    return _guarded(OrbitTransport(g, f, bridge, alpha, beta), source, target, "component",
                     f"component-conjugator({source.color.value})")
 
 
@@ -519,8 +464,11 @@ def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
     orbit-block procedure with deterministic anchors, fixed intervals by the
     direct interval maps; the result dispatches each query to the element
     containing it.  Isolated fixed points between two components map to the
-    corresponding boundary point on the other side.
+    corresponding boundary point on the other side.  ``mode`` is checked
+    as in ``conjugate_on_component``: both values build the same map by the
+    same walk, at most 2|i| + 1 oracle calls at orbit index i.
     """
+    _check_mode(mode)
     terrain_g = support_decompose(g)
     terrain_f = support_decompose(f)
     if terrain_g.color_sequence() != terrain_f.color_sequence():
@@ -532,7 +480,7 @@ def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
             pieces.append(conjugate_on_fixed(eg, ef))
         else:
             pieces.append(conjugate_on_component(g, f, eg, ef, anchor_point(eg),
-                                                 anchor_point(ef), mode))
+                                                 anchor_point(ef)))
     return _by_terrain(terrain_g, terrain_f, pieces,
                        f"conjugator({terrain_g.color_sequence()})")
 

@@ -10,7 +10,10 @@ point, independent of k.  :class:`FastForwardCache` realizes it for
 piecewise-linear maps without building g^(2^k): the orbit primitive crosses
 the middle of the component and the long affine pieces in closed form.
 Counts are the cost model's (one per step, whatever it costs inside);
-wall time is that crossing plus O(k) exact-power operations per step.
+wall time is that crossing plus O(k) exact-power operations per step.  Only
+orbit location uses it (``orbit_locate`` and :func:`measure_locate` in
+fast-forward mode); conjugators and the other transports locate by their
+pull-back walk.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ class FastForwardCache:
     that crossing plus O(k) exact-power operations, and nothing is stored.
     ``power_of_two(k)`` builds the explicit PL power on demand (about
     ``3 * 2^k`` knots on a generic map) and keeps no copy; ``depth`` is the
-    largest such k asked for, or the construction depth.
+    largest such k asked for, or the construction depth.  Orbit location
+    in fast-forward mode is its only user in the library.
     """
 
     def __init__(self, base: PLAutomorphism, depth: int = 0):

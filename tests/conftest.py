@@ -1,12 +1,11 @@
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import pytest
 from fractions import Fraction
 
 from lineaut import (
-    AffineBridge,
     Color,
     PLAutomorphism,
     Word,
@@ -120,17 +119,19 @@ def linear_locate(terrain, q):
     raise ValueError(f"point {q} not located in terrain {terrain.color_sequence()!r}")
 
 
-def transport_forward(t, q):
+def transport_forward(t, q, mode="linear"):
     """Reference for ``OrbitTransport.forward``: its formula in Fractions,
-    with the block index from ``orbit_locate``, not the transport's walk."""
-    i = orbit_locate(t.t_in, t.anchor_in, q, t.mode).index
+    with the block index from ``orbit_locate`` in ``mode``, not the
+    transport's walk."""
+    i = orbit_locate(t.t_in, t.anchor_in, q, mode).index
     return apply_power(t.t_out, i, t.seed.forward(apply_power(t.t_in, -i, q)))
 
 
-def transport_backward(t, q):
+def transport_backward(t, q, mode="linear"):
     """Reference for ``OrbitTransport.backward``: its formula in Fractions,
-    with the block index from ``orbit_locate``, not the transport's walk."""
-    i = orbit_locate(t.t_out, t.anchor_out, q, t.mode).index
+    with the block index from ``orbit_locate`` in ``mode``, not the
+    transport's walk."""
+    i = orbit_locate(t.t_out, t.anchor_out, q, mode).index
     return apply_power(t.t_in, i, t.seed.backward(apply_power(t.t_out, -i, q)))
 
 
@@ -150,15 +151,35 @@ def by_terrain_reference(terrain_in, terrain_out, forwards, backwards):
     return fwd, bwd
 
 
+@dataclass(frozen=True)
+class BridgeReference:
+    """Reference for ``AffineBridge``: the affine map [source_lo, source_hi)
+    -> [target_lo, target_hi) by its slope formula in Fractions."""
+
+    source_lo: Fraction
+    source_hi: Fraction
+    target_lo: Fraction
+    target_hi: Fraction
+
+    @property
+    def slope(self):
+        return (self.target_hi - self.target_lo) / (self.source_hi - self.source_lo)
+
+    def forward(self, q):
+        return self.target_lo + self.slope * (q - self.source_lo)
+
+    def backward(self, q):
+        return self.source_lo + (q - self.target_lo) / self.slope
+
+
 def fixed_interval_reference(source, target):
     """(forward, backward) of ``conjugate_on_fixed(source, target)`` in
     Fractions: the affine map of the closed intervals when both are bounded,
     the translation that aligns the finite ends when one end is infinite,
     and the identity on the whole line."""
     if is_finite(source.lo) and is_finite(source.hi):
-        slope = (target.hi - target.lo) / (source.hi - source.lo)
-        return (lambda q: target.lo + slope * (q - source.lo),
-                lambda q: source.lo + (q - target.lo) / slope)
+        bridge = BridgeReference(source.lo, source.hi, target.lo, target.hi)
+        return bridge.forward, bridge.backward
     if is_finite(source.hi):
         shift = target.hi - source.hi
     elif is_finite(source.lo):
@@ -170,9 +191,10 @@ def fixed_interval_reference(source, target):
 
 def conjugator_reference(g, f, mode):
     """(forward, backward) of ``solve_conjugacy(g, f, mode)``: each pair of
-    components through the transport formula in Fractions, with the affine
-    bridge from anchor block to anchor block as its seed, and each pair of
-    fixed intervals through ``fixed_interval_reference``."""
+    components through the transport formula in Fractions, located by
+    ``orbit_locate`` in ``mode``, with ``BridgeReference`` from anchor block
+    to anchor block as its seed, and each pair of fixed intervals through
+    ``fixed_interval_reference``."""
     terrain_g, terrain_f = support_decompose(g), support_decompose(f)
     forwards, backwards = [], []
     for eg, ef in zip(terrain_g, terrain_f):
@@ -183,9 +205,9 @@ def conjugator_reference(g, f, mode):
             continue
         alpha, beta = anchor_point(eg), anchor_point(ef)
         ends = sorted((alpha, g.forward(alpha))) + sorted((beta, f.forward(beta)))
-        t = OrbitTransport(g, f, AffineBridge(*ends), alpha, beta, mode)
-        forwards.append(partial(transport_forward, t))
-        backwards.append(partial(transport_backward, t))
+        t = OrbitTransport(g, f, BridgeReference(*ends), alpha, beta)
+        forwards.append(partial(transport_forward, t, mode=mode))
+        backwards.append(partial(transport_backward, t, mode=mode))
     return by_terrain_reference(terrain_g, terrain_f, forwards, backwards)
 
 
@@ -204,7 +226,8 @@ class XgxSeed:
         self.beta_g = g.forward(beta)
         self.alpha_f = f.forward(alpha)
         self.below = alpha < self.beta_g
-        self.bridge = AffineBridge(*sorted((alpha, self.beta_g)), *sorted((beta, self.alpha_f)))
+        self.bridge = BridgeReference(*sorted((alpha, self.beta_g)),
+                                      *sorted((beta, self.alpha_f)))
 
     def forward(self, v):
         if (v < self.beta_g) == self.below:
@@ -231,7 +254,7 @@ class RootSeed:
         self.a_g = g.forward(a)
         self.a_gn = apply_power(g, n, a)
         self.below = a < self.a_g
-        self.bridge = AffineBridge(*sorted((a, self.a_gn)), *sorted((a, self.a_g)))
+        self.bridge = BridgeReference(*sorted((a, self.a_gn)), *sorted((a, self.a_g)))
         self.start = self.bridge.forward(self.a_g)
 
     def forward(self, p):

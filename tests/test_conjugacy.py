@@ -109,6 +109,11 @@ class TestOrbitLocate:
         with pytest.raises(ValueError):
             orbit_locate(PLAutomorphism(), F(0), F(1))
 
+    def test_fast_forward_needs_a_pl_map(self):
+        # a wrapped map is not unwrapped: its wrapper would count nothing
+        with pytest.raises(TypeError):
+            orbit_locate(wrap(T1), F(0), F(10), "fast_forward")
+
     def test_linear_call_counts(self):
         counter = CallCounter()
         orbit_locate(T1, F(0), F(10), counter=counter)
@@ -184,12 +189,12 @@ class TestConjugateOnComponent:
     def test_oracle_call_counts(self):
         # per evaluation: one walk of |i| calls on g finds the block index i
         # and pulls the point back, then |i| push calls on f; an exact orbit
-        # point below the anchor block costs one more call on g
+        # point below the anchor block costs one more call on g.  Both modes
+        # evaluate by that walk, so they count the same.
         g = wrap(T2)
         f = wrap(T1)
         tg = support_decompose(T2)
         tf = support_decompose(T1)
-        x = conjugate_on_component(g, f, tg[0], tf[0], F(0), F(0))
         # block index i for t -> t + 2, the image, and the calls of g and f
         # as (forward, inverse) counts
         cases = [(F(21), 10, F(21, 2), (0, 10), (10, 0)),
@@ -197,13 +202,20 @@ class TestConjugateOnComponent:
                  (F(20), 10, F(10), (0, 9), (10, 0)),  # lands on the block's top end
                  (F(-20), -10, F(-10), (11, 0), (0, 10)),  # steps one past the anchor
                  (F(1), 0, F(1, 2), (0, 0), (0, 0))]
-        for gamma, i, image, g_calls, f_calls in cases:
-            g.reset()
-            f.reset()
-            assert x.forward(gamma) == image
-            assert (g.forward_count, g.inverse_count) == g_calls
-            assert (f.forward_count, f.inverse_count) == f_calls
-            assert sum(g_calls) + sum(f_calls) <= 2 * abs(i) + 1
+        for mode in ("linear", "fast_forward"):
+            x = conjugate_on_component(g, f, tg[0], tf[0], F(0), F(0), mode)
+            for gamma, i, image, g_calls, f_calls in cases:
+                g.reset()
+                f.reset()
+                assert x.forward(gamma) == image
+                assert (g.forward_count, g.inverse_count) == g_calls, mode
+                assert (f.forward_count, f.inverse_count) == f_calls, mode
+                assert sum(g_calls) + sum(f_calls) <= 2 * abs(i) + 1
+
+    def test_unknown_mode_rejected(self):
+        t = support_decompose(T1)
+        with pytest.raises(ValueError, match="unknown mode"):
+            conjugate_on_component(T1, T1, t[0], t[0], F(0), F(0), mode="bogus")
 
 
 class TestConjugateOnFixed:
@@ -312,6 +324,12 @@ class TestSolveConjugacy:
         h = solve_conjugacy(g, f)
         for q in default_samples(60, 6, (support_decompose(g),)):
             assert h.backward(h.forward(q)) == q
+
+    def test_unknown_mode_rejected(self):
+        # with support components and without: the identity has none
+        for g in (T1, PLAutomorphism.identity()):
+            with pytest.raises(ValueError, match="unknown mode"):
+                solve_conjugacy(g, g, mode="bogus")
 
     def test_fast_forward_mode(self, rng):
         g, h0 = sample_pls(rng, 2)

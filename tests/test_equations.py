@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -455,7 +456,7 @@ class TestSolveXgx:
                 assert (seed.beta_g, seed.alpha_f) == (beta_g, alpha_f)
                 assert (piece.seed.split, piece.seed.below) == ((beta_g.numerator,
                                                                  beta_g.denominator), below)
-                assert bridge == seed.bridge
+                assert astuple(bridge) == astuple(seed.bridge)
                 assert bridge.forward(alpha) == beta
                 assert bridge.forward(beta_g) == alpha_f
                 assert seed.forward(alpha) == beta  # first case

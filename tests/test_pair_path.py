@@ -5,16 +5,17 @@ pushes the result forward along the other, all on ``(numerator,
 denominator)`` pairs; ``Terrain.locate`` bisects with integer
 cross-multiplication.  The references in ``conftest`` evaluate the same
 formula with ``orbit_locate``, ``apply_power`` and the Fraction definitions
-of the seeds and of the fixed-interval maps, and locate terrain elements by
-a linear scan.  Every value must agree exactly, forward and backward, for
+of the seeds, of the affine bridge (``BridgeReference``) and of the
+fixed-interval maps, and locate terrain elements by a linear scan.  Every value must agree exactly, forward and backward, for
 conjugators in both modes, x g x = f solutions and n-th roots (against
 h^-1 g h, h the conjugator of g^n onto g), at exact orbit points, isolated
 fixed points, points 1/2^k from component ends, points with numerators
 above 2^64, and orbit indices up to 10^4 on slope-1 and non-unit-slope
-tails, where walks take closed forms.
+tails, where walks take closed forms, and near a slowly attracting boundary.
 """
 
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -169,14 +170,17 @@ class TestTransportMatchesFractionFormula:
         # 1/2; long orbits near the boundary fixed point of SLOW_BOUNDARY
         check_root(g, n, qs)
 
-    @pytest.mark.parametrize("g", [TRANSLATING, GEOMETRIC])
+    @pytest.mark.parametrize("g", [TRANSLATING, GEOMETRIC, SLOW_BOUNDARY])
     def test_far_indices(self, g):
-        # orbit indices +-10^4 from the anchor, on slope-1 tails and on
-        # tails of slopes 2 and 1/2
+        # orbit indices +-10^4 from the anchor, on slope-1 tails, on tails
+        # of slopes 2 and 1/2, and near the slowly attracting boundary of
+        # SLOW_BOUNDARY; both modes build the same map, so one reference
+        # located in linear mode checks both
         f = conjugate_of(g, PLAutomorphism(((0, 1), (2, 2)), F(1, 2), 3))
         qs = far_orbit_points(g)
+        reference = conjugator_reference(g, f, "linear")
         for mode in ("linear", "fast_forward"):
-            check_agrees(solve_conjugacy(g, f, mode), conjugator_reference(g, f, mode), qs)
+            check_agrees(solve_conjugacy(g, f, mode), reference, qs)
         g_xgx = compose(inverse(f), g)
         check_agrees(solve_xgx(g_xgx, f), xgx_reference(g_xgx, f), qs)
 
@@ -232,7 +236,8 @@ class TestSeedImages:
     """Every seed kind's ``_image`` is its reference's ``forward`` on pairs,
     and the image under ``_inverse`` its ``backward``, also on unreduced
     pairs.  The references in ``conftest`` are the seeds' definitions in
-    Fractions."""
+    Fractions; each seed's affine bridge is checked against
+    ``BridgeReference``, its slope formula."""
 
     @staticmethod
     def check_seed(seed, reference, qs):
@@ -259,8 +264,8 @@ class TestSeedImages:
             block = sorted((alpha, fg.forward(alpha)))
             probes = qs + block + [reference.beta_g, reference.alpha_f, (block[0] + block[1]) / 2]
             self.check_seed(seed, reference, probes)
-            assert seed.near[0] == reference.bridge
-            self.check_seed(reference.bridge, reference.bridge, probes)
+            assert astuple(seed.near[0]) == astuple(reference.bridge)
+            self.check_seed(seed.near[0], reference.bridge, probes)
 
     def test_both_cases_of_the_xgx_seed(self):
         f = PLAutomorphism.translation(3)
@@ -298,6 +303,7 @@ class TestSeedImages:
             # split a g between start and start g
             split = reference.bridge.forward(apply_power(g, n - 1, a))
             self.check_seed(seed, reference, qs + block + [split, a_g, start])
+            self.check_seed(seed.near[2], reference.bridge, qs + block + [a_g, start])
             # a and a g lie either side of the forward split, start and
             # start g either side of the inverse one
             for image, probes in ((seed._image, (a, a_g)),
