@@ -33,7 +33,7 @@ from .automorphism import (
     compose,
     inverse,
 )
-from .oracle import CallCounter, FastForwardCache
+from .oracle import CallCounter
 from .rational import is_finite
 from .terrain import Color, Terrain, TerrainElement, support_decompose
 
@@ -124,22 +124,28 @@ def _orientation(increasing: bool, alpha, gamma):
     return up, increasing == up
 
 
-def _ff_search(apply_step, alpha, gamma, up, counter):
+def _ff_search(g, backward, alpha, first, gamma, up, counter):
     """Minimal e >= 1 with point(e) past gamma; returns (e, point(e-1), point(e)).
 
-    Doubling finds the power-of-two bracket, then a nested binary descent
-    adds halving power-of-two steps; every step application is one
-    fast-forward step.  A step may stop early past gamma: such a point only
-    ever tells the search that it went too far.
+    point(e) is alpha after e steps of g, or of g^-1 when ``backward``; points
+    are ``(numerator, denominator)`` pairs, and ``first`` is point(1) when the
+    caller has it already, else None.  Doubling finds the power-of-two
+    bracket, then a nested binary descent adds halving power-of-two steps;
+    every step, one orbit walk of 2^k steps, is one fast-forward step.  A
+    step may stop early past gamma: such a point only ever tells the search
+    that it went too far.
     """
+    gn, gd = gamma.numerator, gamma.denominator
 
-    def step(q, k):
-        return apply_step(q, k, counter, gamma, up)
+    def step(p, k):
+        if counter is not None:
+            counter.ff_steps += 1
+        return _walk(g, *p, backward, 1 << k, gamma, up)[2]
 
     def past(p):
-        return (p > gamma) == up
+        return (p[0] * gd > gn * p[1]) == up
 
-    pt = step(alpha, 0)
+    pt = step(alpha, 0) if first is None else first
     if past(pt):
         return 1, alpha, pt
     n = 0
@@ -177,33 +183,33 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
     never passes gamma.  In the counted model linear mode makes |index| + 1
     evaluations and fast-forward mode O(log |index|) fast-forward steps
     (doubling plus a nested binary descent over powers of two), and a
-    ``counter`` is charged exactly that.  Fast-forward mode needs a PL g,
-    not a wrapped one (TypeError from ``FastForwardCache``).  Wall time
-    differs for a PL map: each walk, and each fast-forward step, takes at
-    most 16 steps and one closed form per affine piece it crosses
+    ``counter`` is charged exactly that; the first step, which finds the
+    orbit's direction, is also the search's first when the search walks
+    with g.  Fast-forward mode needs a PL g, not a wrapped one (TypeError).
+    Wall time differs for a PL map: each walk, and each fast-forward step,
+    takes at most 16 steps and one closed form per affine piece it crosses
     (``PLAutomorphism._iterate``), so beyond the middle of the component
     linear mode costs O(log |index|) exact-power operations and fast-forward
     mode O(log^2 |index|); on a slope-1 tail a closed form is one ceiling
     division.  Any other map is stepped, as counted.
     """
     _check_mode(mode)
+    if mode == FAST_FORWARD and not isinstance(g, PLAutomorphism):
+        raise TypeError("fast-forward location requires a piecewise-linear map")
     a = (alpha.numerator, alpha.denominator)
-    if mode == FAST_FORWARD:
-        ff_cache = FastForwardCache(g)
-        first = ff_cache.apply(alpha, 0, counter)
-        first = (first.numerator, first.denominator)
-    else:
-        if counter is not None:
+    first = _walk(g, *a, count=1)[2]
+    if counter is not None:
+        if mode == FAST_FORWARD:
+            counter.ff_steps += 1
+        else:
             counter.forward += 1
-        first = _walk(g, *a, count=1)[2]
     if first[0] * a[1] == a[0] * first[1]:
         raise ValueError(f"anchor {alpha} is a fixed point; it lies in no component")
     c = (gamma.numerator, gamma.denominator)
     up, with_g = _orientation(first[0] * a[1] > a[0] * first[1], a, c)
     if mode == FAST_FORWARD:
-        step = ff_cache.apply if with_g else ff_cache.apply_inverse
-        e, prev, cur = _ff_search(step, alpha, gamma, up, counter)
-        prev, cur = (prev.numerator, prev.denominator), (cur.numerator, cur.denominator)
+        e, prev, cur = _ff_search(g, not with_g, a, first if with_g else None, gamma, up,
+                                  counter)
     elif with_g and (first[0] * c[1] > c[0] * first[1]) == up:
         e, prev, cur = 1, a, first
     else:

@@ -41,7 +41,6 @@ procedures.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -178,10 +177,11 @@ class _VariableComponent:
 
     Constraint pairs per orbit block i: a letter with exponent +1 at
     position j contributes (point(i, j-1) -> point(i, j)), exponent -1 the
-    reverse.  The map interpolates affinely between consecutive constraint
-    points; blocks i-1, i, i+1 always bracket a query in block i.
-    For a reduced, cyclically reduced word the merged constraint set is
-    strictly increasing; that invariant is asserted on every gather.
+    reverse.  On block i the variable is the PL window through the sorted
+    constraint pairs of blocks i-1, i and i+1, which always bracket block i;
+    its tails are never evaluated.  For a reduced, cyclically reduced word
+    the merged constraint set is strictly increasing, so every window is a
+    valid ``PLAutomorphism``; that invariant is checked on every gather.
     """
 
     def __init__(self, positions, subdivision: Subdivision):
@@ -198,36 +198,27 @@ class _VariableComponent:
             pairs.append((a, b) if e == 1 else (b, a))
         return pairs
 
-    def _gather(self, i):
-        cached = self._gathered.get(i)
-        if cached is not None:
-            return cached
-        pairs = sorted(p for blk in (i - 1, i, i + 1) for p in self._block_pairs(blk))
-        for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
-            if not (a1 < a2 and b1 < b2):
-                raise RuntimeError(
-                    "inconsistent word constraints; the word is not cyclically reduced")
-        self._gathered[i] = keys = tuple(zip(*pairs))  # (sorted inputs, sorted outputs)
-        return keys
+    def _gather(self, i) -> PLAutomorphism:
+        window = self._gathered.get(i)
+        if window is None:
+            pairs = sorted(p for blk in (i - 1, i, i + 1) for p in self._block_pairs(blk))
+            try:
+                window = PLAutomorphism(tuple(pairs))
+            except ValueError as exc:
+                raise RuntimeError("inconsistent word constraints; the word is not "
+                                   "cyclically reduced") from exc
+            self._gathered[i] = window
+        return window
 
     def _check_window(self):
         for i in (-2, 0, 2):
             self._gather(i)
 
-    @staticmethod
-    def _interpolate(src, dst, q):
-        pos = bisect.bisect_right(src, q) - 1
-        if src[pos] == q:
-            return dst[pos]
-        return dst[pos] + (dst[pos + 1] - dst[pos]) * (q - src[pos]) / (src[pos + 1] - src[pos])
-
     def forward(self, q):
-        ins, outs = self._gather(self.sub.orbit.locate(q))
-        return self._interpolate(ins, outs, q)
+        return self._gather(self.sub.orbit.locate(q)).forward(q)
 
     def backward(self, q):
-        ins, outs = self._gather(self.sub.orbit.locate(q))
-        return self._interpolate(outs, ins, q)
+        return self._gather(self.sub.orbit.locate(q)).backward(q)
 
 
 def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:

@@ -6,14 +6,15 @@ exact rational arithmetic.  :class:`InstrumentedOracle` wraps any
 automorphism and counts those evaluations without changing any result.
 
 The fast-forward cost model charges one step for evaluating g^(2^k) at a
-point, independent of k.  :class:`FastForwardCache` realizes it for
-piecewise-linear maps without building g^(2^k): the orbit primitive crosses
-the middle of the component and the long affine pieces in closed form.
-Counts are the cost model's (one per step, whatever it costs inside);
-wall time is that crossing plus O(k) exact-power operations per step.  Only
-orbit location uses it (``orbit_locate`` and :func:`measure_locate` in
-fast-forward mode); conjugators and the other transports locate by their
-pull-back walk.
+point, independent of k.  Orbit location in fast-forward mode
+(``orbit_locate`` and :func:`measure_locate`) realizes it for
+piecewise-linear maps without building g^(2^k): each step is one orbit walk
+(``_walk``) of 2^k steps, which crosses the middle of the component and the
+long affine pieces in closed form.  Counts are the cost model's (one per
+step, whatever it costs inside); wall time is that crossing plus O(k)
+exact-power operations per step.  :class:`FastForwardCache` builds the
+explicit powers g^(2^k) on demand, for measuring their size; no evaluation
+uses them.
 """
 
 from __future__ import annotations
@@ -75,17 +76,13 @@ def wrap(f) -> InstrumentedOracle:
 
 
 class FastForwardCache:
-    """Fast-forward steps g^(2^k) and g^(-2^k) of a piecewise-linear map.
+    """Explicit powers g^(2^k) and g^(-2^k) of a piecewise-linear map.
 
-    ``apply(q, k)`` evaluates g^(2^k) at q and counts one fast-forward step
-    when a counter is supplied.  It builds no power: the orbit primitive
-    ``PLAutomorphism._iterate`` crosses the middle of the component step by
-    step and the long pieces in closed form, so in wall time one step costs
-    that crossing plus O(k) exact-power operations, and nothing is stored.
     ``power_of_two(k)`` builds the explicit PL power on demand (about
     ``3 * 2^k`` knots on a generic map) and keeps no copy; ``depth`` is the
-    largest such k asked for, or the construction depth.  Orbit location
-    in fast-forward mode is its only user in the library.
+    largest such k asked for, or the construction depth.  Fast-forward
+    location does not use it: its steps are orbit walks of g (see the module
+    docstring).
     """
 
     def __init__(self, base: PLAutomorphism, depth: int = 0):
@@ -102,30 +99,9 @@ class FastForwardCache:
     def inverse_power_of_two(self, k: int) -> PLAutomorphism:
         return power(self.base, -(1 << k))
 
-    def apply(self, q: Fraction, k: int, counter: CallCounter = None, gamma=None,
-              up: bool = True) -> Fraction:
-        """One fast-forward step: image of q under g^(2^k).
-
-        With ``gamma`` the step may stop at an earlier iterate past gamma
-        (above it when ``up``, at or below it otherwise), which tells a
-        search as much, and raises ValueError at once when the orbit never
-        passes gamma.
-        """
-        if counter is not None:
-            counter.ff_steps += 1
-        return Fraction(*self.base._iterate(q.numerator, q.denominator, 1 << k, gamma, up)[2])
-
-    def apply_inverse(self, q: Fraction, k: int, counter: CallCounter = None, gamma=None,
-                      up: bool = True) -> Fraction:
-        """One fast-forward step with g^(-2^k); see ``apply``."""
-        if counter is not None:
-            counter.ff_steps += 1
-        return Fraction(*self.base._inverse._iterate(q.numerator, q.denominator, 1 << k, gamma,
-                                                     up)[2])
-
 
 def build_cache(g: PLAutomorphism, depth: int = 0) -> FastForwardCache:
-    """Fast-forward steps of g, declared to depth ``depth``; nothing is precomputed."""
+    """Powers g^(2^k) of g on demand, declared to depth ``depth``; nothing is precomputed."""
     if depth < 0:
         raise ValueError("cache depth must be nonnegative")
     return FastForwardCache(g, depth)

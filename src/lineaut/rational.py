@@ -69,7 +69,13 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse ``p/q`` or ``p`` (typographic minus accepted)."""
+    """Parse ``p/q`` or ``p`` (typographic minus accepted).
+
+    A ``bool`` is rejected, though it subclasses ``int``: ``true`` in a JSON
+    file is an input error, not the rational 1.
+    """
+    if isinstance(text, bool):
+        raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):

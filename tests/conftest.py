@@ -1,3 +1,4 @@
+import bisect
 import random
 from dataclasses import dataclass, replace
 from functools import partial
@@ -105,6 +106,31 @@ def walk_locate(orbit, q):
     while (orbit.point(i) > q) != up:
         i += step
     return i - 1 if with_g else i
+
+
+def variable_window_reference(component, i):
+    """Reference for the window of a ``_VariableComponent`` on orbit block
+    i: the constraint pairs of blocks i-1, i and i+1, sorted and checked
+    strictly increasing in both coordinates, as (inputs, outputs)."""
+    pairs = []
+    for blk in (i - 1, i, i + 1):
+        for j, e in component.positions:
+            a, b = component.sub.point(blk, j - 1), component.sub.point(blk, j)
+            pairs.append((a, b) if e == 1 else (b, a))
+    pairs.sort()
+    for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
+        if not (a1 < a2 and b1 < b2):
+            raise RuntimeError("inconsistent word constraints")
+    return tuple(zip(*pairs))
+
+
+def interpolate_reference(src, dst, q):
+    """Affine interpolation in Fractions through the points (src[k], dst[k]),
+    src sorted, at a q between src[0] and src[-1]."""
+    pos = bisect.bisect_right(src, q) - 1
+    if src[pos] == q:
+        return dst[pos]
+    return dst[pos] + (dst[pos + 1] - dst[pos]) * (q - src[pos]) / (src[pos + 1] - src[pos])
 
 
 def linear_locate(terrain, q):

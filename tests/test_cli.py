@@ -121,6 +121,30 @@ class TestConstructionErrors:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+class TestBooleanRationals:
+    """A JSON boolean is not a rational: the map below read as the
+    translation by -1 when true and false were taken as 1 and 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["terrain", "{g}"],
+        ["eval", "{g}", "5/3"],
+        ["conjugate", "{g}", "{t1}"],
+        ["conjugate", "{t1}", "{g}"],
+        ["solve-xgx", "{g}", "{t1}"],
+        ["solve-word", "{w}", "{g}"],
+        ["root", "{g}", "2"],
+        ["commutator", "{g}"],
+        ["measure", "{g}", "--alpha", "0", "--gamma", "1"],
+    ])
+    def test_map_with_booleans_exits_2(self, files, tmp_path, capsys, argv):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"knots": [{"x": True, "y": False}],
+                                    "left_slope": True, "right_slope": 1}))
+        names = {"g": str(path), "t1": files["t1"], "w": files["square"]}
+        assert run([arg.format(**names) for arg in argv]) == (EXIT_INPUT_ERROR, None)
+        assert capsys.readouterr().err == f"error: {path}: not a rational: True\n"
+
+
 class TestEval:
     def test_forward(self, files):
         code, data = run(["eval", files["t1"], "5/3"])

@@ -28,6 +28,7 @@ from lineaut import (
     verify_pointwise,
     word_automorphism,
 )
+from lineaut.equations import _solve_cyclically_reduced, _VariableComponent
 from lineaut.samples import default_samples, random_pl
 from conftest import (
     SLOW_BOUNDARY,
@@ -38,6 +39,8 @@ from conftest import (
     random_zero_sum_word,
     XgxSeed,
     sample_pls,
+    interpolate_reference,
+    variable_window_reference,
     walk_locate,
 )
 
@@ -294,6 +297,51 @@ class TestSolveWordRoutes:
                 assert v == g.forward(q)
         value = word_automorphism(word, a)
         assert verify_pointwise(value, g, samples_for(g, count=20))
+
+
+# slope-1 tails, with the middle of its one component between -2 and 3
+TRANSLATING = PLAutomorphism(((-2, -1), (0, F(3, 2)), (3, 4)), 1, 1)
+
+
+class TestVariableWindows:
+    """Each word variable is a PL window per orbit block; it must give the
+    Fraction interpolation of the reference window exactly."""
+
+    def test_contradictory_constraints_rejected(self):
+        # peeling solves this word; without it its constraint set is
+        # contradictory at block boundaries
+        with pytest.raises(RuntimeError, match="inconsistent word constraints"):
+            _solve_cyclically_reduced(PEELING_WORD, TRANSLATING)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "slow", "translating"]))
+    @settings(max_examples=40, deadline=None)
+    def test_windows_match_reference(self, seed, kind):
+        rng = random.Random(seed)
+        while True:
+            word = random_zero_sum_word(rng)
+            (v1, e1), (vm, em) = word.letters[0], word.letters[-1]
+            if len(word) >= 4 and (v1, e1) != (vm, -em):
+                break
+        g = {"slow": SLOW_BOUNDARY, "translating": TRANSLATING}.get(kind) or random_pl(rng)
+        m = len(word)
+        for e in support_decompose(g):
+            if e.color is Color.FIXED:
+                continue
+            sub = Subdivision(ComponentOrbit(g, anchor_point(e)), m)
+            points = [sub.point(i, j) for i in range(-3, 4) for j in range(m + 1)]
+            points += [sub.point(i, 0) + (sub.point(i, m) - sub.point(i, 0))
+                       * F(rng.randint(1, 999), 1000) for i in range(-3, 4) for _ in range(3)]
+            for v in word.variables:
+                positions = [(j, s) for j, (u, s) in enumerate(word.letters, start=1) if u == v]
+                x = _VariableComponent(positions, sub)
+                windows = {}
+                for q in points:
+                    i = sub.orbit.locate(q)
+                    if i not in windows:
+                        windows[i] = variable_window_reference(x, i)
+                    ins, outs = windows[i]
+                    assert x.forward(q) == interpolate_reference(ins, outs, q), (word, g, v, q)
+                    assert x.backward(q) == interpolate_reference(outs, ins, q), (word, g, v, q)
 
 
 class TestCommutator:

@@ -96,7 +96,7 @@ class TestMeasureLocate:
         report = measure_locate(T1, F(0), F(10), "fast_forward")
         assert report.index == 10
         assert report.oracle_calls == 0
-        assert report.ff_steps == 9
+        assert report.ff_steps == 8
         assert report.ff_steps <= 4 * math.log2(10) + 8
 
     def test_at_anchor(self):
@@ -124,7 +124,7 @@ class TestMeasureLocate:
     def test_json(self):
         report = measure_locate(T1, F(0), F(10), "fast_forward")
         assert report.to_json_dict() == {"mode": "fast_forward", "index": 10,
-                                         "oracle_calls": 0, "ff_steps": 9}
+                                         "oracle_calls": 0, "ff_steps": 8}
 
     def test_outside_component_fails(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,13 @@ def test_parse_rejects_garbage():
         parse_rational("eleven")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rejects_booleans(value):
+    # bool subclasses int, so a JSON true would otherwise read as 1
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(value)
+
+
 def test_infinities_order_totally():
     q = Fraction(10**9)
     assert NEG_INF < q < POS_INF
