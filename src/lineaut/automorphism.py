@@ -34,9 +34,10 @@ from typing import Callable, Union
 from .rational import format_rational, parse_rational
 
 MAX_ORBIT_STEPS = 1 << 32
-# Steps an orbit takes in one affine piece before the rest of its run there
-# is computed in closed form; a closed form costs about as much as a few
-# dozen steps, and most runs are shorter than this.
+# Steps an orbit takes in a piece of slope other than 1 before the rest of
+# its run there is computed in closed form, which costs exact powers; most
+# such runs are shorter than this.  A translation piece is crossed in closed
+# form at once: one floor division, cheaper than one step.
 _STEPPED_RUN = 16
 
 
@@ -234,13 +235,14 @@ class PLAutomorphism:
         below it otherwise.  Returns ``(steps, previous iterate, last
         iterate)``, the very values that stepping gives, each iterate as a
         ``(numerator, denominator)`` pair with positive denominator.  The
-        map is affine on each piece, so once an orbit has stayed
-        ``_STEPPED_RUN`` steps in one piece, the rest of its run there has a
-        closed form (see ``_affine_run``) and costs one ceiling division or
-        O(log n) exact powers.  A walk thus takes at most ``_STEPPED_RUN``
-        steps and one closed form per piece it crosses, whatever its length.
-        ``trail``, when a list, gets the iterates appended as reduced pairs
-        while they come one step at a time.
+        map is affine on each piece, so a run through one piece has a closed
+        form on integer pairs (see ``_affine_run``).  A translation piece
+        takes it at once, for one floor division; any other piece after the
+        orbit has stayed ``_STEPPED_RUN`` steps in it, for O(log n) exact
+        powers.  A walk thus takes translation pieces in closed form at once
+        and other pieces after at most ``_STEPPED_RUN`` steps, whatever its
+        length.  ``trail``, when a list, gets the iterates appended as
+        reduced pairs while they come one step at a time.
 
         With gamma given, raises ValueError when the start is a fixed point
         or the orbit is found never to pass gamma: it converges to a fixed
@@ -249,29 +251,33 @@ class PLAutomorphism:
         """
         if count == 0:
             return 0, (pn, pd), (pn, pd)
-        gn, gd = (0, 1) if gamma is None else (gamma.numerator, gamma.denominator)
+        target = None if gamma is None else (gamma.numerator, gamma.denominator)
+        gn, gd = target or (0, 1)
+        bxn, bxd, an, ad, bn, bd = self._table
         steps = run = 0
         piece = None
         while True:
             cn, cd, at = self._image(pn, pd)
             run = run + 1 if at == piece else 1
             piece = at
-            if run > _STEPPED_RUN:
-                _, _, an, ad, bn, bd = self._table
-                n, prev, cur, done = _affine_run(
-                    Fraction(an[piece], ad[piece]), Fraction(bn[piece], bd[piece]),
-                    Fraction(pn, pd), self.knots[piece - 1][0] if piece else None,
-                    self.knots[piece][0] if piece < len(self.knots) else None,
-                    None if count is None else count - steps, gamma, up)
+            if an[at] == ad[at] or run > _STEPPED_RUN:
+                if not steps:
+                    # the caller's start may be unreduced
+                    common = gcd(pn, pd)
+                    pn, pd = pn // common, pd // common
+                n, prev, (pn, pd), done = _affine_run(
+                    (an[at], ad[at], bn[at], bd[at]), (pn, pd),
+                    (bxn[at - 1], bxd[at - 1]) if at else None,
+                    (bxn[at], bxd[at]) if at < len(bxn) else None,
+                    None if count is None else count - steps, target, up)
                 steps += n
-                pn, pd = cur.numerator, cur.denominator
                 if trail is not None:
                     if n == 1:
                         trail.append((pn, pd))
                     else:
                         trail = None
                 if done:
-                    return steps, (prev.numerator, prev.denominator), (pn, pd)
+                    return steps, prev, (pn, pd)
                 continue
             if gamma is not None and cn * pd == pn * cd:
                 raise ValueError("fixed point reached during orbit iteration")
@@ -487,33 +493,68 @@ def _walk(g, qn: int, qd: int, backward: bool = False, count=None, gamma=None, u
     return steps, (prev.numerator, prev.denominator), (cur.numerator, cur.denominator)
 
 
-def _reaches(a: Fraction, b: Fraction, s: int, c: Fraction) -> bool:
-    """Whether iterates under t -> a t + b that move in direction s ever get
-    past c: always, unless they converge to the fixed point of the line
-    (slope below 1) and c is not before it."""
-    return a >= 1 or s * (c - b / (1 - a)) < 0
+def _sum(x, y):
+    """x + y for reduced pairs, reduced.  The gcds are taken against the
+    denominators' common factor, so they stay cheap when one pair is small."""
+    (xn, xd), (yn, yd) = x, y
+    common = gcd(xd, yd)
+    if common == 1:
+        return xn * yd + yn * xd, xd * yd
+    xd //= common
+    n = xn * (yd // common) + yn * xd
+    common = gcd(n, common)
+    return n // common, xd * (yd // common)
 
 
-def _first_past(a: Fraction, b: Fraction, x: Fraction, c: Fraction, s: int, strict: bool,
-                cap=None):
+def _product(x, y):
+    """x * y for reduced pairs, reduced, by crosswise gcds."""
+    (xn, xd), (yn, yd) = x, y
+    g1, g2 = gcd(xn, yd), gcd(yn, xd)
+    return (xn // g1) * (yn // g2), (xd // g2) * (yd // g1)
+
+
+def _fixed_point(an: int, ad: int, bn: int, bd: int):
+    """The fixed point b / (1 - a) of a line with slope a = an/ad != 1, reduced."""
+    n, d = bn * ad, bd * (ad - an)
+    common = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // common, d // common
+
+
+def _reaches(line, s: int, c) -> bool:
+    """Whether iterates under the line ``(an, ad, bn, bd)``, t -> (an/ad) t +
+    bn/bd, that move in direction s ever get past the pair c: always, unless
+    they converge to the fixed point of the line (slope below 1) and c is
+    not before it."""
+    an, ad, bn, bd = line
+    # s (c - p) for the fixed point p = bn ad / (bd (ad - an)), times a
+    # positive denominator
+    return an >= ad or s * (c[0] * bd * (ad - an) - bn * ad * c[1]) < 0
+
+
+def _first_past(line, x, c, s: int, strict: bool, cap=None):
     """Least n in 1..cap with s (x_n - c) > 0, or >= 0 unless ``strict``, where
-    x_n is the n-th iterate of x under t -> a t + b and the iterates move
-    in direction s and reach c (``_reaches``); None when n exceeds cap.
+    x_n is the n-th iterate of the pair x under the line ``(an, ad, bn, bd)``
+    and the iterates move in direction s and reach the pair c
+    (``_reaches``); None when n exceeds cap.
 
-    With slope 1 this is a ceiling division.  Otherwise x_n - p = a^n (x - p)
+    With slope 1 this is one floor division.  Otherwise x_n - p = a^n (x - p)
     about the fixed point p of the line, and doubling plus bisection over
     exact powers of a finds n, never trying a power above cap.
     """
-    if a == 1:
-        ahead, step = s * (c - x), abs(b)
+    an, ad, bn, bd = line
+    (xn, xd), (cn, cd) = x, c
+    if an == ad:
+        # steps of |b| to cover s (c - x), both over cd xd bd
+        ahead, step = s * (cn * xd - xn * cd) * bd, abs(bn) * cd * xd
         n = max(ahead // step + 1 if strict else -(-ahead // step), 1)
         return n if cap is None or n <= cap else None
-    p = b / (1 - a)
-    u, k = s * (x - p), s * (c - p)
+    pn, pd = _fixed_point(an, ad, bn, bd)
+    # s (x - p) and s (c - p), both over xd cd pd
+    u, k = s * (xn * pd - pn * xd) * cd, s * (cn * pd - pn * cd) * xd
 
     def reached(n):
-        v = a ** n * u
-        return v > k if strict else v >= k
+        v, w = an ** n * u, ad ** n * k
+        return v > w if strict else v >= w
 
     lo, n = 0, 1
     while not reached(n):
@@ -529,41 +570,48 @@ def _first_past(a: Fraction, b: Fraction, x: Fraction, c: Fraction, s: int, stri
     return n
 
 
-def _affine_run(a: Fraction, b: Fraction, x: Fraction, lo, hi, count, gamma, up: bool):
-    """The iterates of x under t -> a t + b while they stay in [lo, hi]
-    (None for an unbounded end), in closed form.
+def _affine_run(line, x, lo, hi, count, gamma, up: bool):
+    """The iterates of the reduced pair x under the line ``(an, ad, bn, bd)``
+    while they stay in [lo, hi] (knot pairs, None for an unbounded end), in
+    closed form.
 
-    Returns ``(n, x_(n-1), x_n, done)``: ``done`` when x_n ends the walk of
-    ``PLAutomorphism._iterate`` (the count is reached or x_n is past
-    gamma), otherwise x_n is the first iterate out of [lo, hi].  Raises
-    ValueError when gamma is given and the iterates neither pass it nor
-    leave the piece, whatever the count: no walk from x ever passes gamma.
+    Returns ``(n, x_(n-1), x_n, done)``, iterates as reduced pairs: ``done``
+    when x_n ends the walk of ``PLAutomorphism._iterate`` (the count is
+    reached or x_n is past the pair gamma), otherwise x_n is the first
+    iterate out of [lo, hi].  Raises ValueError when gamma is given and the
+    iterates neither pass it nor leave the piece, whatever the count: no
+    walk from x ever passes gamma.
     """
-    move = (a - 1) * x + b
+    an, ad, bn, bd = line
+    xn, xd = x
+    # (a - 1) x + b, times the positive ad xd bd
+    move = (an - ad) * xn * bd + bn * ad * xd
     if move == 0:
         if gamma is not None:
             raise ValueError("fixed point reached during orbit iteration")
         return count, x, x, True
     s = 1 if move > 0 else -1
     edge = hi if s > 0 else lo
-    leaves = edge is not None and _reaches(a, b, s, edge)
+    leaves = edge is not None and _reaches(line, s, edge)
     stop = count
     if gamma is not None:
         # moving up, the walk stops above gamma; moving down, at or below it
-        if up == (s > 0) and _reaches(a, b, s, gamma):
-            past = _first_past(a, b, x, gamma, s, up, stop)
+        if up == (s > 0) and _reaches(line, s, gamma):
+            past = _first_past(line, x, gamma, s, up, stop)
             stop = stop if past is None else past
         elif not leaves:
-            raise ValueError(f"the orbit of {x} never passes {gamma}: it converges to a "
-                             "fixed point or runs off to infinity first")
-    out = _first_past(a, b, x, edge, s, True, stop) if leaves else None
+            raise ValueError(f"the orbit of {Fraction(*x)} never passes {Fraction(*gamma)}: it "
+                             "converges to a fixed point or runs off to infinity first")
+    out = _first_past(line, x, edge, s, True, stop) if leaves else None
     done = out is None or (stop is not None and stop <= out)
     n = stop if done else out
-    if a == 1:
-        return n, x + (n - 1) * b, x + n * b, done
-    p = b / (1 - a)
-    prev = p + a ** (n - 1) * (x - p)
-    return n, prev, a * prev + b, done
+    if an == ad:
+        prev = _sum(x, _product((n - 1, 1), (bn, bd)))
+        return n, prev, _sum(prev, (bn, bd)), done
+    # x_(n-1) = p + a^(n-1) (x - p) about the fixed point p; x_n is one more step
+    pn, pd = _fixed_point(an, ad, bn, bd)
+    prev = _sum((pn, pd), _product((an ** (n - 1), ad ** (n - 1)), _sum(x, (-pn, pd))))
+    return n, prev, _sum(_product((an, ad), prev), (bn, bd)), done
 
 
 def _select_pointwise(f: PLAutomorphism, g: PLAutomorphism, want_min: bool) -> PLAutomorphism:

@@ -187,11 +187,11 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
     orbit's direction, is also the search's first when the search walks
     with g.  Fast-forward mode needs a PL g, not a wrapped one (TypeError).
     Wall time differs for a PL map: each walk, and each fast-forward step,
-    takes at most 16 steps and one closed form per affine piece it crosses
-    (``PLAutomorphism._iterate``), so beyond the middle of the component
-    linear mode costs O(log |index|) exact-power operations and fast-forward
-    mode O(log^2 |index|); on a slope-1 tail a closed form is one ceiling
-    division.  Any other map is stepped, as counted.
+    takes translation pieces in closed form at once and other pieces after
+    16 steps (``PLAutomorphism._iterate``), so beyond the middle of the
+    component linear mode costs O(log |index|) exact-power operations and
+    fast-forward mode O(log^2 |index|); on a slope-1 piece a closed form is
+    one floor division.  Any other map is stepped, as counted.
     """
     _check_mode(mode)
     if mode == FAST_FORWARD and not isinstance(g, PLAutomorphism):
@@ -234,11 +234,14 @@ class ComponentOrbit:
     ``(numerator, denominator)`` pairs.  ``locate`` bisects over the cached
     points on q's side of the anchor, O(log) integer cross-multiplications.
     Past the cache both go through the orbit walk from the last cached
-    point.  A black-box g is stepped and every point cached.  For a PL g
-    the cache stops for good where a walk first jumps through the rest of
-    an affine piece in closed form, so it holds at most 16 points per piece
-    crossed, and a far index costs O(log |i|) exact-power operations beyond
-    the middle of the component.
+    point.  A black-box g is stepped and every point cached.  For a PL g a
+    walk takes translation pieces in closed form at once and other pieces
+    after 16 steps, and the cache stops for good where a walk first jumps
+    more than one step.  So after one far query on each side it holds at
+    most 17 points in each piece of g, plus the anchor (walks of a few steps
+    each, as from ``point(i)`` for i = 1, 2, 3, ..., cache every point).  A
+    far index costs O(log |i|) exact-power operations beyond the middle of
+    the component.
     """
 
     def __init__(self, g, anchor: Fraction):
@@ -316,9 +319,10 @@ class OrbitTransport:
     hi (hi itself is one step short of lo), up from q < lo to the first
     iterate above lo (one step too far when the one before is lo).  With
     the push-forward walk that costs at most 2|i| + 1 evaluations in the
-    counted model.  In wall time a PL walk costs O(log |i|) exact-power
-    operations past the middle of the component.  A point outside the
-    anchor's component raises ValueError.
+    counted model.  In wall time a PL walk takes translation pieces in
+    closed form at once and other pieces after 16 steps, so it costs
+    O(log |i|) exact-power operations past the middle of the component.  A
+    point outside the anchor's component raises ValueError.
     """
 
     t_in: object

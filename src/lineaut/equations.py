@@ -375,7 +375,8 @@ class _TwoCase:
 
 class _Power:
     """g^k of a PL map g on integer pairs, in the pair protocol: one orbit
-    walk of |k| steps, so at most 16 steps and one closed form per piece."""
+    walk of |k| steps, with translation pieces in closed form at once and
+    other pieces after 16 steps."""
 
     def __init__(self, g: PLAutomorphism, k: int):
         self.g = g

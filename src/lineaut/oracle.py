@@ -9,8 +9,8 @@ The fast-forward cost model charges one step for evaluating g^(2^k) at a
 point, independent of k.  Orbit location in fast-forward mode
 (``orbit_locate`` and :func:`measure_locate`) realizes it for
 piecewise-linear maps without building g^(2^k): each step is one orbit walk
-(``_walk``) of 2^k steps, which crosses the middle of the component and the
-long affine pieces in closed form.  Counts are the cost model's (one per
+(``_walk``) of 2^k steps, which takes translation pieces in closed form at
+once and other pieces after 16 steps.  Counts are the cost model's (one per
 step, whatever it costs inside); wall time is that crossing plus O(k)
 exact-power operations per step.  :class:`FastForwardCache` builds the
 explicit powers g^(2^k) on demand, for measuring their size; no evaluation

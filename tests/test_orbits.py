@@ -1,10 +1,11 @@
 """The orbit primitive against plain stepping, and what it buys: far orbit
 indices on affine tails, and targets no orbit ever reaches.
 
-``PLAutomorphism._iterate`` steps through a piece for a while and then
-jumps through the rest of the piece in closed form.  Every value it returns
-must be the very rational that stepping ``g.forward`` / ``g.backward``
-gives, and every orbit index the one that walking the orbit gives.
+``PLAutomorphism._iterate`` jumps through a translation piece in closed
+form at once, and steps through any other piece for a while before it
+jumps through the rest of it.  Every value it returns must be the very
+rational that stepping ``g.forward`` / ``g.backward`` gives, and every
+orbit index the one that walking the orbit gives.
 """
 
 import time
@@ -47,9 +48,13 @@ GEOMETRIC = PLAutomorphism(((0, 1), (1, F(5, 2))), F(1, 2), 2)
 SLOW_BOUNDARY = PLAutomorphism(((-5, -5), (F(9, 2), F(14, 3)), (5, 6)), F(3, 2), 1)
 # Terrain "+-": both tails converge to the fixed point 0.
 ATTRACTING_ZERO = PLAutomorphism(((0, 0),), F(1, 2), F(1, 2))
+# Terrain "+": the bounded middle piece [0, 4] translates by 1, between a
+# left tail of slope 1/2 and a piece of slope 2, so orbits enter and leave
+# a translation run in the middle of the line.
+BOUNDED_SHIFT = PLAutomorphism(((0, 1), (4, 5), (5, 7)), F(1, 2), 1)
 
 NAMED = [PROBE, reflect(PROBE), TWO_SIGNS, reflect(TWO_SIGNS), GEOMETRIC, reflect(GEOMETRIC),
-         SLOW_BOUNDARY, ATTRACTING_ZERO, PLAutomorphism.translation(F(-1, 3))]
+         SLOW_BOUNDARY, ATTRACTING_ZERO, PLAutomorphism.translation(F(-1, 3)), BOUNDED_SHIFT]
 
 small = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 SLOPES = [F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
@@ -133,6 +138,46 @@ class TestPrimitiveMatchesStepping:
                 walk(g, q, backward, gamma=end + (1 if up else -1), up=up)
 
 
+def stepped_past(g, q, gamma, up, backward, limit=40):
+    """``(steps, previous, last)`` of the first iterate of q past gamma, one
+    application at a time; None when none of the first ``limit`` is."""
+    orbit = stepped(g, q, limit, backward)
+    for k in range(1, limit + 1):
+        if (orbit[k] > gamma) == up:
+            return k, orbit[k - 1], orbit[k]
+    return None
+
+
+class TestBoundedTranslationRun:
+    """BOUNDED_SHIFT translates [0, 4] by 1, and its inverse [1, 5] by -1, so
+    walks through that piece are one closed form at once.  Walks from each
+    knot of the piece, to a target on an iterate or on a knot, and for the
+    count of the step that leaves the piece, equal plain stepping in both
+    directions."""
+
+    PIECES = {False: (0, 4), True: (1, 5)}  # the translation piece of g, of g^-1
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_counts(self, backward):
+        lo, hi = self.PIECES[backward]
+        for q in (F(lo), F(hi), F(lo) + F(1, 3), F(hi) - F(1, 3)):
+            orbit = stepped(BOUNDED_SHIFT, q, 12, backward)
+            leaves = min(k for k, p in enumerate(orbit) if k and not lo <= p <= hi)
+            for k in {1, 2, leaves - 1, leaves, leaves + 1, 12} - {0}:
+                assert walk(BOUNDED_SHIFT, q, backward, count=k) == (k, orbit[k - 1], orbit[k])
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_gamma(self, backward):
+        lo, hi = self.PIECES[backward]
+        knots = [y if backward else x for x, y in BOUNDED_SHIFT.knots]
+        up = not backward  # the orbits of g move up
+        for q in (F(lo), F(hi), F(lo) + F(1, 3), F(hi) - F(1, 3)):
+            orbit = stepped(BOUNDED_SHIFT, q, 12, backward)
+            for gamma in set(orbit[1:]) | set(knots):
+                expected = stepped_past(BOUNDED_SHIFT, q, gamma, up, backward)
+                assert walk(BOUNDED_SHIFT, q, backward, gamma=gamma, up=up) == expected
+
+
 def components(g):
     return [e for e in support_decompose(g) if e.color is not Color.FIXED]
 
@@ -167,6 +212,18 @@ class TestIndicesMatchWalk:
                 assert orbit.point(i) == ref.point(i)
                 q = (ref.point(i) + ref.point(i + 1)) / 2
                 assert orbit.locate(q) == i
+
+    @pytest.mark.parametrize("g", NAMED)
+    def test_cache_bound(self, g):
+        # one far query each way: a walk steps at most _STEPPED_RUN + 1
+        # points in a piece before it jumps, and the cache stops there
+        bound = (_STEPPED_RUN + 1) * len(g.piece_lines()) + 1
+        for comp in components(g):
+            orbit = ComponentOrbit(g, anchor_point(comp))
+            for i in (10 ** 4, -10 ** 4):
+                q = orbit.point(i)
+                assert orbit.locate((q + orbit.point(i + 1)) / 2) == i
+            assert len(orbit._fwd) <= bound and len(orbit._bwd) <= bound
 
 
 class _Recorder:
