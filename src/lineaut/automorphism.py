@@ -37,7 +37,7 @@ MAX_ORBIT_STEPS = 1 << 32
 # Steps an orbit takes in a piece of slope other than 1 before the rest of
 # its run there is computed in closed form, which costs exact powers; most
 # such runs are shorter than this.  A translation piece is crossed in closed
-# form at once: one floor division, cheaper than one step.
+# form at once, by floor divisions and one gcd per iterate returned.
 _STEPPED_RUN = 16
 
 
@@ -230,19 +230,20 @@ class PLAutomorphism:
     def _iterate(self, pn: int, pd: int, count=None, gamma=None, up=True, trail=None):
         """The orbit primitive: iterate this map from pn/pd (pd > 0).
 
-        Stops after ``count`` steps or at the first iterate past ``gamma``,
-        whichever comes first; past means above gamma when ``up``, at or
-        below it otherwise.  Returns ``(steps, previous iterate, last
-        iterate)``, the very values that stepping gives, each iterate as a
-        ``(numerator, denominator)`` pair with positive denominator.  The
-        map is affine on each piece, so a run through one piece has a closed
-        form on integer pairs (see ``_affine_run``).  A translation piece
-        takes it at once, for one floor division; any other piece after the
-        orbit has stayed ``_STEPPED_RUN`` steps in it, for O(log n) exact
-        powers.  A walk thus takes translation pieces in closed form at once
-        and other pieces after at most ``_STEPPED_RUN`` steps, whatever its
-        length.  ``trail``, when a list, gets the iterates appended as
-        reduced pairs while they come one step at a time.
+        Stops after ``count`` steps or at the first iterate past the pair
+        ``gamma``, whichever comes first; past means above gamma when
+        ``up``, at or below it otherwise.  Returns ``(steps, previous
+        iterate, last iterate)``, the very values that stepping gives, each
+        iterate as a ``(numerator, denominator)`` pair with positive
+        denominator, reduced unless it is the caller's start, which comes
+        back as given.  The piece table is unpacked once per walk, and each
+        step finds its piece by an inline bisection.  The map is affine on
+        each piece, so a run through one piece has a closed form on integer
+        pairs (see ``_affine_run``).  A translation piece takes it at once,
+        for a few floor divisions; any other piece after the orbit has
+        stayed ``_STEPPED_RUN`` steps in it, for O(log n) exact powers.
+        ``trail``, when a list, gets the iterates appended as reduced pairs
+        while they come one step at a time.
 
         With gamma given, raises ValueError when the start is a fixed point
         or the orbit is found never to pass gamma: it converges to a fixed
@@ -251,25 +252,29 @@ class PLAutomorphism:
         """
         if count == 0:
             return 0, (pn, pd), (pn, pd)
-        target = None if gamma is None else (gamma.numerator, gamma.denominator)
-        gn, gd = target or (0, 1)
+        gn, gd = gamma or (0, 1)
         bxn, bxd, an, ad, bn, bd = self._table
+        knots = len(bxn)
         steps = run = 0
         piece = None
         while True:
-            cn, cd, at = self._image(pn, pd)
-            run = run + 1 if at == piece else 1
-            piece = at
-            if an[at] == ad[at] or run > _STEPPED_RUN:
-                if not steps:
-                    # the caller's start may be unreduced
-                    common = gcd(pn, pd)
-                    pn, pd = pn // common, pd // common
+            # the piece of pn/pd: least k with pn/pd <= knot k, as in _image
+            lo, hi = 0, knots
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if bxn[mid] * pd < pn * bxd[mid]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            run = run + 1 if lo == piece else 1
+            piece = lo
+            a, c, b, e = an[lo], ad[lo], bn[lo], bd[lo]
+            if a == c or run > _STEPPED_RUN:
                 n, prev, (pn, pd), done = _affine_run(
-                    (an[at], ad[at], bn[at], bd[at]), (pn, pd),
-                    (bxn[at - 1], bxd[at - 1]) if at else None,
-                    (bxn[at], bxd[at]) if at < len(bxn) else None,
-                    None if count is None else count - steps, target, up)
+                    (a, c, b, e), (pn, pd),
+                    (bxn[lo - 1], bxd[lo - 1]) if lo else None,
+                    (bxn[lo], bxd[lo]) if lo < knots else None,
+                    None if count is None else count - steps, gamma, up)
                 steps += n
                 if trail is not None:
                     if n == 1:
@@ -279,6 +284,7 @@ class PLAutomorphism:
                 if done:
                     return steps, prev, (pn, pd)
                 continue
+            cn, cd = a * pn * e + b * c * pd, c * pd * e
             if gamma is not None and cn * pd == pn * cd:
                 raise ValueError("fixed point reached during orbit iteration")
             steps += 1
@@ -466,16 +472,18 @@ def _walk(g, qn: int, qd: int, backward: bool = False, count=None, gamma=None, u
     """The one orbit walk: iterate g, or g^-1 when ``backward``, from qn/qd.
 
     Takes the arguments and gives the result of ``PLAutomorphism._iterate``,
-    which does the work for PL maps: points are ``(numerator,
-    denominator)`` pairs, gamma a Fraction.  Any other map is stepped in
-    Fractions, converted at this boundary; with gamma it stops with
-    ValueError at an exact fixed point, and without a count after
-    ``MAX_ORBIT_STEPS`` steps.
+    which does the work for PL maps: points and the target gamma are
+    ``(numerator, denominator)`` pairs with positive denominators.  Any
+    other map is stepped in Fractions, converted at this boundary, gamma
+    included; with gamma it stops with ValueError at an exact fixed point,
+    and without a count after ``MAX_ORBIT_STEPS`` steps.
     """
     if isinstance(g, PLAutomorphism):
         return (g._inverse if backward else g)._iterate(qn, qd, count, gamma, up, trail)
     if count == 0:
         return 0, (qn, qd), (qn, qd)
+    if gamma is not None:
+        gamma = Fraction(*gamma)
     step = g.backward if backward else g.forward
     prev = cur = Fraction(qn, qd)
     for steps in range(1, (count or MAX_ORBIT_STEPS) + 1):
@@ -534,20 +542,15 @@ def _reaches(line, s: int, c) -> bool:
 def _first_past(line, x, c, s: int, strict: bool, cap=None):
     """Least n in 1..cap with s (x_n - c) > 0, or >= 0 unless ``strict``, where
     x_n is the n-th iterate of the pair x under the line ``(an, ad, bn, bd)``
-    and the iterates move in direction s and reach the pair c
-    (``_reaches``); None when n exceeds cap.
+    of slope other than 1 and the iterates move in direction s and reach the
+    pair c (``_reaches``); None when n exceeds cap.
 
-    With slope 1 this is one floor division.  Otherwise x_n - p = a^n (x - p)
-    about the fixed point p of the line, and doubling plus bisection over
-    exact powers of a finds n, never trying a power above cap.
+    x_n - p = a^n (x - p) about the fixed point p of the line, and doubling
+    plus bisection over exact powers of a finds n, never trying a power
+    above cap.
     """
     an, ad, bn, bd = line
     (xn, xd), (cn, cd) = x, c
-    if an == ad:
-        # steps of |b| to cover s (c - x), both over cd xd bd
-        ahead, step = s * (cn * xd - xn * cd) * bd, abs(bn) * cd * xd
-        n = max(ahead // step + 1 if strict else -(-ahead // step), 1)
-        return n if cap is None or n <= cap else None
     pn, pd = _fixed_point(an, ad, bn, bd)
     # s (x - p) and s (c - p), both over xd cd pd
     u, k = s * (xn * pd - pn * xd) * cd, s * (cn * pd - pn * cd) * xd
@@ -571,16 +574,23 @@ def _first_past(line, x, c, s: int, strict: bool, cap=None):
 
 
 def _affine_run(line, x, lo, hi, count, gamma, up: bool):
-    """The iterates of the reduced pair x under the line ``(an, ad, bn, bd)``
-    while they stay in [lo, hi] (knot pairs, None for an unbounded end), in
-    closed form.
+    """The iterates of the pair x under the line ``(an, ad, bn, bd)`` while
+    they stay in [lo, hi] (knot pairs, None for an unbounded end), in closed
+    form.
 
-    Returns ``(n, x_(n-1), x_n, done)``, iterates as reduced pairs: ``done``
-    when x_n ends the walk of ``PLAutomorphism._iterate`` (the count is
-    reached or x_n is past the pair gamma), otherwise x_n is the first
-    iterate out of [lo, hi].  Raises ValueError when gamma is given and the
-    iterates neither pass it nor leave the piece, whatever the count: no
-    walk from x ever passes gamma.
+    Returns ``(n, x_(n-1), x_n, done)``: ``done`` when x_n ends the walk of
+    ``PLAutomorphism._iterate`` (the count is reached or x_n is past the
+    pair gamma), otherwise x_n is the first iterate out of [lo, hi].
+    Raises ValueError when gamma is given and the iterates neither pass it
+    nor leave the piece, whatever the count: no walk from x ever passes
+    gamma.
+
+    On a translation piece x may be unreduced (a seed's output): x_k =
+    (u + k v) / w over the one denominator w = xd bd, each stop is a floor
+    division, and each iterate returned other than x itself is reduced by
+    one gcd.  Any other slope needs x reduced, and finds its stops by
+    ``_first_past`` and its iterates by exact powers about the fixed point
+    of the line.
     """
     an, ad, bn, bd = line
     xn, xd = x
@@ -592,8 +602,35 @@ def _affine_run(line, x, lo, hi, count, gamma, up: bool):
         return count, x, x, True
     s = 1 if move > 0 else -1
     edge = hi if s > 0 else lo
-    leaves = edge is not None and _reaches(line, s, edge)
     stop = count
+    if an == ad:
+        u, v, w = xn * bd, bn * xd, xd * bd
+        # x_k = (u + k v) / w is past the pair c, s (x_k - c) > 0, once
+        # k |v| cd > s (cn w - u cd): one floor division finds the least k
+        if gamma is not None:
+            gn, gd = gamma
+            if up == (s > 0):
+                # moving up, the walk stops above gamma; moving down, at or below it
+                ahead, step = s * (gn * w - u * gd), s * v * gd
+                past = max(ahead // step + 1 if up else -(-ahead // step), 1)
+                if stop is None or past < stop:
+                    stop = past
+            elif edge is None:
+                raise ValueError(f"the orbit of {Fraction(*x)} never passes "
+                                 f"{Fraction(*gamma)}: it runs off to infinity first")
+        out = None if edge is None else s * (edge[0] * w - u * edge[1]) // (s * v * edge[1]) + 1
+        done = out is None or (stop is not None and stop <= out)
+        n = stop if done else out
+        if n == 1:
+            prev = x
+        else:
+            m = u + (n - 1) * v
+            common = gcd(m, w)
+            prev = m // common, w // common
+        m = u + n * v
+        common = gcd(m, w)
+        return n, prev, (m // common, w // common), done
+    leaves = edge is not None and _reaches(line, s, edge)
     if gamma is not None:
         # moving up, the walk stops above gamma; moving down, at or below it
         if up == (s > 0) and _reaches(line, s, gamma):
@@ -605,9 +642,6 @@ def _affine_run(line, x, lo, hi, count, gamma, up: bool):
     out = _first_past(line, x, edge, s, True, stop) if leaves else None
     done = out is None or (stop is not None and stop <= out)
     n = stop if done else out
-    if an == ad:
-        prev = _sum(x, _product((n - 1, 1), (bn, bd)))
-        return n, prev, _sum(prev, (bn, bd)), done
     # x_(n-1) = p + a^(n-1) (x - p) about the fixed point p; x_n is one more step
     pn, pd = _fixed_point(an, ad, bn, bd)
     prev = _sum((pn, pd), _product((an ** (n - 1), ad ** (n - 1)), _sum(x, (-pn, pd))))

@@ -132,10 +132,10 @@ def _ff_search(g, backward, alpha, first, gamma, up, counter):
     caller has it already, else None.  Doubling finds the power-of-two
     bracket, then a nested binary descent adds halving power-of-two steps;
     every step, one orbit walk of 2^k steps, is one fast-forward step.  A
-    step may stop early past gamma: such a point only ever tells the search
-    that it went too far.
+    step may stop early past the pair gamma: such a point only ever tells
+    the search that it went too far.
     """
-    gn, gd = gamma.numerator, gamma.denominator
+    gn, gd = gamma
 
     def step(p, k):
         if counter is not None:
@@ -191,7 +191,7 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
     16 steps (``PLAutomorphism._iterate``), so beyond the middle of the
     component linear mode costs O(log |index|) exact-power operations and
     fast-forward mode O(log^2 |index|); on a slope-1 piece a closed form is
-    one floor division.  Any other map is stepped, as counted.
+    a few floor divisions.  Any other map is stepped, as counted.
     """
     _check_mode(mode)
     if mode == FAST_FORWARD and not isinstance(g, PLAutomorphism):
@@ -208,13 +208,12 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
     c = (gamma.numerator, gamma.denominator)
     up, with_g = _orientation(first[0] * a[1] > a[0] * first[1], a, c)
     if mode == FAST_FORWARD:
-        e, prev, cur = _ff_search(g, not with_g, a, first if with_g else None, gamma, up,
-                                  counter)
+        e, prev, cur = _ff_search(g, not with_g, a, first if with_g else None, c, up, counter)
     elif with_g and (first[0] * c[1] > c[0] * first[1]) == up:
         e, prev, cur = 1, a, first
     else:
         # on with g from the first iterate, or back with g^-1 from the anchor
-        e, prev, cur = _walk(g, *(first if with_g else a), not with_g, gamma=gamma, up=up)
+        e, prev, cur = _walk(g, *(first if with_g else a), not with_g, gamma=c, up=up)
         if counter is not None:
             if with_g:
                 counter.forward += e
@@ -297,7 +296,7 @@ class ComponentOrbit:
                     else:
                         lo = mid
             else:
-                hi = self._past_cache(with_g, gamma=q, up=up)[0]
+                hi = self._past_cache(with_g, gamma=(qn, qd), up=up)[0]
             return hi - 1 if with_g else -hi
 
 
@@ -305,24 +304,27 @@ class ComponentOrbit:
 class OrbitTransport:
     """A seed map on one anchor block, carried along the orbits.
 
-    ``forward(q) = t_out^i(seed(t_in^-i(q)))``, where i = ``locate_in(q)`` is
-    the block of q in the t_in-orbit of ``anchor_in``; ``backward`` mirrors
-    it with t_out, ``anchor_out`` and the seed's inverse.  ``seed`` maps the
-    anchor block of t_in onto that of t_out in the pair protocol of
-    ``PLAutomorphism``: ``_image(n, d)`` on pairs with positive denominator
-    (unreduced, with a piece index), and ``_inverse``.  Transports: conjugators
-    (g, f), x g x = f pieces (fg, gf), roots (g, g), the word aligner (W, g).
+    ``forward(q) = t_out^i(seed(t_in^-i(q)))``, where ``_pull`` finds both
+    the block i of q in the t_in-orbit of ``anchor_in`` and t_in^-i(q);
+    ``backward`` mirrors it with t_out, ``anchor_out`` and the seed's
+    inverse.  ``seed`` maps the anchor block of t_in onto that of t_out in
+    the pair protocol of ``PLAutomorphism``: ``_image(n, d)`` on pairs with
+    positive denominator (unreduced, with a piece index), and ``_inverse``.
+    Transports: conjugators (g, f), x g x = f pieces (fg, gf), roots (g, g),
+    the word aligner (W, g).
 
     An evaluation is one pass over integer pairs, every walk through
-    ``_walk``.  One walk toward the anchor block [lo, hi) finds i and
-    t_in^-i(q) together: down from q >= hi to the first iterate at or below
-    hi (hi itself is one step short of lo), up from q < lo to the first
-    iterate above lo (one step too far when the one before is lo).  With
-    the push-forward walk that costs at most 2|i| + 1 evaluations in the
-    counted model.  In wall time a PL walk takes translation pieces in
-    closed form at once and other pieces after 16 steps, so it costs
-    O(log |i|) exact-power operations past the middle of the component.  A
-    point outside the anchor's component raises ValueError.
+    ``_walk`` with its target as a pair, and one Fraction at the end.  One
+    walk toward the anchor block [lo, hi) finds i and t_in^-i(q) together:
+    down from q >= hi to the first iterate at or below hi (hi itself is one
+    step short of lo), up from q < lo to the first iterate above lo (one
+    step too far when the one before is lo).  At i = 0 there is no walk
+    either way, and otherwise the push-forward walk takes |i| steps, so an
+    evaluation costs at most 2|i| + 1 evaluations in the counted model.  In
+    wall time a PL walk takes translation pieces in closed form at once and
+    other pieces after 16 steps, so it costs O(log |i|) exact-power
+    operations past the middle of the component.  A point outside the
+    anchor's component raises ValueError.
     """
 
     t_in: object
@@ -332,42 +334,44 @@ class OrbitTransport:
     anchor_out: Fraction
 
     def __post_init__(self):
+        # per side: the map, the anchor block's ends as int pairs, and
+        # whether the orbit increases
         sides = []
         for t, anchor in ((self.t_in, self.anchor_in), (self.t_out, self.anchor_out)):
             first = t.forward(anchor)
             if first == anchor:
                 raise ValueError(f"anchor {anchor} is a fixed point; it lies in no component")
-            sides.append((t, *sorted((anchor, first)), first > anchor))
+            lo, hi = sorted((anchor, first))
+            sides.append((t, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator),
+                          first > anchor))
         object.__setattr__(self, "_sides", sides)
 
     def forward(self, q: Fraction) -> Fraction:
         i, n, d = self._pull(q, self._sides[0])
         n, d, _ = self.seed._image(n, d)
-        return Fraction(*_walk(self.t_out, n, d, i < 0, count=abs(i))[2])
+        if i:
+            n, d = _walk(self.t_out, n, d, i < 0, count=abs(i))[2]
+        return Fraction(n, d)
 
     def backward(self, q: Fraction) -> Fraction:
         i, n, d = self._pull(q, self._sides[1])
         n, d, _ = self.seed._inverse._image(n, d)
-        return Fraction(*_walk(self.t_in, n, d, i < 0, count=abs(i))[2])
-
-    def locate_in(self, q: Fraction) -> int:
-        return self._pull(q, self._sides[0])[0]
-
-    def locate_out(self, q: Fraction) -> int:
-        return self._pull(q, self._sides[1])[0]
+        if i:
+            n, d = _walk(self.t_in, n, d, i < 0, count=abs(i))[2]
+        return Fraction(n, d)
 
     def _pull(self, q: Fraction, side):
         """``(i, n, d)``: the block index i of q on one side, n/d = t^-i(q)."""
         n, d = q.numerator, q.denominator
         t, lo, hi, increasing = side
-        if n * hi.denominator >= hi.numerator * d:
+        if n * hi[1] >= hi[0] * d:
             steps, _, (n, d) = _walk(t, n, d, increasing, gamma=hi, up=False)
-            if n * hi.denominator == hi.numerator * d:
-                steps, n, d = steps + 1, lo.numerator, lo.denominator
+            if n * hi[1] == hi[0] * d:
+                steps, (n, d) = steps + 1, lo
             return (steps if increasing else -steps), n, d
-        if n * lo.denominator < lo.numerator * d:
+        if n * lo[1] < lo[0] * d:
             steps, (pn, pd), (n, d) = _walk(t, n, d, not increasing, gamma=lo, up=True)
-            if pn * lo.denominator == lo.numerator * pd:
+            if pn * lo[1] == lo[0] * pd:
                 steps, n, d = steps - 1, pn, pd
             return (-steps if increasing else steps), n, d
         return 0, n, d
@@ -405,6 +409,21 @@ def _guarded(x, source: TerrainElement, target: TerrainElement, what: str,
     return ProceduralAutomorphism(fwd, bwd, description)
 
 
+def _component_map(g, f, source: TerrainElement, target: TerrainElement,
+                   alpha: Fraction, beta: Fraction) -> OrbitTransport:
+    """The conjugator of ``conjugate_on_component`` with no domain guard."""
+    if source.color is target.color is Color.FIXED:
+        raise ValueError("components must be POS or NEG; use conjugate_on_fixed")
+    if source.color is not target.color:
+        raise ValueError("paired components must share a color")
+    if not source.contains(alpha):
+        raise DomainError(f"anchor {alpha} outside source component")
+    if not target.contains(beta):
+        raise DomainError(f"anchor {beta} outside target component")
+    bridge = AffineBridge(*sorted((alpha, g.forward(alpha))), *sorted((beta, f.forward(beta))))
+    return OrbitTransport(g, f, bridge, alpha, beta)
+
+
 def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
                            alpha: Fraction, beta: Fraction,
                            mode: str = LINEAR) -> ProceduralAutomorphism:
@@ -421,30 +440,16 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
     O(log |i|) exact-power operations per orbit walk (see ``orbit_locate``);
     wrapped or procedural inputs are stepped, as counted.  ``mode`` must be
     ``"linear"`` or ``"fast_forward"`` (ValueError otherwise); both build
-    the same map, evaluated by the same walk.
+    the same map, evaluated by the same walk.  A point outside source
+    (forward) or target (backward) raises DomainError.
     """
     _check_mode(mode)
-    if source.color is target.color is Color.FIXED:
-        raise ValueError("components must be POS or NEG; use conjugate_on_fixed")
-    if source.color is not target.color:
-        raise ValueError("paired components must share a color")
-    if not source.contains(alpha):
-        raise DomainError(f"anchor {alpha} outside source component")
-    if not target.contains(beta):
-        raise DomainError(f"anchor {beta} outside target component")
-
-    bridge = AffineBridge(*sorted((alpha, g.forward(alpha))), *sorted((beta, f.forward(beta))))
-    return _guarded(OrbitTransport(g, f, bridge, alpha, beta), source, target, "component",
-                    f"component-conjugator({source.color.value})")
+    return _guarded(_component_map(g, f, source, target, alpha, beta), source, target,
+                    "component", f"component-conjugator({source.color.value})")
 
 
-def conjugate_on_fixed(source: TerrainElement, target: TerrainElement) -> ProceduralAutomorphism:
-    """Order bijection between two fixed intervals of the same positional kind.
-
-    Bounded pairs get the affine bridge over the closed intervals, intervals
-    unbounded on one side a translation aligning the finite endpoint, and the
-    full line the identity.
-    """
+def _fixed_map(source: TerrainElement, target: TerrainElement):
+    """The map of ``conjugate_on_fixed`` with no domain guard."""
     if source.color is not Color.FIXED or target.color is not Color.FIXED:
         raise ValueError("conjugate_on_fixed expects FIXED elements")
     kind = (is_finite(source.lo), is_finite(source.hi))
@@ -453,14 +458,24 @@ def conjugate_on_fixed(source: TerrainElement, target: TerrainElement) -> Proced
 
     lo_fin, hi_fin = kind
     if lo_fin and hi_fin:
-        x = AffineBridge(source.lo, source.hi, target.lo, target.hi)
-    elif hi_fin:
-        x = PLAutomorphism.translation(target.hi - source.hi)
-    elif lo_fin:
-        x = PLAutomorphism.translation(target.lo - source.lo)
-    else:
-        x = PLAutomorphism.identity()
-    return _guarded(x, source, target, "fixed interval", "fixed-interval-conjugator")
+        return AffineBridge(source.lo, source.hi, target.lo, target.hi)
+    if hi_fin:
+        return PLAutomorphism.translation(target.hi - source.hi)
+    if lo_fin:
+        return PLAutomorphism.translation(target.lo - source.lo)
+    return PLAutomorphism.identity()
+
+
+def conjugate_on_fixed(source: TerrainElement, target: TerrainElement) -> ProceduralAutomorphism:
+    """Order bijection between two fixed intervals of the same positional kind.
+
+    Bounded pairs get the affine bridge over the closed intervals, intervals
+    unbounded on one side a translation aligning the finite endpoint, and the
+    full line the identity.  A point outside source (forward) or target
+    (backward) raises DomainError.
+    """
+    return _guarded(_fixed_map(source, target), source, target, "fixed interval",
+                    "fixed-interval-conjugator")
 
 
 def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
@@ -473,10 +488,13 @@ def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
     positional pairing is the unique order-preserving one), components by the
     orbit-block procedure with deterministic anchors, fixed intervals by the
     direct interval maps; the result dispatches each query to the element
-    containing it.  Isolated fixed points between two components map to the
-    corresponding boundary point on the other side.  ``mode`` is checked
-    as in ``conjugate_on_component``: both values build the same map by the
-    same walk, at most 2|i| + 1 oracle calls at orbit index i.
+    containing it.  The per-element maps are the ones
+    ``conjugate_on_component`` and ``conjugate_on_fixed`` return, without
+    their domain guards: the dispatcher has located the point already.
+    Isolated fixed points between two components map to the corresponding
+    boundary point on the other side.  ``mode`` is checked as in
+    ``conjugate_on_component``: both values build the same map by the same
+    walk, at most 2|i| + 1 oracle calls at orbit index i.
     """
     _check_mode(mode)
     terrain_g = support_decompose(g)
@@ -487,10 +505,9 @@ def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
     pieces = []
     for eg, ef in zip(terrain_g, terrain_f):
         if eg.color is Color.FIXED:
-            pieces.append(conjugate_on_fixed(eg, ef))
+            pieces.append(_fixed_map(eg, ef))
         else:
-            pieces.append(conjugate_on_component(g, f, eg, ef, anchor_point(eg),
-                                                 anchor_point(ef)))
+            pieces.append(_component_map(g, f, eg, ef, anchor_point(eg), anchor_point(ef)))
     return _by_terrain(terrain_g, terrain_f, pieces,
                        f"conjugator({terrain_g.color_sequence()})")
 

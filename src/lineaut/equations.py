@@ -118,11 +118,6 @@ class Word:
         return f"Word({body})"
 
 
-def validate_word(word: Word) -> bool:
-    """True iff the word is nonempty and reduced."""
-    return word.is_reduced()
-
-
 def apply_word(word: Word, assignment: Assignment, q: Fraction) -> Fraction:
     """Evaluate the word product at q, letters applied left to right."""
     for v, e in word.letters:
@@ -267,7 +262,7 @@ def solve_word(word: Word, g: PLAutomorphism) -> Assignment:
     undone by substitution.  The returned maps satisfy the equation exactly
     at every rational.
     """
-    if not validate_word(word):
+    if not word.is_reduced():
         raise ValueError(f"word must be nonempty and reduced: {word!r}")
     sums = {v: 0 for v in word.variables}
     for v, e in word.letters:

@@ -325,6 +325,32 @@ class TestSolveConjugacy:
         for q in default_samples(60, 6, (support_decompose(g),)):
             assert h.backward(h.forward(q)) == q
 
+    @pytest.mark.parametrize("seq", [None, "0+0", "+0-+", "-0+", "+-0-+", "0"])
+    def test_agrees_with_guarded_element_maps(self, rng, seq):
+        # the dispatcher skips the domain guards, since it has located the
+        # point; each element's map must still be the guarded one's
+        for trial in range(6):
+            if seq is None:
+                g, h0 = sample_pls(rng, 2)
+                f = conjugation(g, h0)
+            else:
+                g, f = random_with_sequence(rng, seq), random_with_sequence(rng, seq)
+            h = solve_conjugacy(g, f)
+            tg, tf = support_decompose(g), support_decompose(f)
+            guarded = [conjugate_on_fixed(eg, ef) if eg.color is Color.FIXED else
+                       conjugate_on_component(g, f, eg, ef, anchor_point(eg), anchor_point(ef))
+                       for eg, ef in zip(tg, tf)]
+            located = 0
+            for q in default_samples(80, trial, (tg, tf)):
+                for terrain, evaluate, guarded_evaluate in (
+                        (tg, h.forward, lambda x, q: x.forward(q)),
+                        (tf, h.backward, lambda x, q: x.backward(q))):
+                    kind, k = terrain.locate(q)
+                    if kind == "element":
+                        assert evaluate(q) == guarded_evaluate(guarded[k], q)
+                        located += 1
+            assert located >= 100
+
     def test_unknown_mode_rejected(self):
         # with support components and without: the identity has none
         for g in (T1, PLAutomorphism.identity()):

@@ -10,6 +10,7 @@ orbit index the one that walking the orbit gives.
 
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -76,9 +77,12 @@ starts = st.fractions(min_value=-14, max_value=14, max_denominator=12)
 counts = st.integers(0, 4).flatmap(lambda e: st.integers(0, 10 ** e))
 
 
-def walk(g, q, backward, **kwargs):
-    """``_walk`` from a Fraction, its iterates back as Fractions."""
-    steps, prev, cur = _walk(g, q.numerator, q.denominator, backward, **kwargs)
+def walk(g, q, backward, gamma=None, **kwargs):
+    """``_walk`` from a Fraction, with a Fraction target passed as a pair,
+    its iterates back as Fractions."""
+    if gamma is not None:
+        gamma = (gamma.numerator, gamma.denominator)
+    steps, prev, cur = _walk(g, q.numerator, q.denominator, backward, gamma=gamma, **kwargs)
     return steps, F(*prev), F(*cur)
 
 
@@ -119,6 +123,47 @@ class TestPrimitiveMatchesStepping:
             # moving up, the first iterate above gamma; moving down, at or below it
             assert walk(g, q, backward, gamma=gamma, up=up) == (m, orbit[m - 1], orbit[m])
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_long_dilation_run_ends_at_its_edge(self, sign):
+        # SLOW_BOUNDARY has slope 58/57 on [-5, 9/2] and fixes -5, so an
+        # orbit from near -5 stays hundreds of steps in that piece before
+        # its closed form leaves it; its reflection runs the same orbit
+        # down.  Counts and targets at the step that leaves the piece.
+        g = SLOW_BOUNDARY if sign > 0 else reflect(SLOW_BOUNDARY)
+        up = sign > 0
+        for q in (F(-49, 10) * sign, (F(-5) + F(1, 1000)) * sign):
+            orbit = stepped(g, q, 1)
+            while sign * orbit[-1] <= F(9, 2):
+                orbit.append(g.forward(orbit[-1]))
+            leaves = len(orbit) - 1
+            assert leaves > _STEPPED_RUN
+            orbit.append(g.forward(orbit[-1]))
+            for k in (leaves - 1, leaves, leaves + 1):
+                assert walk(g, q, False, count=k) == (k, orbit[k - 1], orbit[k])
+            for gamma in (orbit[leaves - 1], orbit[leaves], F(9, 2) * sign):
+                expected = stepped_past(g, q, gamma, up, False, limit=leaves + 1)
+                assert walk(g, q, False, gamma=gamma, up=up) == expected
+
+    @given(maps, starts, counts, st.booleans(), st.integers(2, 12))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_unreduced_start(self, g, q, n, backward, factor):
+        # the start as a seed's _image hands it in, with a common factor
+        orbit = stepped(g, q, max(n, 1), backward)
+        pn, pd = q.numerator * factor, q.denominator * factor
+        for k in {max(n, 1), 1}:
+            steps, prev, cur = _walk(g, pn, pd, backward, count=k)
+            assert (steps, F(*prev), F(*cur)) == (k, orbit[k - 1], orbit[k])
+            if orbit[k] != q:
+                assert gcd(*cur) == 1
+        if orbit[1] != q:
+            up = orbit[1] > q
+            m = max(n, 1)
+            gamma = orbit[m]
+            steps, prev, cur = _walk(g, pn, pd, backward,
+                                     gamma=(gamma.numerator, gamma.denominator), up=up)
+            expected = stepped_past(g, q, gamma, up, backward, limit=m + 1)
+            assert (steps, F(*prev), F(*cur)) == expected
+
     @given(maps, starts, st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_unreachable_gamma_raises(self, g, q, backward):
@@ -151,9 +196,10 @@ def stepped_past(g, q, gamma, up, backward, limit=40):
 class TestBoundedTranslationRun:
     """BOUNDED_SHIFT translates [0, 4] by 1, and its inverse [1, 5] by -1, so
     walks through that piece are one closed form at once.  Walks from each
-    knot of the piece, to a target on an iterate or on a knot, and for the
-    count of the step that leaves the piece, equal plain stepping in both
-    directions."""
+    knot of the piece, to a target on an iterate, on a knot or at either
+    edge of the piece, and for the count of the step that leaves the piece,
+    equal plain stepping in both directions, also from a start handed in
+    unreduced; a target the orbit moves away from raises at once."""
 
     PIECES = {False: (0, 4), True: (1, 5)}  # the translation piece of g, of g^-1
 
@@ -176,6 +222,58 @@ class TestBoundedTranslationRun:
             for gamma in set(orbit[1:]) | set(knots):
                 expected = stepped_past(BOUNDED_SHIFT, q, gamma, up, backward)
                 assert walk(BOUNDED_SHIFT, q, backward, gamma=gamma, up=up) == expected
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_gamma_at_the_edges(self, backward):
+        # targets on either edge of the translation piece and just either
+        # side of it, from starts inside the piece and on its edges
+        lo, hi = self.PIECES[backward]
+        up = not backward
+        for q in (F(lo), F(hi), F(lo) + F(1, 3), F(hi) - F(2, 7)):
+            for edge in (lo, hi):
+                for gamma in (F(edge), F(edge) - F(1, 7), F(edge) + F(1, 7)):
+                    if (gamma >= q) != up and gamma != q:
+                        continue  # behind the start: test_unreachable_gamma
+                    expected = stepped_past(BOUNDED_SHIFT, q, gamma, up, backward)
+                    assert walk(BOUNDED_SHIFT, q, backward, gamma=gamma, up=up) == expected
+
+    @pytest.mark.parametrize("g", [PROBE, reflect(PROBE), BOUNDED_SHIFT])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_unreachable_gamma(self, g, backward):
+        # an orbit that moves away from gamma on a translation tail never
+        # passes it; the walk says so at once, whether it starts on the tail
+        # or on a bounded translation piece before it
+        for q in (F(-3, 2), F(1, 2), F(9, 2), F(30)):
+            up = (g.backward(q) if backward else g.forward(q)) > q
+            for gamma in (q - 1 if up else q + 1, q - 10 ** 9 if up else q + 10 ** 9):
+                start = time.perf_counter()
+                with pytest.raises(ValueError):
+                    walk(g, q, backward, gamma=gamma, up=not up)
+                assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_unreduced_start(self, backward):
+        # a seed's _image hands its image in unreduced: the walk gives the
+        # same iterates, the ones it computes reduced, and the start as given
+        lo, hi = self.PIECES[backward]
+        up = not backward
+        for q in (F(lo), F(hi), F(lo) + F(1, 3), F(hi) - F(2, 7)):
+            orbit = stepped(BOUNDED_SHIFT, q, 12, backward)
+            for factor in (2, 6, 35):
+                n, d = q.numerator * factor, q.denominator * factor
+                for count in (1, 2, 5, 12):
+                    steps, prev, cur = _walk(BOUNDED_SHIFT, n, d, backward, count=count)
+                    assert (steps, F(*prev), F(*cur)) == (count, orbit[count - 1], orbit[count])
+                    assert gcd(*cur) == 1
+                    assert (prev == (n, d)) if count == 1 else (gcd(*prev) == 1)
+                for gamma in (orbit[3], F(lo), F(hi)):
+                    if (gamma >= q) != up:
+                        continue
+                    steps, prev, cur = _walk(BOUNDED_SHIFT, n, d, backward,
+                                             gamma=(gamma.numerator, gamma.denominator), up=up)
+                    expected = stepped_past(BOUNDED_SHIFT, q, gamma, up, backward)
+                    assert (steps, F(*prev), F(*cur)) == expected
+                    assert gcd(*cur) == 1
 
 
 def components(g):
@@ -246,7 +344,9 @@ def check_one_walk(g, m, anchor, q):
     i = orbit_locate(g, anchor, q).index
     pulled = apply_power(g, -i, q)
     assert min(anchor, g.forward(anchor)) <= pulled < max(anchor, g.forward(anchor))
-    assert x.locate_in(q) == x.locate_out(q) == i
+    for side in x._sides:
+        k, n, d = x._pull(q, side)
+        assert (k, F(n, d)) == (i, pulled)
     # t^i(t^-i(q)) = q, with t^-i(q) the point the seed saw
     assert x.forward(q) == q and seed.seen[-1] == pulled
     assert x.backward(q) == q and seed.seen[-1] == pulled
