@@ -73,6 +73,10 @@ def _load(path: str, from_json_dict):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _map(path: str) -> PLAutomorphism:
+    return _load(path, PLAutomorphism.from_json_dict)
+
+
 def _sample_count(text: str) -> int:
     count = int(text)
     if count < 1:
@@ -84,14 +88,27 @@ def _emit(payload: dict):
     print(json.dumps(payload, indent=2))
 
 
-def _graph(solution, samples) -> list:
-    return [{"x": format_rational(q), "y": format_rational(solution.forward(q))}
-            for q in samples]
+def _solution(x, samples, key: str) -> dict:
+    """Construction descriptor and graph at the samples, the graph under ``key``."""
+    return {"construction": getattr(x, "description", "piecewise-linear"),
+            key: [{"x": format_rational(q), "y": format_rational(x.forward(q))}
+                  for q in samples]}
+
+
+def _report(payload: dict, lhs, rhs, samples) -> int:
+    """Check lhs = rhs at the samples, emit the payload with the verdict, exit 0 or 3."""
+    verified = verify_pointwise(lhs, rhs, samples)
+    payload["verification"] = {"samples": len(samples), "verified": verified}
+    _emit(payload)
+    return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
 
 
 def _sample_set(args, *maps) -> list:
     terrains = tuple(support_decompose(m) for m in maps)
-    return default_samples(args.samples, args.seed, terrains)
+    try:
+        return default_samples(args.samples, args.seed, terrains)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _mode(args) -> str:
@@ -99,15 +116,14 @@ def _mode(args) -> str:
 
 
 def cmd_terrain(args) -> int:
-    g = _load(args.map, PLAutomorphism.from_json_dict)
-    terrain = support_decompose(g)
+    terrain = support_decompose(_map(args.map))
     _emit({"color_sequence": terrain.color_sequence(),
            "terrain": terrain.to_json_dict()})
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    g = _load(args.map, PLAutomorphism.from_json_dict)
+    g = _map(args.map)
     x = args.point
     y = g.backward(x) if args.inverse else g.forward(x)
     _emit({"x": format_rational(x), "y": format_rational(y)})
@@ -115,8 +131,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    g = _load(args.g, PLAutomorphism.from_json_dict)
-    f = _load(args.f, PLAutomorphism.from_json_dict)
+    g, f = _map(args.g), _map(args.f)
     h = solve_conjugacy(g, f, mode=_mode(args))
     if h is None:
         _emit({
@@ -128,86 +143,48 @@ def cmd_conjugate(args) -> int:
         })
         return EXIT_NO_SOLUTION
     samples = _sample_set(args, g, f)
-    verified = verify_pointwise(conjugation(g, h), f, samples)
-    _emit({
-        "conjugate": True,
-        "construction": h.description,
-        "solution_graph": _graph(h, samples),
-        "verification": {"samples": len(samples), "verified": verified},
-    })
-    return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
+    return _report({"conjugate": True, **_solution(h, samples, "solution_graph")},
+                   conjugation(g, h), f, samples)
 
 
 def cmd_solve_xgx(args) -> int:
-    g = _load(args.g, PLAutomorphism.from_json_dict)
-    f = _load(args.f, PLAutomorphism.from_json_dict)
+    g, f = _map(args.g), _map(args.f)
     x = solve_xgx(g, f)
     samples = _sample_set(args, g, f, compose(f, g))
-
-    def lhs(q):
-        return x.forward(g.forward(x.forward(q)))
-
-    verified = all(lhs(q) == f.forward(q) for q in samples)
-    _emit({
-        "construction": x.description,
-        "solution_graph": _graph(x, samples),
-        "verification": {"samples": len(samples), "verified": verified},
-    })
-    return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
+    return _report(_solution(x, samples, "solution_graph"),
+                   compose(compose(x, g), x), f, samples)
 
 
 def cmd_solve_word(args) -> int:
     word = _load(args.word, Word.from_json_dict)
-    g = _load(args.g, PLAutomorphism.from_json_dict)
+    g = _map(args.g)
     try:
         assignment = solve_word(word, g)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     samples = _sample_set(args, g)
-    value = word_automorphism(word, assignment)
-    verified = verify_pointwise(value, g, samples)
-    _emit({
-        "word": word.to_json_dict(),
-        "variables": {
-            str(v): {"construction": getattr(assignment[v], "description", "piecewise-linear"),
-                     "graph": _graph(assignment[v], samples)}
-            for v in word.variables
-        },
-        "verification": {"samples": len(samples), "verified": verified},
-    })
-    return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
+    return _report({"word": word.to_json_dict(),
+                    "variables": {str(v): _solution(assignment[v], samples, "graph")
+                                  for v in word.variables}},
+                   word_automorphism(word, assignment), g, samples)
 
 
 def cmd_root(args) -> int:
-    g = _load(args.g, PLAutomorphism.from_json_dict)
+    g = _map(args.g)
     if args.n < 1:
         raise InputError("root order must be a positive integer")
     x = nth_root(g, args.n)
     samples = _sample_set(args, g)
-    verified = verify_pointwise(power(x, args.n), g, samples)
-    _emit({
-        "n": args.n,
-        "construction": getattr(x, "description", "piecewise-linear"),
-        "solution_graph": _graph(x, samples),
-        "verification": {"samples": len(samples), "verified": verified},
-    })
-    return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
+    return _report({"n": args.n, **_solution(x, samples, "solution_graph")},
+                   power(x, args.n), g, samples)
 
 
 def cmd_commutator(args) -> int:
-    g = _load(args.g, PLAutomorphism.from_json_dict)
+    g = _map(args.g)
     x, y = commutator_decomposition(g)
     samples = _sample_set(args, g)
-    lhs = compose(compose(compose(inverse(x), inverse(y)), x), y)
-    verified = verify_pointwise(lhs, g, samples)
-    _emit({
-        "x": {"construction": getattr(x, "description", "piecewise-linear"),
-              "graph": _graph(x, samples)},
-        "y": {"construction": getattr(y, "description", "piecewise-linear"),
-              "graph": _graph(y, samples)},
-        "verification": {"samples": len(samples), "verified": verified},
-    })
-    return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
+    return _report({"x": _solution(x, samples, "graph"), "y": _solution(y, samples, "graph")},
+                   compose(compose(compose(inverse(x), inverse(y)), x), y), g, samples)
 
 
 def cmd_enumerate(args) -> int:
@@ -233,7 +210,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    g = _load(args.map, PLAutomorphism.from_json_dict)
+    g = _map(args.map)
     try:
         report = measure_locate(g, args.alpha, args.gamma, mode=_mode(args))
     except ValueError as exc:

@@ -68,6 +68,11 @@ _GRID = frozenset([Fraction(k) for k in range(-8, 9)]
                   + [Fraction(num, den) for den in (2, 3, 5, 7)
                      for num in range(-4 * den, 4 * den + 1)])
 
+# the random picks: the rationals in [-_SPAN, _SPAN] with denominator at most
+# _MAX_DEN, _GRID among them; there are _POOL_SIZE of them (a test recounts)
+_SPAN, _MAX_DEN = 12, 64
+_POOL_SIZE = 30241
+
 
 def default_samples(count: int = DEFAULT_SAMPLE_COUNT, seed: int = 0,
                     terrains: tuple = ()) -> list:
@@ -75,16 +80,23 @@ def default_samples(count: int = DEFAULT_SAMPLE_COUNT, seed: int = 0,
 
     Sorting compares exact integer keys: each pick scaled to the common
     denominator L of all picks, n/d -> n (L / d), which orders them as the
-    rationals do without a Fraction comparison.
+    rationals do without a Fraction comparison.  Raises ``ValueError`` when
+    ``count`` exceeds the random picks and terrain probes there are to draw.
     """
     if count < 0:
         raise ValueError(f"sample count must be non-negative; got {count}")
     picks = set(_GRID)
     for terrain in terrains:
         picks.update(_terrain_probes(terrain))
+    if count > _POOL_SIZE:
+        limit = _POOL_SIZE + sum(1 for q in picks
+                                 if abs(q) > _SPAN or q.denominator > _MAX_DEN)
+        if count > limit:
+            raise ValueError(f"sample count {count} exceeds the {limit} distinct "
+                             "sample points there are to draw")
     rng = random.Random(seed)
     while len(picks) < count:
-        picks.add(random_fraction(rng, span=12, max_den=64))
+        picks.add(random_fraction(rng, span=_SPAN, max_den=_MAX_DEN))
     common = lcm(*{q.denominator for q in picks})
 
     def key(q):

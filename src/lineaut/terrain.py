@@ -75,10 +75,6 @@ class TerrainElement:
             return self.lo <= q <= self.hi
         return self.lo < q < self.hi
 
-    @property
-    def bounded(self) -> bool:
-        return is_finite(self.lo) and is_finite(self.hi)
-
     def to_json_dict(self) -> dict:
         return {
             "color": self.color.value,

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import lineaut.cli
+from lineaut import PLAutomorphism
 from lineaut.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NO_SOLUTION,
     EXIT_OK,
+    EXIT_VERIFICATION_FAILED,
     main,
 )
 
@@ -195,6 +198,13 @@ class TestConjugate:
         argv = ["conjugate", files["t2"], files["t1"], "--samples", count]
         assert usage_error_code(argv, capsys) == EXIT_INPUT_ERROR
 
+    def test_sample_count_beyond_the_pool_is_input_error(self, files, capsys):
+        # t1 and t2 have no terrain probes outside the 30,241 random picks
+        argv = ["conjugate", files["t2"], files["t1"], "--samples", "40000"]
+        assert run(argv) == (EXIT_INPUT_ERROR, None)
+        assert capsys.readouterr().err == ("error: sample count 40000 exceeds the 30241 "
+                                           "distinct sample points there are to draw\n")
+
 
 class TestSolvers:
     def test_xgx(self, files):
@@ -241,6 +251,39 @@ class TestSolvers:
         assert code == EXIT_OK
         assert data["verification"]["verified"] is True
         assert "x" in data and "y" in data
+
+
+def shape(value):
+    """Keys in order, recursively; a list by its first item, a leaf by its type."""
+    if isinstance(value, dict):
+        return [(k, shape(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [shape(v) for v in value[:1]]
+    return type(value).__name__
+
+
+WRONG = PLAutomorphism()  # the identity: no solution of the equations below
+
+
+class TestVerificationFailure:
+    """A solver that returns a wrong map: exit 3 and the report of a passing run."""
+
+    @pytest.mark.parametrize("argv, solver, wrong", [
+        (["conjugate", "t2", "t1"], "solve_conjugacy", lambda g, f, mode: WRONG),
+        (["solve-xgx", "identity", "t2"], "solve_xgx", lambda g, f: WRONG),
+        (["solve-word", "square", "t2"], "solve_word", lambda word, g: {2: WRONG}),
+        (["root", "t2", "2"], "nth_root", lambda g, n: WRONG),
+        (["commutator", "t1"], "commutator_decomposition", lambda g: (WRONG, WRONG)),
+    ])
+    def test_wrong_solution_exits_3(self, files, monkeypatch, argv, solver, wrong):
+        argv = [files.get(a, a) for a in argv] + ["--samples", "20"]
+        code, passing = run(argv)
+        assert code == EXIT_OK and passing["verification"]["verified"] is True
+        monkeypatch.setattr(lineaut.cli, solver, wrong)
+        code, data = run(argv)
+        assert code == EXIT_VERIFICATION_FAILED
+        assert data["verification"] == {"samples": 20, "verified": False}
+        assert shape(data) == shape(passing)
 
 
 class TestTerrainCatalog:
