@@ -1,22 +1,21 @@
 """Order-preserving bijections of the line, exactly.
 
-Two representations are provided.  :class:`PLAutomorphism` is the closed,
-finitely-described one: finitely many knots with affine interpolation between
-them and affine tails.  It is closed under composition, inversion, pointwise
-min/max, and integer powers, all computed exactly over rationals.  Each map
-is validated and brought to normal form once, on integer (numerator,
-denominator) pairs, and keeps the result as one table of ints: its knot
-x-coordinates and the line of every piece.  Evaluation, the inverse,
-composition, min/max and the terrain (``terrain.support_decompose``) read
-that table; Fractions are made only for the knots and values they return.
-:class:`ProceduralAutomorphism` wraps a pair of evaluation procedures and is
-how constructed solutions with infinitely many affine pieces are returned
-(conjugators, x g x = f solutions, n-th roots, solutions of words whose
-exponent sums are all zero): no finite knot list exists for them.  A
-solution with a finite description stays PL: ``solve_word`` gives g, its
-inverse or the identity to the variables of a word with an exponent sum
-of +-1, and the identity to every variable but the one it solves for;
-``nth_root`` of the identity is the identity itself.
+Every map speaks the pair protocol of :class:`Automorphism`; a Fraction is
+made only where a value leaves.  :class:`PLAutomorphism` is the closed,
+finitely-described map: finitely many knots with affine interpolation
+between them and affine tails.  It is closed under composition, inversion,
+pointwise min/max, and integer powers, all computed exactly over rationals.
+Each map is validated and brought to normal form once, on integer pairs,
+and keeps the result as one table of ints: its knot x-coordinates and the
+line of every piece.  Constructed solutions with infinitely many affine
+pieces (conjugators, x g x = f solutions, n-th roots, solutions of words
+whose exponent sums are all zero) have no finite knot list: each is a tree
+of nodes, a seed on one anchor block carried along orbits
+(``conjugacy.OrbitTransport``), put together over a terrain
+(``conjugacy._Dispatch``), composed (``_Composite``) or powered
+(``_Power``).  A solution with a finite description stays PL.
+:class:`ProceduralAutomorphism` only adapts a black box given as two
+evaluation procedures.
 
 Composition is written left to right everywhere in this library:
 ``compose(f, g)`` applies ``f`` first, so ``compose(f, g)(q) == g(f(q))``.
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Union
+from typing import Callable
 
 from .rational import format_rational, parse_rational
 
@@ -74,8 +73,39 @@ def _inverse_line(an: int, ad: int, bn: int, bd: int):
     return ad, an, bn // common, bd // common
 
 
+class Automorphism:
+    """An increasing bijection of the line in the pair protocol.  A subclass
+    gives ``_image(n, d)``, the image of n/d (d > 0) as an unreduced pair
+    with positive denominator and a piece index, and ``_inverse``, the
+    inverse map; the rest is defined here once."""
+
+    def forward(self, q: Fraction) -> Fraction:
+        q = _frac(q)
+        n, d, _ = self._image(q.numerator, q.denominator)
+        return Fraction(n, d)
+
+    def backward(self, q: Fraction) -> Fraction:
+        q = _frac(q)
+        n, d, _ = self._inverse._image(q.numerator, q.denominator)
+        return Fraction(n, d)
+
+    __call__ = forward
+
+    def __mul__(self, other):
+        return compose(self, other)
+
+    def __invert__(self):
+        return self._inverse
+
+    def __pow__(self, n: int):
+        return power(self, n)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({getattr(self, 'description', '')})"
+
+
 @dataclass(frozen=True)
-class PLAutomorphism:
+class PLAutomorphism(Automorphism):
     """Piecewise-affine increasing bijection of the line.
 
     ``knots`` are (x, y) pairs with strictly increasing x and strictly
@@ -222,11 +252,6 @@ class PLAutomorphism:
                 hi = mid
         return an[lo] * xn * bd[lo] + bn[lo] * ad[lo] * xd, ad[lo] * xd * bd[lo], lo
 
-    def forward(self, q: Fraction) -> Fraction:
-        q = _frac(q)
-        yn, yd, _ = self._image(q.numerator, q.denominator)
-        return Fraction(yn, yd)
-
     def _iterate(self, pn: int, pd: int, count=None, gamma=None, up=True, trail=None):
         """The orbit primitive: iterate this map from pn/pd (pd > 0).
 
@@ -296,20 +321,6 @@ class PLAutomorphism:
                 return steps, (pn, pd), (cn, cd)
             pn, pd = cn, cd
 
-    def backward(self, q: Fraction) -> Fraction:
-        return self._inverse.forward(q)
-
-    __call__ = forward
-
-    def __mul__(self, other):
-        return compose(self, other)
-
-    def __invert__(self):
-        return inverse(self)
-
-    def __pow__(self, n: int):
-        return power(self, n)
-
     def to_json_dict(self) -> dict:
         return {
             "knots": [{"x": format_rational(x), "y": format_rational(y)} for x, y in self.knots],
@@ -335,42 +346,71 @@ class PLAutomorphism:
                 f"right_slope={format_rational(self.right_slope)})")
 
 
-@dataclass(frozen=True)
-class ProceduralAutomorphism:
-    """Increasing bijection given by exact evaluation procedures.
+@dataclass(frozen=True, repr=False)
+class ProceduralAutomorphism(Automorphism):
+    """A black box given by exact evaluation procedures, in the pair protocol.
 
     ``forward_fn`` and ``backward_fn`` must be exact mutual inverses on every
     rational, and each call must terminate after finitely many evaluations of
-    whatever underlying maps the procedure consults.  ``description`` records
-    which construction produced the value.
+    whatever underlying maps the procedure consults.
     """
 
     forward_fn: Callable[[Fraction], Fraction]
     backward_fn: Callable[[Fraction], Fraction]
     description: str = "procedural"
 
-    def forward(self, q: Fraction) -> Fraction:
-        return self.forward_fn(_frac(q))
+    def _image(self, n: int, d: int):
+        q = self.forward_fn(Fraction(n, d))
+        return q.numerator, q.denominator, 0
 
-    def backward(self, q: Fraction) -> Fraction:
-        return self.backward_fn(_frac(q))
-
-    __call__ = forward
-
-    def __mul__(self, other):
-        return compose(self, other)
-
-    def __invert__(self):
-        return inverse(self)
-
-    def __pow__(self, n: int):
-        return power(self, n)
-
-    def __repr__(self) -> str:
-        return f"ProceduralAutomorphism({self.description})"
+    @cached_property
+    def _inverse(self) -> "ProceduralAutomorphism":
+        return ProceduralAutomorphism(self.backward_fn, self.forward_fn,
+                                      f"inverse({self.description})")
 
 
-Automorphism = Union[PLAutomorphism, ProceduralAutomorphism]
+class _Composite(Automorphism):
+    """``parts`` applied left to right; each pair is reduced once before
+    the next part."""
+
+    def __init__(self, parts: tuple, description: str):
+        self.parts = parts
+        self.description = description
+
+    def _image(self, n: int, d: int):
+        n, d, _ = self.parts[0]._image(n, d)
+        for part in self.parts[1:]:
+            common = gcd(n, d)
+            n, d, _ = part._image(n // common, d // common)
+        return n, d, 0
+
+    @cached_property
+    def _inverse(self) -> "_Composite":
+        return _Composite(tuple(part._inverse for part in reversed(self.parts)),
+                          f"inverse({self.description})")
+
+
+class _Power(Automorphism):
+    """g^k on integer pairs: one orbit walk of |k| steps (``_walk``), in
+    closed form where it can when g is PL, stepped otherwise."""
+
+    def __init__(self, g, k: int, description=None):
+        self.g = g
+        self.k = k
+        self.description = description or f"power({k})"
+
+    def _image(self, n: int, d: int):
+        n, d = _walk(self.g, n, d, self.k < 0, count=abs(self.k))[2]
+        return n, d, 0
+
+    @cached_property
+    def _inverse(self) -> "_Power":
+        return _Power(self.g, -self.k, f"inverse({self.description})")
+
+
+def _node(f) -> Automorphism:
+    """f itself, or a black box adapted by its two procedures."""
+    return f if isinstance(f, Automorphism) else ProceduralAutomorphism(f.forward, f.backward)
 
 
 def evaluate(f, x) -> Fraction:
@@ -380,10 +420,8 @@ def evaluate(f, x) -> Fraction:
 
 def inverse(f):
     """Group inverse; PL stays PL with knots reflected across the diagonal."""
-    if isinstance(f, PLAutomorphism):
+    if isinstance(f, Automorphism):
         return f._inverse
-    if isinstance(f, ProceduralAutomorphism):
-        return ProceduralAutomorphism(f.backward_fn, f.forward_fn, f"inverse({f.description})")
     return ProceduralAutomorphism(f.backward, f.forward, "inverse")
 
 
@@ -424,14 +462,7 @@ def compose(f, g):
             through_f(k)
         return PLAutomorphism(tuple(knots), f.left_slope * g.left_slope,
                               f.right_slope * g.right_slope)
-
-    def fwd(q, f=f, g=g):
-        return g.forward(f.forward(q))
-
-    def bwd(q, f=f, g=g):
-        return f.backward(g.backward(q))
-
-    return ProceduralAutomorphism(fwd, bwd, "composite")
+    return _Composite((_node(f), _node(g)), "composite")
 
 
 def power(f, n: int):
@@ -450,21 +481,13 @@ def power(f, n: int):
             if not e:
                 return result
             sq = compose(sq, sq)
-
-    def fwd(q, f=f, n=n):
-        return apply_power(f, n, q)
-
-    def bwd(q, f=f, n=n):
-        return apply_power(f, -n, q)
-
-    return ProceduralAutomorphism(fwd, bwd, f"power({n})")
+    return _Power(f, n)
 
 
 def apply_power(f, n: int, q: Fraction) -> Fraction:
     """Evaluate f^n at q: through the orbit primitive for a PL map, by |n|
     single applications for any other map (black-box friendly)."""
-    q = _frac(q)
-    return Fraction(*_walk(f, q.numerator, q.denominator, n < 0, count=abs(n))[2])
+    return _Power(f, n).forward(q)
 
 
 def _walk(g, qn: int, qd: int, backward: bool = False, count=None, gamma=None, up=True,

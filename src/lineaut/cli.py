@@ -7,7 +7,7 @@ the same way (``solve-xgx`` solves x g x = f with x applied first).
 Exit codes: 0 success (and verified where applicable), 1 no solution
 (non-conjugate inputs), 2 input error, 3 verification failure.
 
-Procedural solutions have no finite exact serialization (their graphs have
+Solutions other than PL maps have no finite knot list (their graphs have
 infinitely many pieces), so they are emitted as sampled graphs at the
 verification points plus a construction descriptor.
 """
@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import Decimal
 
 from . import __version__
 from .automorphism import PLAutomorphism, compose, inverse, power
@@ -59,12 +60,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str, from_json_dict):
-    """Read a JSON file and build a value with the class's ``from_json_dict``."""
+    """Read a JSON file, UTF-8 as RFC 8259 requires, and build a value with
+    the class's ``from_json_dict``.  Integers are read exactly at any size."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, parse_int=lambda digits: int(Decimal(digits)))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
@@ -132,7 +136,7 @@ def cmd_eval(args) -> int:
 
 def cmd_conjugate(args) -> int:
     g, f = _map(args.g), _map(args.f)
-    h = solve_conjugacy(g, f, mode=_mode(args))
+    h = solve_conjugacy(g, f)
     if h is None:
         _emit({
             "conjugate": False,
@@ -249,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("f")
     p.add_argument("--mode", choices=("linear", "fast-forward"), default="linear",
-                   help="accepted for compatibility: both values build the same h, "
-                        "evaluated by the same walk, at most 2|i| + 1 oracle calls "
-                        "at orbit index i")
+                   help="accepted for compatibility and ignored: h is evaluated by "
+                        "one walk, at most 2|i| + 1 oracle calls at orbit index i")
     _add_sample_flags(p)
     p.set_defaults(func=cmd_conjugate)
 

@@ -4,8 +4,9 @@ Two conjugate maps have order-isomorphic terrains, and conversely a terrain
 isomorphism can be upgraded to an explicit conjugator: each pair of matched
 support components is bridged block by block along the anchor orbit, each
 pair of matched fixed intervals by a direct affine or translation map.  The
-result is an effective procedure, not a finite knot list: its graph has
-infinitely many affine pieces accumulating at component boundaries.
+result is a tree of pair-protocol nodes (``automorphism.Automorphism``), not
+a finite knot list: its graph has infinitely many affine pieces accumulating
+at component boundaries.
 
 Direction convention (important): ``conjugate_on_component(g, f, I, J, ...)``
 takes ``I`` from the support of ``g`` and ``J`` from the support of ``f`` and
@@ -25,17 +26,18 @@ from math import gcd
 from typing import Optional
 
 from .automorphism import (
+    Automorphism,
     DomainError,
     PLAutomorphism,
-    ProceduralAutomorphism,
+    _inverse_line,
     _line_through,
     _walk,
     compose,
     inverse,
 )
 from .oracle import CallCounter
-from .rational import is_finite
-from .terrain import Color, Terrain, TerrainElement, support_decompose
+from .rational import format_rational, is_finite
+from .terrain import Color, TerrainElement, support_decompose
 
 LINEAR = "linear"
 FAST_FORWARD = "fast_forward"
@@ -48,16 +50,14 @@ def _check_mode(mode: str):
 
 
 @dataclass(frozen=True)
-class AffineBridge:
+class AffineBridge(Automorphism):
     """Affine increasing bijection [source_lo, source_hi) -> [target_lo, target_hi).
 
     Construction works out the line t -> (an/ad) t + bn/bd in ints, and
     every evaluation goes through it: ``_image`` applies it to an integer
-    pair with six multiplications and one addition, in the pair protocol of
-    ``PLAutomorphism``, and ``forward`` is ``_image`` made a Fraction.
-    ``_inverse`` is the bridge with its intervals swapped, and ``backward``
-    its ``forward``.  A bridge consults no map, so it costs nothing in the
-    counted model.
+    pair with six multiplications and one addition.  ``_inverse`` is the
+    bridge with its intervals swapped.  A bridge consults no map, so it
+    costs nothing in the counted model.
     """
 
     source_lo: Fraction
@@ -87,15 +87,11 @@ class AffineBridge:
 
     @cached_property
     def _inverse(self) -> "AffineBridge":
-        return AffineBridge(self.target_lo, self.target_hi, self.source_lo, self.source_hi)
-
-    def forward(self, q: Fraction) -> Fraction:
-        return Fraction(*self._image(q.numerator, q.denominator)[:2])
-
-    def backward(self, q: Fraction) -> Fraction:
-        return self._inverse.forward(q)
-
-    __call__ = forward
+        inv = object.__new__(AffineBridge)  # frozen dataclass; the line needs no revalidation
+        inv.__dict__.update(source_lo=self.target_lo, source_hi=self.target_hi,
+                            target_lo=self.source_lo, target_hi=self.source_hi,
+                            _line=_inverse_line(*self._line))
+        return inv
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,10 @@ class ComponentOrbit:
 
     def locate(self, q: Fraction) -> int:
         """Index i with point(i) <= q < point(i+1) (mirrored when decreasing)."""
-        qn, qd = q.numerator, q.denominator
+        return self._locate(q.numerator, q.denominator)
+
+    def _locate(self, qn: int, qd: int) -> int:
+        """``locate`` of qn/qd (qd > 0, the pair reduced or not)."""
         with self._lock:
             up, with_g = _orientation(self.increasing, self._fwd[0], (qn, qd))
             # The walk's k-th point is point(k) with g and point(-k) with g^-1;
@@ -301,30 +300,28 @@ class ComponentOrbit:
 
 
 @dataclass(frozen=True)
-class OrbitTransport:
+class OrbitTransport(Automorphism):
     """A seed map on one anchor block, carried along the orbits.
 
-    ``forward(q) = t_out^i(seed(t_in^-i(q)))``, where ``_pull`` finds both
-    the block i of q in the t_in-orbit of ``anchor_in`` and t_in^-i(q);
-    ``backward`` mirrors it with t_out, ``anchor_out`` and the seed's
-    inverse.  ``seed`` maps the anchor block of t_in onto that of t_out in
-    the pair protocol of ``PLAutomorphism``: ``_image(n, d)`` on pairs with
-    positive denominator (unreduced, with a piece index), and ``_inverse``.
+    ``_image(q) = t_out^i(seed(t_in^-i(q)))``, where ``_pull`` finds both
+    the block i of q in the t_in-orbit of ``anchor_in`` and t_in^-i(q); the
+    seed maps the anchor block of t_in onto that of t_out.  ``_inverse``
+    swaps the sides and inverts the seed, and evaluates no map.
     Transports: conjugators (g, f), x g x = f pieces (fg, gf), roots (g, g),
     the word aligner (W, g).
 
     An evaluation is one pass over integer pairs, every walk through
-    ``_walk`` with its target as a pair, and one Fraction at the end.  One
-    walk toward the anchor block [lo, hi) finds i and t_in^-i(q) together:
-    down from q >= hi to the first iterate at or below hi (hi itself is one
-    step short of lo), up from q < lo to the first iterate above lo (one
-    step too far when the one before is lo).  At i = 0 there is no walk
-    either way, and otherwise the push-forward walk takes |i| steps, so an
-    evaluation costs at most 2|i| + 1 evaluations in the counted model.  In
-    wall time a PL walk takes translation pieces in closed form at once and
-    other pieces after 16 steps, so it costs O(log |i|) exact-power
-    operations past the middle of the component.  A point outside the
-    anchor's component raises ValueError.
+    ``_walk`` with its target as a pair.  One walk toward the anchor block
+    [lo, hi) finds i and t_in^-i(q) together: down from q >= hi to the first
+    iterate at or below hi (hi itself is one step short of lo), up from
+    q < lo to the first iterate above lo (one step too far when the one
+    before is lo).  At i = 0 there is no walk either way, and otherwise the
+    push-forward walk takes |i| steps, so an evaluation costs at most
+    2|i| + 1 evaluations in the counted model.  In wall time a PL walk takes
+    translation pieces in closed form at once and other pieces after 16
+    steps, so it costs O(log |i|) exact-power operations past the middle of
+    the component.  A point outside the anchor's component raises
+    ValueError.
     """
 
     t_in: object
@@ -334,8 +331,8 @@ class OrbitTransport:
     anchor_out: Fraction
 
     def __post_init__(self):
-        # per side: the map, the anchor block's ends as int pairs, and
-        # whether the orbit increases
+        # per side, input side first: the map, the anchor block's ends as
+        # int pairs, and whether the orbit increases
         sides = []
         for t, anchor in ((self.t_in, self.anchor_in), (self.t_out, self.anchor_out)):
             first = t.forward(anchor)
@@ -346,23 +343,24 @@ class OrbitTransport:
                           first > anchor))
         object.__setattr__(self, "_sides", sides)
 
-    def forward(self, q: Fraction) -> Fraction:
-        i, n, d = self._pull(q, self._sides[0])
+    def _image(self, n: int, d: int):
+        i, n, d = self._pull(n, d, self._sides[0])
         n, d, _ = self.seed._image(n, d)
         if i:
             n, d = _walk(self.t_out, n, d, i < 0, count=abs(i))[2]
-        return Fraction(n, d)
+        return n, d, 0
 
-    def backward(self, q: Fraction) -> Fraction:
-        i, n, d = self._pull(q, self._sides[1])
-        n, d, _ = self.seed._inverse._image(n, d)
-        if i:
-            n, d = _walk(self.t_in, n, d, i < 0, count=abs(i))[2]
-        return Fraction(n, d)
+    @cached_property
+    def _inverse(self) -> "OrbitTransport":
+        inv = object.__new__(OrbitTransport)
+        # frozen dataclass: write around __setattr__
+        inv.__dict__.update(t_in=self.t_out, t_out=self.t_in, seed=self.seed._inverse,
+                            anchor_in=self.anchor_out, anchor_out=self.anchor_in,
+                            _sides=self._sides[::-1])
+        return inv
 
-    def _pull(self, q: Fraction, side):
-        """``(i, n, d)``: the block index i of q on one side, n/d = t^-i(q)."""
-        n, d = q.numerator, q.denominator
+    def _pull(self, n: int, d: int, side):
+        """``(i, n, d)``: the block index i of n/d on one side, n/d = t^-i(q)."""
         t, lo, hi, increasing = side
         if n * hi[1] >= hi[0] * d:
             steps, _, (n, d) = _walk(t, n, d, increasing, gamma=hi, up=False)
@@ -391,22 +389,24 @@ def anchor_point(element: TerrainElement) -> Fraction:
     return Fraction(0)
 
 
-def _guarded(x, source: TerrainElement, target: TerrainElement, what: str,
-             description: str) -> ProceduralAutomorphism:
-    """x restricted to source (forward) and target (backward): a point
-    outside raises DomainError."""
+class _Guard(Automorphism):
+    """x restricted to source, and its inverse to target: a point outside
+    raises DomainError."""
 
-    def fwd(q):
-        if not source.contains(q):
-            raise DomainError(f"{q} outside {what} {source!r}")
-        return x.forward(q)
+    def __init__(self, x, source, target, what: str, description: str):
+        self.x, self.source, self.target = x, source, target
+        self.what, self.description = what, description
 
-    def bwd(q):
-        if not target.contains(q):
-            raise DomainError(f"{q} outside {what} {target!r}")
-        return x.backward(q)
+    def _image(self, n: int, d: int):
+        q = Fraction(n, d)
+        if not self.source.contains(q):
+            raise DomainError(f"{format_rational(q)} outside {self.what} {self.source!r}")
+        return self.x._image(n, d)
 
-    return ProceduralAutomorphism(fwd, bwd, description)
+    @cached_property
+    def _inverse(self) -> "_Guard":
+        return _Guard(self.x._inverse, self.target, self.source, self.what,
+                      f"inverse({self.description})")
 
 
 def _component_map(g, f, source: TerrainElement, target: TerrainElement,
@@ -426,7 +426,7 @@ def _component_map(g, f, source: TerrainElement, target: TerrainElement,
 
 def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
                            alpha: Fraction, beta: Fraction,
-                           mode: str = LINEAR) -> ProceduralAutomorphism:
+                           mode: str = LINEAR) -> Automorphism:
     """Partial conjugator between support components of the same sign.
 
     ``source`` is a component of the support of g with anchor ``alpha``,
@@ -444,8 +444,8 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
     (forward) or target (backward) raises DomainError.
     """
     _check_mode(mode)
-    return _guarded(_component_map(g, f, source, target, alpha, beta), source, target,
-                    "component", f"component-conjugator({source.color.value})")
+    return _Guard(_component_map(g, f, source, target, alpha, beta), source, target,
+                  "component", f"component-conjugator({source.color.value})")
 
 
 def _fixed_map(source: TerrainElement, target: TerrainElement):
@@ -466,7 +466,7 @@ def _fixed_map(source: TerrainElement, target: TerrainElement):
     return PLAutomorphism.identity()
 
 
-def conjugate_on_fixed(source: TerrainElement, target: TerrainElement) -> ProceduralAutomorphism:
+def conjugate_on_fixed(source: TerrainElement, target: TerrainElement) -> Automorphism:
     """Order bijection between two fixed intervals of the same positional kind.
 
     Bounded pairs get the affine bridge over the closed intervals, intervals
@@ -474,12 +474,11 @@ def conjugate_on_fixed(source: TerrainElement, target: TerrainElement) -> Proced
     full line the identity.  A point outside source (forward) or target
     (backward) raises DomainError.
     """
-    return _guarded(_fixed_map(source, target), source, target, "fixed interval",
-                    "fixed-interval-conjugator")
+    return _Guard(_fixed_map(source, target), source, target, "fixed interval",
+                  "fixed-interval-conjugator")
 
 
-def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
-                    mode: str = LINEAR) -> Optional[ProceduralAutomorphism]:
+def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism) -> Optional[Automorphism]:
     """Conjugator h with f = h^-1 g h, or None when none exists.
 
     Existence is decided by color-sequence equality of the two terrains.
@@ -488,15 +487,13 @@ def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
     positional pairing is the unique order-preserving one), components by the
     orbit-block procedure with deterministic anchors, fixed intervals by the
     direct interval maps; the result dispatches each query to the element
-    containing it.  The per-element maps are the ones
+    containing it (``_Dispatch``).  The per-element maps are the ones
     ``conjugate_on_component`` and ``conjugate_on_fixed`` return, without
     their domain guards: the dispatcher has located the point already.
     Isolated fixed points between two components map to the corresponding
-    boundary point on the other side.  ``mode`` is checked as in
-    ``conjugate_on_component``: both values build the same map by the same
-    walk, at most 2|i| + 1 oracle calls at orbit index i.
+    boundary point on the other side.  An evaluation at orbit index i costs
+    at most 2|i| + 1 oracle calls.
     """
-    _check_mode(mode)
     terrain_g = support_decompose(g)
     terrain_f = support_decompose(f)
     if terrain_g.color_sequence() != terrain_f.color_sequence():
@@ -508,34 +505,36 @@ def solve_conjugacy(g: PLAutomorphism, f: PLAutomorphism,
             pieces.append(_fixed_map(eg, ef))
         else:
             pieces.append(_component_map(g, f, eg, ef, anchor_point(eg), anchor_point(ef)))
-    return _by_terrain(terrain_g, terrain_f, pieces,
-                       f"conjugator({terrain_g.color_sequence()})")
+    return _Dispatch(terrain_g, terrain_f, pieces, f"conjugator({terrain_g.color_sequence()})")
 
 
-def _by_terrain(terrain_in: Terrain, terrain_out: Terrain, pieces,
-                description: str) -> ProceduralAutomorphism:
+class _Dispatch(Automorphism):
     """The map that sends element k of terrain_in through ``pieces[k]``.
 
     The isolated fixed point after element k of terrain_in goes to the one
-    after element k of terrain_out, and backward mirrors both rules.  This is
-    exact whenever piece k maps element k onto element k, as conjugators,
-    x g x = f solutions (fg to gf), n-th roots and the word maps (g to
-    itself) all do.
+    after element k of terrain_out.  This is exact whenever piece k maps
+    element k onto element k, as conjugators, x g x = f solutions (fg to
+    gf), n-th roots and the word maps (g to itself) all do.  The inverse
+    swaps the terrains and takes a piece's ``_inverse`` only when a point
+    falls in its element.
     """
 
-    def fwd(q):
-        kind, k = terrain_in.locate(q)
-        if kind == "element":
-            return pieces[k].forward(q)
-        return terrain_out[k].hi
+    def __init__(self, terrain_in, terrain_out, pieces, description: str, inverted=False):
+        self.terrain_in, self.terrain_out, self.pieces = terrain_in, terrain_out, pieces
+        self.description, self.inverted = description, inverted
 
-    def bwd(q):
-        kind, k = terrain_out.locate(q)
+    def _image(self, n: int, d: int):
+        kind, k = self.terrain_in._locate(n, d)
         if kind == "element":
-            return pieces[k].backward(q)
-        return terrain_in[k].hi
+            piece = self.pieces[k]
+            return (piece._inverse if self.inverted else piece)._image(n, d)
+        hi = self.terrain_out[k].hi
+        return hi.numerator, hi.denominator, 0
 
-    return ProceduralAutomorphism(fwd, bwd, description)
+    @cached_property
+    def _inverse(self) -> "_Dispatch":
+        return _Dispatch(self.terrain_out, self.terrain_in, self.pieces,
+                         f"inverse({self.description})", not self.inverted)
 
 
 def verify_pointwise(lhs, rhs, samples) -> bool:

@@ -34,9 +34,10 @@ once in the forward direction; the inverse the transport needs is derived
 from those chains.
 
 Where a solution has a finite exact description (g, its inverse, the
-identity) it is returned as that PL map; the other solutions have graphs
-with infinitely many affine pieces and are returned as evaluation
-procedures.
+identity) it is returned as that PL map.  The other solutions have graphs
+with infinitely many affine pieces and are returned as trees of
+pair-protocol nodes (``automorphism.Automorphism``): seeds and word
+variables on anchor blocks, transports, dispatches, composites, powers.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from functools import cached_property
 from typing import Dict
 
 from .automorphism import (
+    Automorphism,
     PLAutomorphism,
-    ProceduralAutomorphism,
-    _walk,
+    _Composite,
+    _node,
+    _Power,
     apply_power,
     compose,
     inverse,
@@ -58,7 +61,7 @@ from .conjugacy import (
     AffineBridge,
     ComponentOrbit,
     OrbitTransport,
-    _by_terrain,
+    _Dispatch,
     anchor_point,
     conjugation,
     solve_conjugacy,
@@ -120,25 +123,13 @@ class Word:
 
 def apply_word(word: Word, assignment: Assignment, q: Fraction) -> Fraction:
     """Evaluate the word product at q, letters applied left to right."""
-    for v, e in word.letters:
-        value = assignment[v]
-        q = value.forward(q) if e == 1 else value.backward(q)
-    return q
+    return word_automorphism(word, assignment).forward(q)
 
 
-def word_automorphism(word: Word, assignment: Assignment) -> ProceduralAutomorphism:
+def word_automorphism(word: Word, assignment: Assignment) -> Automorphism:
     """The word product as an automorphism over the given assignment."""
-
-    def fwd(q):
-        return apply_word(word, assignment, q)
-
-    def bwd(q):
-        for v, e in reversed(word.letters):
-            value = assignment[v]
-            q = value.backward(q) if e == 1 else value.forward(q)
-        return q
-
-    return ProceduralAutomorphism(fwd, bwd, f"word({len(word)} letters)")
+    return _Composite(tuple(_node(assignment[v]) if e == 1 else inverse(assignment[v])
+                            for v, e in word.letters), f"word({len(word)} letters)")
 
 
 class Subdivision:
@@ -167,7 +158,7 @@ class Subdivision:
         return lo + Fraction(j, self.m) * (hi - lo)
 
 
-class _VariableComponent:
+class _VariableComponent(Automorphism):
     """One variable's interpolated action on one support component.
 
     Constraint pairs per orbit block i: a letter with exponent +1 at
@@ -177,11 +168,13 @@ class _VariableComponent:
     its tails are never evaluated.  For a reduced, cyclically reduced word
     the merged constraint set is strictly increasing, so every window is a
     valid ``PLAutomorphism``; that invariant is checked on every gather.
+    The inverse reads the same windows, inverted.
     """
 
     def __init__(self, positions, subdivision: Subdivision):
         self.positions = positions  # [(letter position j >= 1, exponent)]
         self.sub = subdivision
+        self.inverted = False
         self._gathered = {}
         self._check_window()
 
@@ -209,11 +202,15 @@ class _VariableComponent:
         for i in (-2, 0, 2):
             self._gather(i)
 
-    def forward(self, q):
-        return self._gather(self.sub.orbit.locate(q)).forward(q)
+    def _image(self, n: int, d: int):
+        window = self._gather(self.sub.orbit._locate(n, d))
+        return (window._inverse if self.inverted else window)._image(n, d)
 
-    def backward(self, q):
-        return self._gather(self.sub.orbit.locate(q)).backward(q)
+    @cached_property
+    def _inverse(self) -> "_VariableComponent":
+        inv = object.__new__(_VariableComponent)
+        inv.__dict__.update(self.__dict__, inverted=not self.inverted)
+        return inv
 
 
 def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
@@ -230,7 +227,7 @@ def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
         # the identity on the fixed set of g
         pieces = [piece(subdivisions[k]) if k in subdivisions else identity
                   for k in range(len(terrain))]
-        return _by_terrain(terrain, terrain, pieces, description)
+        return _Dispatch(terrain, terrain, pieces, description)
 
     assignment: Assignment = {}
     for v in variables:
@@ -326,14 +323,14 @@ def nth_root(g: PLAutomorphism, n: int):
     pieces = [identity if e.color is Color.FIXED else _root_piece(g, n, anchor_point(e))
               for e in terrain]
     # "composite" is the construction name the CLI has always reported for roots
-    return _by_terrain(terrain, terrain, pieces, "composite")
+    return _Dispatch(terrain, terrain, pieces, "composite")
 
 
-class _TwoCase:
+class _TwoCase(Automorphism):
     """A two-case seed on integer pairs: the chain of pair maps ``near`` on
     one side of ``split`` (below it iff ``below``), the chain ``far`` on the
-    other, each applied left to right.  Speaks the ``_image`` protocol of
-    ``PLAutomorphism``, with the case taken (0 or 1) as the piece.
+    other, each applied left to right, in the pair protocol with the case
+    taken (0 or 1) as the piece.
 
     Both chains must be increasing, agree at ``split`` and carry every step's
     ``_inverse``; then ``_inverse`` is derived, never written by hand: its
@@ -368,32 +365,6 @@ class _TwoCase:
                         tuple(step._inverse for step in reversed(self.far)))
 
 
-class _Power:
-    """g^k of a PL map g on integer pairs, in the pair protocol: one orbit
-    walk of |k| steps, with translation pieces in closed form at once and
-    other pieces after 16 steps."""
-
-    def __init__(self, g: PLAutomorphism, k: int):
-        self.g = g
-        self.k = k
-
-    def _image(self, n: int, d: int):
-        n, d = _walk(self.g, n, d, self.k < 0, count=abs(self.k))[2]
-        return n, d, 0
-
-    @cached_property
-    def _inverse(self) -> "_Power":
-        return _Power(self.g, -self.k)
-
-
-class _Backward:
-    """g^-1 of a PL map g in the pair protocol, with g itself as ``_inverse``:
-    no rebuilt piece table, and no reference cycle, since g holds none to it."""
-
-    def __init__(self, g: PLAutomorphism):
-        self._image, self._inverse = g._inverse._image, g
-
-
 def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
     """Solution piece on the component of the support of fg holding alpha:
     a two-case seed carried along the orbits of fg and gf.
@@ -415,7 +386,7 @@ def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
     if below != (beta_g < fg.forward(alpha)):
         raise RuntimeError("interleaving failed; alpha is not in the support of fg")
     bridge = AffineBridge(*sorted((alpha, beta_g)), *sorted((beta, f.forward(alpha))))
-    seed = _TwoCase(beta_g, below, (bridge,), (_Backward(g), bridge._inverse, f))
+    seed = _TwoCase(beta_g, below, (bridge,), (g._inverse, bridge._inverse, f))
     return OrbitTransport(fg, gf, seed, alpha, beta)
 
 
@@ -446,7 +417,7 @@ def _root_piece(g: PLAutomorphism, n: int, a: Fraction) -> OrbitTransport:
     return OrbitTransport(g, g, seed, a, b.forward(a_g))
 
 
-def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:
+def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> Automorphism:
     """An x with x g x = f (left-to-right composition); always solvable.
 
     The terrain of fg is walked element by element: each component gets the
@@ -463,7 +434,7 @@ def solve_xgx(g: PLAutomorphism, f: PLAutomorphism) -> ProceduralAutomorphism:
     # counterpart in gf, which is where the dispatcher sends it
     pieces = [f if e.color is Color.FIXED else _xgx_piece(f, g, fg, gf, anchor_point(e))
               for e in terrain_fg]
-    return _by_terrain(terrain_fg, terrain_gf, pieces, "xgx-solution")
+    return _Dispatch(terrain_fg, terrain_gf, pieces, "xgx-solution")
 
 
 def solve_two_sided(g: PLAutomorphism, f: PLAutomorphism, e1: int, e2: int):

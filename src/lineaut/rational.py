@@ -8,12 +8,16 @@ compare correctly against every finite rational.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
 Rational = Fraction
 
 _MINUS_SIGN = "−"  # typographic minus, accepted on input
+# p/q or p in ASCII digits: the forms read past Python's int-from-str digit limit
+_DIGITS_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 class _Infinity:
@@ -64,15 +68,26 @@ def is_finite(value: ExtendedRational) -> bool:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical string: ``p/q`` in lowest terms, or ``p`` for integers."""
-    return str(q)
+    """Canonical string: ``p/q`` in lowest terms, or ``p`` for integers.
+
+    Exact at any size: past Python's int-to-str digit limit (4,300 digits
+    by default) the digits come from ``decimal.Decimal``, which converts an
+    int exactly, and the limit itself is left as it is.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        n = str(Decimal(q.numerator))
+        return n if q.denominator == 1 else f"{n}/{Decimal(q.denominator)}"
 
 
 def parse_rational(text) -> Fraction:
     """Parse ``p/q`` or ``p`` (typographic minus accepted).
 
     A ``bool`` is rejected, though it subclasses ``int``: ``true`` in a JSON
-    file is an input error, not the rational 1.
+    file is an input error, not the rational 1.  Past Python's int-from-str
+    digit limit, ``p/q`` and ``p`` in ASCII digits are still read exactly,
+    through ``decimal.Decimal``.
     """
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
@@ -80,10 +95,17 @@ def parse_rational(text) -> Fraction:
         return text
     if isinstance(text, int):
         return Fraction(text)
+    s = str(text).strip().replace(_MINUS_SIGN, "-")
     try:
-        return Fraction(str(text).strip().replace(_MINUS_SIGN, "-"))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        error = exc
+    big = _DIGITS_RATIONAL.fullmatch(s)
+    if big:
+        n, d = (int(Decimal(part)) for part in (big[1], big[2] or "1"))
+        if d:
+            return Fraction(n, d)
+    raise ValueError(f"not a rational: {text!r}") from error
 
 
 def format_extended(value: ExtendedRational) -> str:

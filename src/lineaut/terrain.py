@@ -133,8 +133,11 @@ class Terrain:
         there is one.  Raises ValueError on a terrain that does not cover
         the line.
         """
+        return self._locate(q.numerator, q.denominator)
+
+    def _locate(self, qn: int, qd: int):
+        """``locate`` of qn/qd (qd > 0, the pair reduced or not)."""
         bn, bd = self._boundaries
-        qn, qd = q.numerator, q.denominator
         lo, hi = 0, len(bn)
         while lo < hi:  # least k with q <= boundary k
             mid = (lo + hi) // 2

@@ -124,6 +124,39 @@ class TestConstructionErrors:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+class TestNotUtf8:
+    """JSON files are UTF-8 (RFC 8259): other bytes are an input error, exit
+    2, not a traceback with exit 1, which means "no solution"."""
+
+    # the start of an ELF header: 0xd0 cannot follow the lead byte 0xf0
+    BYTES = b"\x7fELF\x02\x01\x01" + bytes(17) + b"\xf0\xd0\xff\xfe"
+
+    @pytest.mark.parametrize("argv", [["terrain", "{bin}"], ["solve-word", "{bin}", "{t1}"]],
+                             ids=["map", "word"])
+    def test_binary_file_exits_2(self, files, tmp_path, capsys, argv):
+        path = tmp_path / "bin.json"
+        path.write_bytes(self.BYTES)
+        names = {"bin": str(path), "t1": files["t1"]}
+        assert run([arg.format(**names) for arg in argv]) == (EXIT_INPUT_ERROR, None)
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8: ")
+
+
+class TestBigNumbers:
+    """Exact values past Python's 4,300-digit int/str limit are read and
+    printed exactly, as JSON strings and as JSON numbers."""
+
+    @pytest.mark.parametrize("quote", ['"', ""], ids=["string", "number"])
+    def test_eval_with_a_5000_digit_knot(self, tmp_path, quote):
+        # g is the translation by 10^5000, so g(1/3) = (3 10^5000 + 1)/3;
+        # the digits are written out as text, since str() of such an int raises
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"knots": [{{"x": "0", "y": {quote}1{"0" * 5000}{quote}}}], '
+                        '"left_slope": "1", "right_slope": "1"}')
+        code, data = run(["eval", str(path), "1/3"])
+        assert code == EXIT_OK
+        assert data == {"x": "1/3", "y": "3" + "0" * 4999 + "1/3"}
+
+
 class TestBooleanRationals:
     """A JSON boolean is not a rational: the map below read as the
     translation by -1 when true and false were taken as 1 and 0."""
@@ -269,7 +302,7 @@ class TestVerificationFailure:
     """A solver that returns a wrong map: exit 3 and the report of a passing run."""
 
     @pytest.mark.parametrize("argv, solver, wrong", [
-        (["conjugate", "t2", "t1"], "solve_conjugacy", lambda g, f, mode: WRONG),
+        (["conjugate", "t2", "t1"], "solve_conjugacy", lambda g, f: WRONG),
         (["solve-xgx", "identity", "t2"], "solve_xgx", lambda g, f: WRONG),
         (["solve-word", "square", "t2"], "solve_word", lambda word, g: {2: WRONG}),
         (["root", "t2", "2"], "nth_root", lambda g, n: WRONG),

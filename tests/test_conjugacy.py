@@ -211,6 +211,15 @@ class TestConjugateOnComponent:
                 assert (g.forward_count, g.inverse_count) == g_calls, mode
                 assert (f.forward_count, f.inverse_count) == f_calls, mode
                 assert sum(g_calls) + sum(f_calls) <= 2 * abs(i) + 1
+                # the first backward of a fresh conjugator makes the mirror
+                # walk, f's calls and g's swapped: building its inverse
+                # evaluates no map
+                x_fresh = conjugate_on_component(g, f, tg[0], tf[0], F(0), F(0), mode)
+                g.reset()
+                f.reset()
+                assert x_fresh.backward(image) == gamma
+                assert (g.forward_count, g.inverse_count) == f_calls, mode
+                assert (f.forward_count, f.inverse_count) == g_calls, mode
 
     def test_unknown_mode_rejected(self):
         t = support_decompose(T1)
@@ -351,33 +360,27 @@ class TestSolveConjugacy:
                         located += 1
             assert located >= 100
 
-    def test_unknown_mode_rejected(self):
-        # with support components and without: the identity has none
-        for g in (T1, PLAutomorphism.identity()):
-            with pytest.raises(ValueError, match="unknown mode"):
-                solve_conjugacy(g, g, mode="bogus")
-
-    def test_fast_forward_mode(self, rng):
-        g, h0 = sample_pls(rng, 2)
-        f = conjugation(g, h0)
-        h_lin = solve_conjugacy(g, f, mode="linear")
-        h_ff = solve_conjugacy(g, f, mode="fast_forward")
-        for q in default_samples(50, 7, (support_decompose(g),)):
-            assert h_lin.forward(q) == h_ff.forward(q)
-
     @pytest.mark.parametrize("mode", ["linear", "fast_forward"])
     @pytest.mark.parametrize("seq", ["+-", "-+-", "+-+", "+-0-+"])
     def test_isolated_fixed_points_correspond(self, rng, seq, mode):
-        # the k-th isolated fixed point of g maps to the k-th of f, both ways
+        # the k-th isolated fixed point of g maps to the k-th of f, both ways;
+        # it lies in no component, so location in either mode from the
+        # anchor of a neighbouring component raises
         g = random_with_sequence(rng, seq)
         f = random_with_sequence(rng, seq)
-        h = solve_conjugacy(g, f, mode=mode)
+        h = solve_conjugacy(g, f)
         iso_g, iso_f = (isolated_fixed_points(m) for m in (g, f))
         assert len(iso_g) == len(iso_f) == seq.count("+-") + seq.count("-+")
+        terrain = support_decompose(g)
         for p, q in zip(iso_g, iso_f):
             assert g.forward(p) == p and f.forward(q) == q
             assert h.forward(p) == q
             assert h.backward(q) == p
+            kind, k = terrain.locate(p)
+            assert kind == "boundary"
+            for element in (terrain[k], terrain[k + 1]):
+                with pytest.raises(ValueError):
+                    orbit_locate(g, anchor_point(element), p, mode)
 
 
 class TestVerifyPointwise:

@@ -511,7 +511,7 @@ class TestSolveXgx:
                 for q in samples_for(fg, count=120):
                     if not elem.contains(q):
                         continue
-                    i, pn, pd = piece._pull(q, piece._sides[0])
+                    i, pn, pd = piece._pull(q.numerator, q.denominator, piece._sides[0])
                     v = apply_power(fg, -i, q)
                     assert F(pn, pd) == v
                     assert min(alpha, alpha_fg) <= v < max(alpha, alpha_fg)

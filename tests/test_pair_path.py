@@ -7,7 +7,7 @@ cross-multiplication.  The references in ``conftest`` evaluate the same
 formula with ``orbit_locate``, ``apply_power`` and the Fraction definitions
 of the seeds, of the affine bridge (``BridgeReference``) and of the
 fixed-interval maps, and locate terrain elements by a linear scan.  Every value must agree exactly, forward and backward, for
-conjugators in both modes, x g x = f solutions and n-th roots (against
+conjugators (referenced in either location mode), x g x = f solutions and n-th roots (against
 h^-1 g h, h the conjugator of g^n onto g), at exact orbit points, isolated
 fixed points, points 1/2^k from component ends, points with numerators
 above 2^64, and orbit indices up to 10^4 on slope-1 and non-unit-slope
@@ -137,7 +137,8 @@ class TestTransportMatchesFractionFormula:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_conjugators(self, g, h, mode, recipes):
         f = conjugate_of(g, h)
-        x = solve_conjugacy(g, f, mode)
+        # the reference locates in either mode; the conjugator walks once
+        x = solve_conjugacy(g, f)
         check_agrees(x, conjugator_reference(g, f, mode), points(g, recipes) + points(f, recipes))
 
     @given(shaped, conjugating, recipes)
@@ -174,13 +175,10 @@ class TestTransportMatchesFractionFormula:
     def test_far_indices(self, g):
         # orbit indices +-10^4 from the anchor, on slope-1 tails, on tails
         # of slopes 2 and 1/2, and near the slowly attracting boundary of
-        # SLOW_BOUNDARY; both modes build the same map, so one reference
-        # located in linear mode checks both
+        # SLOW_BOUNDARY
         f = conjugate_of(g, PLAutomorphism(((0, 1), (2, 2)), F(1, 2), 3))
         qs = far_orbit_points(g)
-        reference = conjugator_reference(g, f, "linear")
-        for mode in ("linear", "fast_forward"):
-            check_agrees(solve_conjugacy(g, f, mode), reference, qs)
+        check_agrees(solve_conjugacy(g, f), conjugator_reference(g, f, "linear"), qs)
         g_xgx = compose(inverse(f), g)
         check_agrees(solve_xgx(g_xgx, f), xgx_reference(g_xgx, f), qs)
 

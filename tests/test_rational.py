@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lineaut import PLAutomorphism, nth_root, realize
 from lineaut.rational import (
     NEG_INF,
     POS_INF,
@@ -55,3 +56,26 @@ def test_extended_parse_format():
     assert format_extended(Fraction(3, 2)) == "3/2"
     assert not is_finite(POS_INF)
     assert is_finite(Fraction(0))
+
+
+def test_values_past_the_int_str_digit_limit():
+    # a 20,000th root of a map with terrain -+- sends 3/2 to a value with a
+    # 20,002-bit numerator: over 6,000 digits, past Python's default limit of
+    # 4,300 for int/str conversion, which is left as it is
+    q = nth_root(realize("-+-"), 20000).forward(Fraction(3, 2))
+    assert q.numerator.bit_length() == 20002
+    text = format_rational(q)
+    assert len(text) > 2 * 4300 and "/" in text
+    assert parse_rational(text) == q
+    assert parse_rational("−" + text) == -q
+    g = PLAutomorphism(((0, q), (1, q + 2)), 1, 1)
+    data = g.to_json_dict()
+    assert data["knots"][0]["y"] == text
+    assert PLAutomorphism.from_json_dict(data) == g
+    assert text in repr(g)
+    big = "1" + "0" * 5000
+    assert parse_rational(big + "/" + big) == 1
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(big + "/0")
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(big + "x")
