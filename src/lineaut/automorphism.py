@@ -17,6 +17,12 @@ of nodes, a seed on one anchor block carried along orbits
 :class:`ProceduralAutomorphism` only adapts a black box given as two
 evaluation procedures.
 
+Such a solution is still piecewise affine: an evaluation composes the
+lines of the pieces its walks and seeds pass through.  So a node over PL
+maps that is evaluated often keeps a bounded cache of the exact pieces it
+has met, each a closed interval and its line, found by tracking the affine
+germ of an evaluation beside its image (``_Germ``, ``_PieceCache``).
+
 Composition is written left to right everywhere in this library:
 ``compose(f, g)`` applies ``f`` first, so ``compose(f, g)(q) == g(f(q))``.
 The ``*`` operator follows the same convention: ``(f * g)(q) == g(f(q))``.
@@ -24,6 +30,7 @@ The ``*`` operator follows the same convention: ``(f * g)(q) == g(f(q))``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +45,15 @@ MAX_ORBIT_STEPS = 1 << 32
 # such runs are shorter than this.  A translation piece is crossed in closed
 # form at once, by floor divisions and one gcd per iterate returned.
 _STEPPED_RUN = 16
+# The piece cache of a solution node (``Automorphism._value``).  A node is
+# evaluated plainly this many times before its cache starts: a node built for
+# one check is often evaluated only a few times, and a cache would not pay.
+_PLAIN_EVALUATIONS = 16
+# Pieces one cache holds at most; past this, misses are evaluated plainly.
+_MAX_PIECES = 1024
+# A cache is dropped for good once its misses exceed twice its hits plus this:
+# most points then land in pieces of their own, where tracking only costs.
+_MISS_ALLOWANCE = 8
 
 
 # the piece table of the identity: no knots, the one line y = x; shared by
@@ -73,23 +89,239 @@ def _inverse_line(an: int, ad: int, bn: int, bd: int):
     return ad, an, bn // common, bd // common
 
 
+def _tracked(nodes) -> bool:
+    """Whether every one of the nodes tracks germs; anything that is not a
+    library node is a black box."""
+    return all(getattr(node, "_tracks", False) for node in nodes)
+
+
+def _reduced(n: int, d: int):
+    common = gcd(n, d)
+    return n // common, d // common
+
+
+class _Germ:
+    """The affine germ of one evaluation at a point q, as the nodes'
+    ``_germ`` rules track it beside the image.
+
+    ``sn/sd`` is the slope in q of the value computed so far, unreduced:
+    each rule multiplies in the slope of the line it applies.  Every
+    comparison that picks a piece, a case, a branch or a walk's length
+    bounds the value it compares, and so q: ``below`` and ``above`` hold
+    how far q may move down and up (pairs u/v with v > 0, None while
+    unbounded) with each bound still met.  On that closed interval the map
+    is the line of this slope through q's image: every point inside with
+    q's choices gets that line, the map is continuous, and adjacent pieces
+    agree where they meet.
+    """
+
+    __slots__ = ("sn", "sd", "below", "above")
+
+    def __init__(self):
+        self.sn = self.sd = 1
+        self.below = self.above = None
+
+    def scale(self, an: int, ad: int):
+        if an != ad:
+            self.sn *= an
+            self.sd *= ad
+
+    def bound(self, xn: int, xd: int, cn: int, cd: int, upper: bool):
+        """The value so far, xn/xd, stays at most cn/cd if ``upper``, at
+        least cn/cd otherwise."""
+        # the room (c - x) / slope, or (x - c) / slope, as u/v
+        u = (cn * xd - xn * cd) * self.sd
+        v = xd * cd * self.sn
+        if upper:
+            room = self.above
+            if room is None or u * room[1] < room[0] * v:
+                self.above = u, v
+        else:
+            room = self.below
+            if room is None or -u * room[1] < room[0] * v:
+                self.below = -u, v
+
+    def inside(self, xn: int, xd: int, bn: list, bd: list, k: int):
+        """xn/xd stays in the closed piece k between the sorted boundaries
+        bn/bd: from boundary k-1 (if k > 0) to boundary k (if there is one);
+        ``bound`` twice, inline."""
+        xs, xsd, xds = xn * self.sd, xd * self.sd, xd * self.sn
+        if k:
+            cd = bd[k - 1]
+            u, v = xs * cd - bn[k - 1] * xsd, cd * xds
+            room = self.below
+            if room is None or u * room[1] < room[0] * v:
+                self.below = u, v
+        if k < len(bn):
+            cd = bd[k]
+            u, v = bn[k] * xsd - xs * cd, cd * xds
+            room = self.above
+            if room is None or u * room[1] < room[0] * v:
+                self.above = u, v
+
+    def stop(self, prev, last, an: int, ad: int, gamma, up: bool):
+        """The last step, of slope an/ad from the pair prev to the pair last,
+        of a walk toward gamma (``PLAutomorphism._iterate``), whose stop test
+        holds for the germ: prev is not past gamma, and last is past it (or
+        not past it, when the walk stopped at its count)."""
+        self.bound(*prev, *gamma, up)
+        self.scale(an, ad)
+        past = (last[0] * gamma[1] > gamma[0] * last[1]) == up
+        self.bound(*last, *gamma, up != past)
+
+    def point(self):
+        """An exact special case: the germ is q alone, and nothing is cached."""
+        self.below = self.above = (0, 1)
+
+
+class _PieceCache:
+    """The exact pieces of one node found so far, for ``forward`` and for
+    ``backward``: ``sides[0]`` holds entries ``(ln, ld, hn, hd, an, ad,
+    bn, bd)``, sorted, with disjoint interiors, each the closed interval
+    [ln/ld, hn/hd] on which the node is the line y = (an/ad) x + bn/bd, the
+    line reduced; ``sides[1]`` holds the same pieces of the inverse in the same
+    order, as the map is increasing.  An unbounded end is (-1, 0) or
+    (1, 0), which cross-multiplication places below or above every pair.
+
+    Readers take no lock.  A writer inserts whole entries at once under the
+    lock, so a reader sees each entry whole, and any entry whose interval
+    holds a point gives that point's exact image.  The counters steer the
+    policy of ``Automorphism._value``; a lost increment only shifts it.
+    """
+
+    __slots__ = ("plain", "hits", "misses", "sides", "lock")
+
+    def __init__(self):
+        self.plain = _PLAIN_EVALUATIONS
+        self.hits = self.misses = 0
+        self.sides = ([], [])
+        self.lock = threading.Lock()
+
+    def find(self, n: int, d: int, back: bool):
+        """The image of n/d, under the inverse if ``back``, as a Fraction if
+        a cached piece holds it, else None."""
+        pieces = self.sides[back]
+        lo, hi = 0, len(pieces)
+        while lo < hi:  # the first piece whose lower end is above n/d
+            mid = (lo + hi) // 2
+            if n * pieces[mid][1] < pieces[mid][0] * d:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo:
+            ln, ld, hn, hd, an, ad, bn, bd = pieces[lo - 1]
+            # both ends again: an insertion may have shifted the list meanwhile
+            if ln * d <= n * ld and n * hd <= hn * d:
+                self.hits += 1
+                return Fraction(an * n * bd + bn * ad * d, ad * d * bd)
+        self.misses += 1
+        return None
+
+    def add(self, n: int, d: int, yn: int, yd: int, germ: _Germ, back: bool):
+        """Insert the piece of n/d that ``germ`` found, n/d's image being
+        yn/yd (under the inverse if ``back``), and its mirror on the other
+        side."""
+        below, above = germ.below, germ.above
+        if below is not None and above is not None and not below[0] and not above[0]:
+            return
+        an, ad = _reduced(germ.sn, germ.sd)
+        # each end q -+ u/v and its image y -+ a u/v, unreduced (they are
+        # only compared); an unbounded end stays one
+        if below is None:
+            lo = ylo = (-1, 0)
+        else:
+            u, v = below
+            lo = n * v - u * d, d * v
+            ylo = yn * ad * v - an * u * yd, yd * ad * v
+        if above is None:
+            hi = yhi = (1, 0)
+        else:
+            u, v = above
+            hi = n * v + u * d, d * v
+            yhi = yn * ad * v + an * u * yd, yd * ad * v
+        line = (an, ad, *_reduced(yn * ad * d - an * n * yd, yd * ad * d))
+        entries = [(*lo, *hi, *line), (*ylo, *yhi, *_inverse_line(*line))]
+        if back:
+            entries.reverse()
+        with self.lock:
+            pieces = self.sides[back]
+            if len(pieces) >= _MAX_PIECES:
+                return
+            k, top = 0, len(pieces)
+            while k < top:  # the first piece whose lower end is above lo
+                mid = (k + top) // 2
+                if lo[0] * pieces[mid][1] < pieces[mid][0] * lo[1]:
+                    top = mid
+                else:
+                    k = mid + 1
+            if k and n * pieces[k - 1][3] <= pieces[k - 1][2] * d:
+                return  # another evaluation has cached this piece meanwhile
+            self.sides[0].insert(k, entries[0])
+            self.sides[1].insert(k, entries[1])
+
+
 class Automorphism:
     """An increasing bijection of the line in the pair protocol.  A subclass
     gives ``_image(n, d)``, the image of n/d (d > 0) as an unreduced pair
     with positive denominator and a piece index, and ``_inverse``, the
-    inverse map; the rest is defined here once."""
+    inverse map; the rest is defined here once.
+
+    A node whose tree is made of the node classes of this library over PL
+    maps also gives ``_germ(n, d, germ)``: ``_image`` that also tracks the
+    point's affine germ (``_Germ``), and says so by ``_tracks``.  Such a
+    node keeps one piece cache (``_PieceCache``) for its ``forward`` and
+    ``backward`` (``_value``).
+    """
+
+    # whether this node's tree tracks germs; any other map is a black box
+    _tracks = False
 
     def forward(self, q: Fraction) -> Fraction:
         q = _frac(q)
-        n, d, _ = self._image(q.numerator, q.denominator)
-        return Fraction(n, d)
+        return self._value(q.numerator, q.denominator, False)
 
     def backward(self, q: Fraction) -> Fraction:
         q = _frac(q)
-        n, d, _ = self._inverse._image(q.numerator, q.denominator)
-        return Fraction(n, d)
+        return self._value(q.numerator, q.denominator, True)
 
     __call__ = forward
+
+    @cached_property
+    def _cache(self):
+        """This node's piece cache, or None: decided once from the tree, so a
+        tree with a black box in it never tracks a germ and calls no oracle
+        more often than its plain evaluation does."""
+        return _PieceCache() if self._tracks else None
+
+    def _value(self, n: int, d: int, back: bool) -> Fraction:
+        """The image of n/d (d > 0), under the inverse if ``back``, through
+        the piece cache.
+
+        The first ``_PLAIN_EVALUATIONS`` evaluations of a node, either way,
+        are plain.  Then a point in a cached piece costs one bisection, one
+        line and one Fraction; a miss tracks the point's germ and caches its
+        piece both ways, until the cache holds ``_MAX_PIECES``.  Once the
+        misses exceed twice the hits plus ``_MISS_ALLOWANCE``, the cache is
+        dropped for good.
+        """
+        node = self._inverse if back else self
+        cache = self._cache
+        if cache is not None:
+            if cache.plain > 0:
+                cache.plain -= 1
+            else:
+                value = cache.find(n, d, back)
+                if value is not None:
+                    return value
+                if cache.misses > 2 * cache.hits + _MISS_ALLOWANCE:
+                    vars(self)["_cache"] = None
+                elif len(cache.sides[0]) < _MAX_PIECES:
+                    germ = _Germ()
+                    yn, yd, _ = node._germ(n, d, germ)
+                    cache.add(n, d, yn, yd, germ, back)
+                    return Fraction(yn, yd)
+        n, d, _ = node._image(n, d)
+        return Fraction(n, d)
 
     def __mul__(self, other):
         return compose(self, other)
@@ -130,16 +362,21 @@ class PLAutomorphism(Automorphism):
     left_slope: Fraction = Fraction(1)
     right_slope: Fraction = Fraction(1)
 
+    # a PL map is its own finite piece table: it tracks germs and needs no cache
+    _tracks = True
+    _cache = None
+
     def __post_init__(self):
         knots = tuple((_frac(x), _frac(y)) for x, y in self.knots)
         ls = _frac(self.left_slope)
         rs = _frac(self.right_slope)
         if ls <= 0 or rs <= 0:
-            raise ValueError(f"tail slopes must be positive; got {ls}, {rs}")
+            raise ValueError("tail slopes must be positive; got "
+                             f"{format_rational(ls)}, {format_rational(rs)}")
         if not knots:
             if ls != 1 or rs != 1:
                 raise ValueError("a map without knots must be the identity; got tail slopes "
-                                 f"{ls}, {rs}")
+                                 f"{format_rational(ls)}, {format_rational(rs)}")
             self._fill((), ls, rs, _IDENTITY_TABLE)
             return
         xn = [x.numerator for x, _ in knots]
@@ -153,10 +390,12 @@ class PLAutomorphism(Automorphism):
             dy = yn[k] * yd[k - 1] - yn[k - 1] * yd[k]
             if dx <= 0:
                 raise ValueError("knot x-coordinates must be strictly increasing: "
-                                 f"{knots[k - 1][0]} >= {knots[k][0]}")
+                                 f"{format_rational(knots[k - 1][0])} >= "
+                                 f"{format_rational(knots[k][0])}")
             if dy <= 0:
                 raise ValueError("knot y-coordinates must be strictly increasing: "
-                                 f"{knots[k - 1][1]} >= {knots[k][1]}")
+                                 f"{format_rational(knots[k - 1][1])} >= "
+                                 f"{format_rational(knots[k][1])}")
             an, ad = dy * xd[k - 1] * xd[k], dx * yd[k - 1] * yd[k]
             common = gcd(an, ad)
             lines.append(_line_through(an // common, ad // common, xn[k], xd[k], yn[k], yd[k]))
@@ -252,7 +491,16 @@ class PLAutomorphism(Automorphism):
                 hi = mid
         return an[lo] * xn * bd[lo] + bn[lo] * ad[lo] * xd, ad[lo] * xd * bd[lo], lo
 
-    def _iterate(self, pn: int, pd: int, count=None, gamma=None, up=True, trail=None):
+    def _germ(self, xn: int, xd: int, germ: _Germ):
+        """``_image``, xn/xd staying in the closed piece it picks."""
+        bxn, bxd, an, ad, _, _ = self._table
+        yn, yd, lo = self._image(xn, xd)
+        germ.inside(xn, xd, bxn, bxd, lo)
+        germ.scale(an[lo], ad[lo])
+        return yn, yd, lo
+
+    def _iterate(self, pn: int, pd: int, count=None, gamma=None, up=True, trail=None,
+                 germ=None):
         """The orbit primitive: iterate this map from pn/pd (pd > 0).
 
         Stops after ``count`` steps or at the first iterate past the pair
@@ -268,7 +516,11 @@ class PLAutomorphism(Automorphism):
         for a few floor divisions; any other piece after the orbit has
         stayed ``_STEPPED_RUN`` steps in it, for O(log n) exact powers.
         ``trail``, when a list, gets the iterates appended as reduced pairs
-        while they come one step at a time.
+        while they come one step at a time.  ``germ``, when given, tracks the
+        walk's germ (``_Germ``): each step's point stays in its piece, and so
+        do the first and the last point a closed-form run applies its line
+        to, which bounds every point between, as iterates of a line move
+        monotonically; with gamma, the walk's stop test holds.
 
         With gamma given, raises ValueError when the start is a fixed point
         or the orbit is found never to pass gamma: it converges to a fixed
@@ -294,6 +546,8 @@ class PLAutomorphism(Automorphism):
             run = run + 1 if lo == piece else 1
             piece = lo
             a, c, b, e = an[lo], ad[lo], bn[lo], bd[lo]
+            if germ is not None:
+                germ.inside(pn, pd, bxn, bxd, lo)
             if a == c or run > _STEPPED_RUN:
                 n, prev, (pn, pd), done = _affine_run(
                     (a, c, b, e), (pn, pd),
@@ -301,6 +555,15 @@ class PLAutomorphism(Automorphism):
                     (bxn[lo], bxd[lo]) if lo < knots else None,
                     None if count is None else count - steps, gamma, up)
                 steps += n
+                if germ is not None:
+                    if n > 1:
+                        germ.scale(a ** (n - 1), c ** (n - 1))
+                        germ.inside(*prev, bxn, bxd, lo)
+                    if done and gamma is not None:
+                        germ.stop(prev, (pn, pd), a, c, gamma, up)
+                    elif a != c:
+                        germ.sn *= a
+                        germ.sd *= c
                 if trail is not None:
                     if n == 1:
                         trail.append((pn, pd))
@@ -317,7 +580,14 @@ class PLAutomorphism(Automorphism):
             cn, cd = cn // common, cd // common
             if trail is not None:
                 trail.append((cn, cd))
-            if steps == count or (gamma is not None and (cn * gd > gn * cd) == up):
+            done = steps == count or (gamma is not None and (cn * gd > gn * cd) == up)
+            if germ is not None:
+                if done and gamma is not None:
+                    germ.stop((pn, pd), (cn, cd), a, c, gamma, up)
+                else:  # a != c: this piece is no translation
+                    germ.sn *= a
+                    germ.sd *= c
+            if done:
                 return steps, (pn, pd), (cn, cd)
             pn, pd = cn, cd
 
@@ -384,6 +654,17 @@ class _Composite(Automorphism):
             n, d, _ = part._image(n // common, d // common)
         return n, d, 0
 
+    def _germ(self, n: int, d: int, germ: _Germ):
+        n, d, _ = self.parts[0]._germ(n, d, germ)
+        for part in self.parts[1:]:
+            common = gcd(n, d)
+            n, d, _ = part._germ(n // common, d // common, germ)
+        return n, d, 0
+
+    @cached_property
+    def _tracks(self) -> bool:
+        return _tracked(self.parts)
+
     @cached_property
     def _inverse(self) -> "_Composite":
         return _Composite(tuple(part._inverse for part in reversed(self.parts)),
@@ -402,6 +683,14 @@ class _Power(Automorphism):
     def _image(self, n: int, d: int):
         n, d = _walk(self.g, n, d, self.k < 0, count=abs(self.k))[2]
         return n, d, 0
+
+    def _germ(self, n: int, d: int, germ: _Germ):
+        n, d = _walk(self.g, n, d, self.k < 0, count=abs(self.k), germ=germ)[2]
+        return n, d, 0
+
+    @cached_property
+    def _tracks(self) -> bool:
+        return isinstance(self.g, PLAutomorphism)
 
     @cached_property
     def _inverse(self) -> "_Power":
@@ -491,7 +780,7 @@ def apply_power(f, n: int, q: Fraction) -> Fraction:
 
 
 def _walk(g, qn: int, qd: int, backward: bool = False, count=None, gamma=None, up=True,
-          trail=None):
+          trail=None, germ=None):
     """The one orbit walk: iterate g, or g^-1 when ``backward``, from qn/qd.
 
     Takes the arguments and gives the result of ``PLAutomorphism._iterate``,
@@ -499,10 +788,11 @@ def _walk(g, qn: int, qd: int, backward: bool = False, count=None, gamma=None, u
     ``(numerator, denominator)`` pairs with positive denominators.  Any
     other map is stepped in Fractions, converted at this boundary, gamma
     included; with gamma it stops with ValueError at an exact fixed point,
-    and without a count after ``MAX_ORBIT_STEPS`` steps.
+    and without a count after ``MAX_ORBIT_STEPS`` steps.  Only a walk of a
+    PL map tracks a ``germ``.
     """
     if isinstance(g, PLAutomorphism):
-        return (g._inverse if backward else g)._iterate(qn, qd, count, gamma, up, trail)
+        return (g._inverse if backward else g)._iterate(qn, qd, count, gamma, up, trail, germ)
     if count == 0:
         return 0, (qn, qd), (qn, qd)
     if gamma is not None:
@@ -639,8 +929,9 @@ def _affine_run(line, x, lo, hi, count, gamma, up: bool):
                 if stop is None or past < stop:
                     stop = past
             elif edge is None:
-                raise ValueError(f"the orbit of {Fraction(*x)} never passes "
-                                 f"{Fraction(*gamma)}: it runs off to infinity first")
+                raise ValueError(f"the orbit of {format_rational(Fraction(*x))} never passes "
+                                 f"{format_rational(Fraction(*gamma))}: it runs off to "
+                                 "infinity first")
         out = None if edge is None else s * (edge[0] * w - u * edge[1]) // (s * v * edge[1]) + 1
         done = out is None or (stop is not None and stop <= out)
         n = stop if done else out
@@ -660,8 +951,9 @@ def _affine_run(line, x, lo, hi, count, gamma, up: bool):
             past = _first_past(line, x, gamma, s, up, stop)
             stop = stop if past is None else past
         elif not leaves:
-            raise ValueError(f"the orbit of {Fraction(*x)} never passes {Fraction(*gamma)}: it "
-                             "converges to a fixed point or runs off to infinity first")
+            raise ValueError(f"the orbit of {format_rational(Fraction(*x))} never passes "
+                             f"{format_rational(Fraction(*gamma))}: it converges to a fixed "
+                             "point or runs off to infinity first")
     out = _first_past(line, x, edge, s, True, stop) if leaves else None
     done = out is None or (stop is not None and stop <= out)
     n = stop if done else out

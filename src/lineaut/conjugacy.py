@@ -31,6 +31,7 @@ from .automorphism import (
     PLAutomorphism,
     _inverse_line,
     _line_through,
+    _tracked,
     _walk,
     compose,
     inverse,
@@ -57,13 +58,18 @@ class AffineBridge(Automorphism):
     every evaluation goes through it: ``_image`` applies it to an integer
     pair with six multiplications and one addition.  ``_inverse`` is the
     bridge with its intervals swapped.  A bridge consults no map, so it
-    costs nothing in the counted model.
+    costs nothing in the counted model.  Inside a seed it continues
+    affinely past its intervals, so its germ has no bound.
     """
 
     source_lo: Fraction
     source_hi: Fraction
     target_lo: Fraction
     target_hi: Fraction
+
+    # one line: it tracks germs and needs no cache
+    _tracks = True
+    _cache = None
 
     def __post_init__(self):
         if self.source_lo >= self.source_hi or self.target_lo >= self.target_hi:
@@ -84,6 +90,10 @@ class AffineBridge(Automorphism):
         denominator, and piece 0."""
         an, ad, bn, bd = self._line
         return an * n * bd + bn * ad * d, ad * d * bd, 0
+
+    def _germ(self, n: int, d: int, germ):
+        germ.scale(self._line[0], self._line[1])
+        return self._image(n, d)
 
     @cached_property
     def _inverse(self) -> "AffineBridge":
@@ -200,7 +210,8 @@ def orbit_locate(g, alpha: Fraction, gamma: Fraction, mode: str = LINEAR, *,
         else:
             counter.forward += 1
     if first[0] * a[1] == a[0] * first[1]:
-        raise ValueError(f"anchor {alpha} is a fixed point; it lies in no component")
+        raise ValueError(f"anchor {format_rational(alpha)} is a fixed point; "
+                         "it lies in no component")
     c = (gamma.numerator, gamma.denominator)
     up, with_g = _orientation(first[0] * a[1] > a[0] * first[1], a, c)
     if mode == FAST_FORWARD:
@@ -249,7 +260,8 @@ class ComponentOrbit:
         self._sealed = set()  # directions (with_g) whose cache has stopped growing
         first = g.forward(anchor)
         if first == anchor:
-            raise ValueError(f"anchor {anchor} is a fixed point; it lies in no component")
+            raise ValueError(f"anchor {format_rational(anchor)} is a fixed point; "
+                             "it lies in no component")
         self.increasing = first > anchor
         self._fwd.append((first.numerator, first.denominator))
 
@@ -320,7 +332,11 @@ class OrbitTransport(Automorphism):
     2|i| + 1 evaluations in the counted model.  In wall time a PL walk takes
     translation pieces in closed form at once and other pieces after 16
     steps, so it costs O(log |i|) exact-power operations past the middle of
-    the component.  A point outside the anchor's component raises
+    the component.  Over PL maps, ``forward`` and ``backward`` of a node
+    evaluated often go through its piece cache (``Automorphism._value``):
+    a point in a piece found before costs one bisection over the cached
+    pieces and one line, whatever its orbit index, and a miss up to about
+    three plain evaluations.  A point outside the anchor's component raises
     ValueError.
     """
 
@@ -337,7 +353,8 @@ class OrbitTransport(Automorphism):
         for t, anchor in ((self.t_in, self.anchor_in), (self.t_out, self.anchor_out)):
             first = t.forward(anchor)
             if first == anchor:
-                raise ValueError(f"anchor {anchor} is a fixed point; it lies in no component")
+                raise ValueError(f"anchor {format_rational(anchor)} is a fixed point; "
+                                 "it lies in no component")
             lo, hi = sorted((anchor, first))
             sides.append((t, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator),
                           first > anchor))
@@ -350,6 +367,18 @@ class OrbitTransport(Automorphism):
             n, d = _walk(self.t_out, n, d, i < 0, count=abs(i))[2]
         return n, d, 0
 
+    def _germ(self, n: int, d: int, germ):
+        i, n, d = self._pull(n, d, self._sides[0], germ)
+        n, d, _ = self.seed._germ(n, d, germ)
+        if i:
+            n, d = _walk(self.t_out, n, d, i < 0, count=abs(i), germ=germ)[2]
+        return n, d, 0
+
+    @cached_property
+    def _tracks(self) -> bool:
+        return (isinstance(self.t_in, PLAutomorphism) and isinstance(self.t_out, PLAutomorphism)
+                and _tracked((self.seed,)))
+
     @cached_property
     def _inverse(self) -> "OrbitTransport":
         inv = object.__new__(OrbitTransport)
@@ -359,19 +388,36 @@ class OrbitTransport(Automorphism):
                             _sides=self._sides[::-1])
         return inv
 
-    def _pull(self, n: int, d: int, side):
-        """``(i, n, d)``: the block index i of n/d on one side, n/d = t^-i(q)."""
+    def _pull(self, n: int, d: int, side, germ=None):
+        """``(i, n, d)``: the block index i of n/d on one side, n/d = t^-i(q).
+
+        With a ``germ``, q stays on its side of the anchor block, and each
+        walk's stop test holds (``_iterate``).  A walk that lands exactly on
+        the block end hi, or whose last step but one ends exactly on lo, is
+        a special case: its germ is q alone."""
         t, lo, hi, increasing = side
         if n * hi[1] >= hi[0] * d:
-            steps, _, (n, d) = _walk(t, n, d, increasing, gamma=hi, up=False)
+            if germ is not None:
+                germ.bound(n, d, *hi, False)
+            steps, _, (n, d) = _walk(t, n, d, increasing, gamma=hi, up=False, germ=germ)
             if n * hi[1] == hi[0] * d:
                 steps, (n, d) = steps + 1, lo
+                if germ is not None:
+                    germ.point()
             return (steps if increasing else -steps), n, d
         if n * lo[1] < lo[0] * d:
-            steps, (pn, pd), (n, d) = _walk(t, n, d, not increasing, gamma=lo, up=True)
+            if germ is not None:
+                germ.bound(n, d, *lo, True)
+            steps, (pn, pd), (n, d) = _walk(t, n, d, not increasing, gamma=lo, up=True,
+                                            germ=germ)
             if pn * lo[1] == lo[0] * pd:
                 steps, n, d = steps - 1, pn, pd
+                if germ is not None:
+                    germ.point()
             return (-steps if increasing else steps), n, d
+        if germ is not None:
+            germ.bound(n, d, *lo, False)
+            germ.bound(n, d, *hi, True)
         return 0, n, d
 
 
@@ -397,11 +443,28 @@ class _Guard(Automorphism):
         self.x, self.source, self.target = x, source, target
         self.what, self.description = what, description
 
-    def _image(self, n: int, d: int):
+    def _check(self, n: int, d: int):
         q = Fraction(n, d)
         if not self.source.contains(q):
             raise DomainError(f"{format_rational(q)} outside {self.what} {self.source!r}")
+
+    def _image(self, n: int, d: int):
+        self._check(n, d)
         return self.x._image(n, d)
+
+    def _germ(self, n: int, d: int, germ):
+        """``_image``, q staying in the closure of source, so no cached piece
+        reaches past a fixed interval; a component's pieces each fix a walk
+        length, and so lie inside it."""
+        self._check(n, d)
+        for end, upper in ((self.source.lo, False), (self.source.hi, True)):
+            if is_finite(end):
+                germ.bound(n, d, end.numerator, end.denominator, upper)
+        return self.x._germ(n, d, germ)
+
+    @cached_property
+    def _tracks(self) -> bool:
+        return _tracked((self.x,))
 
     @cached_property
     def _inverse(self) -> "_Guard":
@@ -417,9 +480,9 @@ def _component_map(g, f, source: TerrainElement, target: TerrainElement,
     if source.color is not target.color:
         raise ValueError("paired components must share a color")
     if not source.contains(alpha):
-        raise DomainError(f"anchor {alpha} outside source component")
+        raise DomainError(f"anchor {format_rational(alpha)} outside source component")
     if not target.contains(beta):
-        raise DomainError(f"anchor {beta} outside target component")
+        raise DomainError(f"anchor {format_rational(beta)} outside target component")
     bridge = AffineBridge(*sorted((alpha, g.forward(alpha))), *sorted((beta, f.forward(beta))))
     return OrbitTransport(g, f, bridge, alpha, beta)
 
@@ -437,8 +500,10 @@ def conjugate_on_component(g, f, source: TerrainElement, target: TerrainElement,
     bridge, and pushes forward with f^i (``OrbitTransport``).  In the
     counted model an orbit index i costs at most 2|i| + 1 oracle calls.  In
     wall time raw PL inputs cost the middle crossing of the component plus
-    O(log |i|) exact-power operations per orbit walk (see ``orbit_locate``);
-    wrapped or procedural inputs are stepped, as counted.  ``mode`` must be
+    O(log |i|) exact-power operations per orbit walk (see ``orbit_locate``),
+    and a point in a piece the map's cache holds costs one bisection and
+    one line (see ``OrbitTransport``); wrapped or procedural inputs are
+    stepped, as counted, and never cached.  ``mode`` must be
     ``"linear"`` or ``"fast_forward"`` (ValueError otherwise); both build
     the same map, evaluated by the same walk.  A point outside source
     (forward) or target (backward) raises DomainError.
@@ -530,6 +595,22 @@ class _Dispatch(Automorphism):
             return (piece._inverse if self.inverted else piece)._image(n, d)
         hi = self.terrain_out[k].hi
         return hi.numerator, hi.denominator, 0
+
+    def _germ(self, n: int, d: int, germ):
+        """``_image``, q staying in the closure of its element; an isolated
+        fixed point is a special case, whose germ is the point alone."""
+        kind, k = self.terrain_in._locate(n, d)
+        if kind == "element":
+            germ.inside(n, d, *self.terrain_in._boundaries, k)
+            piece = self.pieces[k]
+            return (piece._inverse if self.inverted else piece)._germ(n, d, germ)
+        germ.point()
+        hi = self.terrain_out[k].hi
+        return hi.numerator, hi.denominator, 0
+
+    @cached_property
+    def _tracks(self) -> bool:
+        return _tracked(self.pieces)
 
     @cached_property
     def _inverse(self) -> "_Dispatch":

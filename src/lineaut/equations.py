@@ -53,6 +53,7 @@ from .automorphism import (
     _Composite,
     _node,
     _Power,
+    _tracked,
     apply_power,
     compose,
     inverse,
@@ -354,6 +355,20 @@ class _TwoCase(Automorphism):
         for step in chain:
             n, d, _ = step._image(n, d)
         return n, d, case
+
+    def _germ(self, n: int, d: int, germ):
+        """``_image``, q staying on its closed side of the split: both chains
+        agree there."""
+        sn, sd = self.split
+        near = (n * sd < sn * d) == self.below
+        germ.bound(n, d, sn, sd, near == self.below)
+        for step in self.near if near else self.far:
+            n, d, _ = step._germ(n, d, germ)
+        return n, d, 1 - near
+
+    @cached_property
+    def _tracks(self) -> bool:
+        return _tracked(self.near + self.far)
 
     @cached_property
     def _inverse(self) -> "_TwoCase":

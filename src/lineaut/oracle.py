@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphism import PLAutomorphism, power
+from .rational import format_rational
 from .terrain import support_decompose
 
 
@@ -136,7 +137,8 @@ def measure_locate(g: PLAutomorphism, alpha: Fraction, gamma: Fraction,
 
     where = support_decompose(g).locate
     if where(alpha) != where(gamma):
-        raise ValueError(f"{alpha} and {gamma} lie in different elements of the terrain of g")
+        raise ValueError(f"{format_rational(alpha)} and {format_rational(gamma)} lie in "
+                         "different elements of the terrain of g")
     counter = CallCounter()
     location = orbit_locate(g, alpha, gamma, mode=mode, counter=counter)
     return CostReport(mode=mode, index=location.index,

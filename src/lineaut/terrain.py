@@ -68,7 +68,8 @@ class TerrainElement:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError(f"degenerate element: [{self.lo}, {self.hi}]")
+            raise ValueError(f"degenerate element: [{format_extended(self.lo)}, "
+                             f"{format_extended(self.hi)}]")
 
     def contains(self, q: Fraction) -> bool:
         if self.color is Color.FIXED:

@@ -156,6 +156,17 @@ class TestBigNumbers:
         assert code == EXIT_OK
         assert data == {"x": "1/3", "y": "3" + "0" * 4999 + "1/3"}
 
+    def test_decreasing_5000_digit_knots(self, tmp_path, capsys):
+        # knots (0, 2 10^5000) and (1, 10^5000): an input error whose message
+        # has the exact digits, not the int/str limit's
+        path = tmp_path / "g.json"
+        big, bigger = "1" + "0" * 5000, "2" + "0" * 5000
+        path.write_text(f'{{"knots": [{{"x": "0", "y": "{bigger}"}}, {{"x": "1", "y": "{big}"}}], '
+                        '"left_slope": "1", "right_slope": "1"}')
+        assert run(["terrain", str(path)]) == (EXIT_INPUT_ERROR, None)
+        assert capsys.readouterr().err == (f"error: {path}: knot y-coordinates must be "
+                                           f"strictly increasing: {bigger} >= {big}\n")
+
 
 class TestBooleanRationals:
     """A JSON boolean is not a rational: the map below read as the

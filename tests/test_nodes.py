@@ -5,18 +5,27 @@ Each kind of output must be an exact bijection with a consistent inverse:
 and ``x._inverse._inverse`` agrees with x.  No output is a
 ``ProceduralAutomorphism``, which only adapts black boxes, and each keeps the
 construction name the CLI reports.
+
+A node over PL maps keeps a piece cache; its values must be those of the
+plain pass, and every cached piece must be exact.  A tree with a black box in
+it never caches, so its oracle calls stay those of the plain pass.
 """
 
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
+import lineaut.automorphism as automorphism
 from lineaut import (
     PLAutomorphism,
     ProceduralAutomorphism,
     Word,
     commutator_decomposition,
     compose,
+    conjugate_on_component,
     conjugation,
     inverse,
     nth_root,
@@ -76,3 +85,143 @@ def test_every_output_is_an_exact_node(seq, seed):
             assert back.forward(q) == x.backward(q), (kind, q)
             assert back.backward(q) == y, (kind, q)
             assert again.forward(q) == y and again.backward(q) == x.backward(q), (kind, q)
+
+
+# the kinds whose trees hold only library nodes over PL maps; the others hold
+# a black box (a wrapped or procedural map, a power of a solution, a word
+# variable) and never cache
+TRACKED = {"conjugator", "xgx", "root", "commutator-y", "inverse", "inverse-inverse"}
+
+
+def plain(x, q):
+    n, d, _ = x._image(q.numerator, q.denominator)
+    return Fraction(n, d)
+
+
+def cached_pieces(x):
+    """(node, lo, hi, slope, intercept) for every piece in x's cache, both
+    ways: x's pieces and its inverse's; an unbounded end is None."""
+    cache = vars(x).get("_cache")
+    for node, side in ((x, 0), (x._inverse, 1)):
+        for ln, ld, hn, hd, an, ad, bn, bd in cache.sides[side] if cache else ():
+            yield (node, Fraction(ln, ld) if ld else None, Fraction(hn, hd) if hd else None,
+                   Fraction(an, ad), Fraction(bn, bd))
+
+
+def inner_points(lo, hi):
+    """Both finite ends of [lo, hi] and rationals inside it."""
+    if lo is None and hi is None:
+        return [Fraction(k, 3) for k in range(-9, 10)]
+    if lo is None:
+        return [hi - Fraction(k, 3) for k in range(7)]
+    if hi is None:
+        return [lo + Fraction(k, 3) for k in range(7)]
+    return [lo + (hi - lo) * Fraction(k, 7) for k in range(8)]
+
+
+@pytest.mark.parametrize("seq, seed", [("-+-", 1), ("+0-", 2), ("+-+", 3)])
+def test_piece_cache_is_exact(monkeypatch, seq, seed):
+    # the cache from the first evaluation on, and never dropped
+    monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
+    monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
+    g, cases = outputs(seq, seed)
+    samples = default_samples(61, seed, (support_decompose(g),))
+    for kind, x, _ in cases:
+        assert x._tracks == (kind in TRACKED), kind
+        for q in samples:
+            assert x.forward(q) == plain(x, q), (kind, q)
+            assert x.backward(q) == plain(x._inverse, q), (kind, q)
+        pieces = list(cached_pieces(x))
+        assert bool(pieces) == (kind in TRACKED), kind
+        for node, lo, hi, a, b in pieces:
+            assert lo is None or hi is None or lo < hi, kind
+            for q in inner_points(lo, hi):
+                assert a * q + b == plain(node, q), (kind, lo, hi, q)
+
+
+def test_piece_cache_holds_at_most_its_cap(monkeypatch):
+    monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
+    monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
+    monkeypatch.setattr(automorphism, "_MAX_PIECES", 5)
+    rng = random.Random(4)
+    g = random_with_sequence(rng, "-+-")
+    x = solve_xgx(g, conjugation(g, random_pl(rng)))
+    samples = default_samples(61, 4, (support_decompose(g),))
+    for q in samples:
+        # past the cap, misses are evaluated plainly
+        assert x.forward(q) == plain(x, q)
+        assert x.backward(q) == plain(x._inverse, q)
+    assert [len(side) for side in x._cache.sides] == [5, 5]
+
+
+def test_black_box_trees_never_cache():
+    # t -> t + 2 and t -> t + 1 as counted black boxes; 21 lies in block 10
+    g, f = wrap(PLAutomorphism.translation(2)), wrap(PLAutomorphism.translation(1))
+    component = support_decompose(PLAutomorphism.translation(1))[0]
+    x = conjugate_on_component(g, f, component, component, Fraction(0), Fraction(0))
+    q = Fraction(21)
+    g.reset()
+    f.reset()
+    y = x.forward(q)
+    assert x.backward(y) == q
+    one = g.counts + f.counts  # one evaluation each way: 10 steps on each map each way
+    assert one == (10, 10, 10, 10)
+    times = 3 * automorphism._PLAIN_EVALUATIONS
+    g.reset()
+    f.reset()
+    for _ in range(times):
+        assert x.forward(q) == y
+        assert x.backward(y) == q
+    assert g.counts + f.counts == tuple(times * calls for calls in one)
+    procedural = solve_xgx(PLAutomorphism.translation(1), PLAutomorphism.translation(3))
+    procedural = compose(wrap(procedural), procedural)
+    for node in (x, x._inverse, procedural, power(ProceduralAutomorphism(g.forward, g.backward), 2)):
+        for _ in range(times):
+            node.forward(q)
+        assert node._cache is None
+
+
+def test_piece_cache_shared_by_threads(monkeypatch):
+    # eight threads evaluate a solution both ways from different starts,
+    # switching often, on twelve solutions: every value must be the plain
+    # one, and the two sides of the cache must stay sorted and mirror each
+    # other entry by entry (an insert torn between them shows as a wrong
+    # value in most runs)
+    monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
+    monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
+    rng = random.Random(5)
+    g = random_with_sequence(rng, "-+-+")
+    samples = default_samples(257, 5, (support_decompose(g),))
+    for _ in range(12):
+        x = solve_xgx(g, conjugation(g, random_pl(rng)))
+        want = [(plain(x, q), plain(x._inverse, q)) for q in samples]
+        errors = []
+
+        def work(shift):
+            try:
+                for k in range(len(samples)):
+                    j = (k + shift) % len(samples)
+                    assert (x.forward(samples[j]), x.backward(samples[j])) == want[j], j
+            except Exception as exc:  # reported below, from the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(32 * i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        pieces = list(cached_pieces(x))
+        ahead, back = pieces[:len(pieces) // 2], pieces[len(pieces) // 2:]
+        assert len(ahead) == len(back) > 0
+        for (_, lo, hi, a, b), (_, ylo, yhi, _, _) in zip(ahead, back):
+            assert (ylo, yhi) == tuple(None if e is None else a * e + b for e in (lo, hi))
+        for side in (ahead, back):
+            for (_, _, hi, _, _), (_, lo, _, _, _) in zip(side, side[1:]):
+                assert hi <= lo
