@@ -189,10 +189,9 @@ class _PieceCache:
     policy of ``Automorphism._value``; a lost increment only shifts it.
     """
 
-    __slots__ = ("plain", "hits", "misses", "sides", "lock")
+    __slots__ = ("hits", "misses", "sides", "lock")
 
     def __init__(self):
-        self.plain = _PLAIN_EVALUATIONS
         self.hits = self.misses = 0
         self.sides = ([], [])
         self.lock = threading.Lock()
@@ -275,6 +274,10 @@ class Automorphism:
 
     # whether this node's tree tracks germs; any other map is a black box
     _tracks = False
+    # the node's piece cache once it has one, and its evaluations so far
+    # until it decides, once, whether to keep one (None after that)
+    _cache = None
+    _seen = 0
 
     def forward(self, q: Fraction) -> Fraction:
         q = _frac(q)
@@ -286,40 +289,42 @@ class Automorphism:
 
     __call__ = forward
 
-    @cached_property
-    def _cache(self):
-        """This node's piece cache, or None: decided once from the tree, so a
-        tree with a black box in it never tracks a germ and calls no oracle
-        more often than its plain evaluation does."""
-        return _PieceCache() if self._tracks else None
-
     def _value(self, n: int, d: int, back: bool) -> Fraction:
         """The image of n/d (d > 0), under the inverse if ``back``, through
         the piece cache.
 
         The first ``_PLAIN_EVALUATIONS`` evaluations of a node, either way,
-        are plain.  Then a point in a cached piece costs one bisection, one
-        line and one Fraction; a miss tracks the point's germ and caches its
-        piece both ways, until the cache holds ``_MAX_PIECES``.  Once the
-        misses exceed twice the hits plus ``_MISS_ALLOWANCE``, the cache is
-        dropped for good.
+        are plain.  Then the node decides, once and from its tree, whether
+        it keeps a cache: a tree with a black box in it never tracks a germ,
+        so it calls no oracle more often than its plain evaluation does.  A
+        point in a cached piece costs one bisection, one line and one
+        Fraction; a miss tracks the point's germ and caches its piece both
+        ways, until the cache holds ``_MAX_PIECES``.  Once the misses exceed
+        twice the hits plus ``_MISS_ALLOWANCE``, the cache is dropped for
+        good.  Counts and the cache live in the node's ``__dict__``, which
+        frozen dataclasses allow.
         """
         node = self._inverse if back else self
         cache = self._cache
-        if cache is not None:
-            if cache.plain > 0:
-                cache.plain -= 1
+        if cache is None and self._seen is not None:
+            seen = self._seen
+            if seen < _PLAIN_EVALUATIONS:
+                self.__dict__["_seen"] = seen + 1
             else:
-                value = cache.find(n, d, back)
-                if value is not None:
-                    return value
-                if cache.misses > 2 * cache.hits + _MISS_ALLOWANCE:
-                    vars(self)["_cache"] = None
-                elif len(cache.sides[0]) < _MAX_PIECES:
-                    germ = _Germ()
-                    yn, yd, _ = node._germ(n, d, germ)
-                    cache.add(n, d, yn, yd, germ, back)
-                    return Fraction(yn, yd)
+                self.__dict__["_seen"] = None
+                if self._tracks:
+                    cache = self.__dict__["_cache"] = _PieceCache()
+        if cache is not None:
+            value = cache.find(n, d, back)
+            if value is not None:
+                return value
+            if cache.misses > 2 * cache.hits + _MISS_ALLOWANCE:
+                self.__dict__["_cache"] = None
+            elif len(cache.sides[0]) < _MAX_PIECES:
+                germ = _Germ()
+                yn, yd, _ = node._germ(n, d, germ)
+                cache.add(n, d, yn, yd, germ, back)
+                return Fraction(yn, yd)
         n, d, _ = node._image(n, d)
         return Fraction(n, d)
 
@@ -364,7 +369,7 @@ class PLAutomorphism(Automorphism):
 
     # a PL map is its own finite piece table: it tracks germs and needs no cache
     _tracks = True
-    _cache = None
+    _seen = None
 
     def __post_init__(self):
         knots = tuple((_frac(x), _frac(y)) for x, y in self.knots)

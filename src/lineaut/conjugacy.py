@@ -69,7 +69,7 @@ class AffineBridge(Automorphism):
 
     # one line: it tracks germs and needs no cache
     _tracks = True
-    _cache = None
+    _seen = None
 
     def __post_init__(self):
         if self.source_lo >= self.source_hi or self.target_lo >= self.target_hi:
