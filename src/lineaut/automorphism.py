@@ -306,14 +306,15 @@ class Automorphism:
         """
         node = self._inverse if back else self
         cache = self._cache
-        if cache is None and self._seen is not None:
+        if cache is None:
             seen = self._seen
-            if seen < _PLAIN_EVALUATIONS:
-                self.__dict__["_seen"] = seen + 1
-            else:
-                self.__dict__["_seen"] = None
-                if self._tracks:
-                    cache = self.__dict__["_cache"] = _PieceCache()
+            if seen is not None:
+                if seen < _PLAIN_EVALUATIONS:
+                    self.__dict__["_seen"] = seen + 1
+                else:
+                    self.__dict__["_seen"] = None
+                    if self._tracks:
+                        cache = self.__dict__["_cache"] = _PieceCache()
         if cache is not None:
             value = cache.find(n, d, back)
             if value is not None:
@@ -367,9 +368,9 @@ class PLAutomorphism(Automorphism):
     left_slope: Fraction = Fraction(1)
     right_slope: Fraction = Fraction(1)
 
-    # a PL map is its own finite piece table: it tracks germs and needs no cache
+    # a PL map is its own finite piece table: it tracks germs, and its
+    # forward and backward read the table with no cache
     _tracks = True
-    _seen = None
 
     def __post_init__(self):
         knots = tuple((_frac(x), _frac(y)) for x, y in self.knots)
@@ -478,6 +479,18 @@ class PLAutomorphism(Automorphism):
         inv._fill(knots, ls, rs, (xn, xd, *map(list, zip(*lines))))
         return inv
 
+    def forward(self, q: Fraction) -> Fraction:
+        q = _frac(q)
+        n, d, _ = self._image(q.numerator, q.denominator)
+        return Fraction(n, d)
+
+    def backward(self, q: Fraction) -> Fraction:
+        q = _frac(q)
+        n, d, _ = self._inverse._image(q.numerator, q.denominator)
+        return Fraction(n, d)
+
+    __call__ = forward
+
     def _image(self, xn: int, xd: int):
         """Image of xn/xd (xd > 0) as an unreduced pair with positive
         denominator, and the index of the piece that gave it.
@@ -551,9 +564,9 @@ class PLAutomorphism(Automorphism):
             run = run + 1 if lo == piece else 1
             piece = lo
             a, c, b, e = an[lo], ad[lo], bn[lo], bd[lo]
-            if germ is not None:
-                germ.inside(pn, pd, bxn, bxd, lo)
             if a == c or run > _STEPPED_RUN:
+                if germ is not None:
+                    germ.inside(pn, pd, bxn, bxd, lo)
                 n, prev, (pn, pd), done = _affine_run(
                     (a, c, b, e), (pn, pd),
                     (bxn[lo - 1], bxd[lo - 1]) if lo else None,
@@ -585,15 +598,18 @@ class PLAutomorphism(Automorphism):
             cn, cd = cn // common, cd // common
             if trail is not None:
                 trail.append((cn, cd))
-            done = steps == count or (gamma is not None and (cn * gd > gn * cd) == up)
-            if germ is not None:
-                if done and gamma is not None:
-                    germ.stop((pn, pd), (cn, cd), a, c, gamma, up)
-                else:  # a != c: this piece is no translation
-                    germ.sn *= a
-                    germ.sd *= c
-            if done:
+            if steps == count or (gamma is not None and (cn * gd > gn * cd) == up):
+                if germ is not None:
+                    germ.inside(pn, pd, bxn, bxd, lo)
+                    if gamma is None:
+                        germ.scale(a, c)
+                    else:
+                        germ.stop((pn, pd), (cn, cd), a, c, gamma, up)
                 return steps, (pn, pd), (cn, cd)
+            if germ is not None:
+                germ.inside(pn, pd, bxn, bxd, lo)
+                germ.sn *= a  # a != c: this piece is no translation
+                germ.sd *= c
             pn, pd = cn, cd
 
     def to_json_dict(self) -> dict:
