@@ -269,7 +269,7 @@ class Automorphism:
     maps also gives ``_germ(n, d, germ)``: ``_image`` that also tracks the
     point's affine germ (``_Germ``), and says so by ``_tracks``.  Such a
     node keeps one piece cache (``_PieceCache``) for its ``forward`` and
-    ``backward`` (``_value``).
+    ``backward`` (``_value``); a PL map reads its own table instead.
     """
 
     # whether this node's tree tracks germs; any other map is a black box
