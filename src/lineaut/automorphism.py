@@ -19,9 +19,10 @@ evaluation procedures.
 
 Such a solution is still piecewise affine: an evaluation composes the
 lines of the pieces its walks and seeds pass through.  So a node over PL
-maps that is evaluated often keeps a bounded cache of the exact pieces it
-has met, each a closed interval and its line, found by tracking the affine
-germ of an evaluation beside its image (``_Germ``, ``_PieceCache``).
+maps that is evaluated often keeps a bounded table of the exact pieces it
+has met, each a closed interval, its image and its line, found by tracking
+the affine germ of an evaluation beside its image (``_Germ``,
+``_PieceCache``); both directions read it, without a lock.
 
 Composition is written left to right everywhere in this library:
 ``compose(f, g)`` applies ``f`` first, so ``compose(f, g)(q) == g(f(q))``.
@@ -31,10 +32,11 @@ The ``*`` operator follows the same convention: ``(f * g)(q) == g(f(q))``.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, inf
 from typing import Callable
 
 from .rational import format_rational, parse_rational
@@ -51,9 +53,11 @@ _STEPPED_RUN = 16
 _PLAIN_EVALUATIONS = 16
 # Pieces one cache holds at most; past this, misses are evaluated plainly.
 _MAX_PIECES = 1024
-# A cache is dropped for good once its misses exceed twice its hits plus this:
-# most points then land in pieces of their own, where tracking only costs.
+# A cache is dropped for good once its misses exceed twice its hits plus
+# _MISS_ALLOWANCE, judged from its _JUDGED_AFTER-th lookup on (the first ones
+# all miss): most points then land in pieces of their own, where tracking only costs.
 _MISS_ALLOWANCE = 8
+_JUDGED_AFTER = 32
 
 
 # the piece table of the identity: no knots, the one line y = x; shared by
@@ -65,10 +69,24 @@ class DomainError(ValueError):
     """A partial map was evaluated outside its domain."""
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return parse_rational(value)
+_new = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for d > 0, as values leave the pair protocol: one gcd,
+    and the two slots set as Python 3.12's ``_from_coprime_ints`` does."""
+    common = gcd(n, d)
+    q = _new(Fraction)
+    q._numerator, q._denominator = n // common, d // common
+    return q
+
+
+def _key(n: int, d: int) -> float:
+    """n/d as a float, saturated past the float range; -inf when d = 0."""
+    try:
+        return n / d
+    except (OverflowError, ZeroDivisionError):
+        return inf if n > 0 and d else -inf
 
 
 def _line_through(an: int, ad: int, xn: int, xd: int, yn: int, yd: int):
@@ -93,11 +111,6 @@ def _tracked(nodes) -> bool:
     """Whether every one of the nodes tracks germs; anything that is not a
     library node is a black box."""
     return all(getattr(node, "_tracks", False) for node in nodes)
-
-
-def _reduced(n: int, d: int):
-    common = gcd(n, d)
-    return n // common, d // common
 
 
 class _Germ:
@@ -175,55 +188,33 @@ class _Germ:
 
 
 class _PieceCache:
-    """The exact pieces of one node found so far, for ``forward`` and for
-    ``backward``: ``sides[0]`` holds entries ``(ln, ld, hn, hd, an, ad,
-    bn, bd)``, sorted, with disjoint interiors, each the closed interval
-    [ln/ld, hn/hd] on which the node is the line y = (an/ad) x + bn/bd, the
-    line reduced; ``sides[1]`` holds the same pieces of the inverse in the same
-    order, as the map is increasing.  An unbounded end is (-1, 0) or
-    (1, 0), which cross-multiplication places below or above every pair.
-
-    Readers take no lock.  A writer inserts whole entries at once under the
-    lock, so a reader sees each entry whole, and any entry whose interval
-    holds a point gives that point's exact image.  The counters steer the
-    policy of ``Automorphism._value``; a lost increment only shifts it.
+    """The exact pieces of one node found so far, for ``forward`` and
+    ``backward`` both: ``table = (xkeys, ykeys, entries)``.  Entry ``(ln,
+    ld, hn, hd, yln, yld, yhn, yhd, an, ad, bn, bd)`` is a closed interval,
+    its image and the node's line there, y = (an/ad) x + bn/bd, reduced; an
+    unbounded end is (-1, 0) or (1, 0), below or above every pair when
+    cross-multiplied.  Entries are sorted both ways, with disjoint
+    interiors; the keys are their lower ends as floats (``_key``).  The
+    table is copy-on-write: a writer swaps in new lists under the lock, so
+    readers take no lock and never see keys and entries out of step.  The
+    counters steer ``Automorphism._value``; a lost increment only shifts it.
     """
 
-    __slots__ = ("hits", "misses", "sides", "lock")
+    __slots__ = ("hits", "misses", "table", "lock")
 
     def __init__(self):
         self.hits = self.misses = 0
-        self.sides = ([], [])
+        self.table = ([], [], [])
         self.lock = threading.Lock()
-
-    def find(self, n: int, d: int, back: bool):
-        """The image of n/d, under the inverse if ``back``, as a Fraction if
-        a cached piece holds it, else None."""
-        pieces = self.sides[back]
-        lo, hi = 0, len(pieces)
-        while lo < hi:  # the first piece whose lower end is above n/d
-            mid = (lo + hi) // 2
-            if n * pieces[mid][1] < pieces[mid][0] * d:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo:
-            ln, ld, hn, hd, an, ad, bn, bd = pieces[lo - 1]
-            # both ends again: an insertion may have shifted the list meanwhile
-            if ln * d <= n * ld and n * hd <= hn * d:
-                self.hits += 1
-                return Fraction(an * n * bd + bn * ad * d, ad * d * bd)
-        self.misses += 1
-        return None
 
     def add(self, n: int, d: int, yn: int, yd: int, germ: _Germ, back: bool):
         """Insert the piece of n/d that ``germ`` found, n/d's image being
-        yn/yd (under the inverse if ``back``), and its mirror on the other
-        side."""
+        yn/yd (under the inverse if ``back``)."""
         below, above = germ.below, germ.above
         if below is not None and above is not None and not below[0] and not above[0]:
             return
-        an, ad = _reduced(germ.sn, germ.sd)
+        common = gcd(germ.sn, germ.sd)
+        an, ad = germ.sn // common, germ.sd // common
         # each end q -+ u/v and its image y -+ a u/v, unreduced (they are
         # only compared); an unbounded end stays one
         if below is None:
@@ -238,25 +229,21 @@ class _PieceCache:
             u, v = above
             hi = n * v + u * d, d * v
             yhi = yn * ad * v + an * u * yd, yd * ad * v
-        line = (an, ad, *_reduced(yn * ad * d - an * n * yd, yd * ad * d))
-        entries = [(*lo, *hi, *line), (*ylo, *yhi, *_inverse_line(*line))]
-        if back:
-            entries.reverse()
+        line = _line_through(an, ad, n, d, yn, yd)
+        if back:  # the piece of the inverse: its image is the x-interval
+            lo, hi, ylo, yhi, line, n, d = ylo, yhi, lo, hi, _inverse_line(*line), yn, yd
+        key = _key(*lo)
         with self.lock:
-            pieces = self.sides[back]
-            if len(pieces) >= _MAX_PIECES:
+            xkeys, ykeys, entries = self.table
+            if len(entries) >= _MAX_PIECES:
                 return
-            k, top = 0, len(pieces)
-            while k < top:  # the first piece whose lower end is above lo
-                mid = (k + top) // 2
-                if lo[0] * pieces[mid][1] < pieces[mid][0] * lo[1]:
-                    top = mid
-                else:
-                    k = mid + 1
-            if k and n * pieces[k - 1][3] <= pieces[k - 1][2] * d:
+            k = bisect_right(xkeys, key)
+            while k and lo[0] * entries[k - 1][1] < entries[k - 1][0] * lo[1]:
+                k -= 1  # a float tie: that piece starts above lo
+            if k and n * entries[k - 1][3] <= entries[k - 1][2] * d:
                 return  # another evaluation has cached this piece meanwhile
-            self.sides[0].insert(k, entries[0])
-            self.sides[1].insert(k, entries[1])
+            self.table = (xkeys[:k] + [key] + xkeys[k:], ykeys[:k] + [_key(*ylo)] + ykeys[k:],
+                          entries[:k] + [(*lo, *hi, *ylo, *yhi, *line)] + entries[k:])
 
 
 class Automorphism:
@@ -280,12 +267,14 @@ class Automorphism:
     _seen = 0
 
     def forward(self, q: Fraction) -> Fraction:
-        q = _frac(q)
-        return self._value(q.numerator, q.denominator, False)
+        if type(q) is not Fraction:
+            q = parse_rational(q)
+        return self._value(q._numerator, q._denominator, False)
 
     def backward(self, q: Fraction) -> Fraction:
-        q = _frac(q)
-        return self._value(q.numerator, q.denominator, True)
+        if type(q) is not Fraction:
+            q = parse_rational(q)
+        return self._value(q._numerator, q._denominator, True)
 
     __call__ = forward
 
@@ -293,18 +282,19 @@ class Automorphism:
         """The image of n/d (d > 0), under the inverse if ``back``, through
         the piece cache.
 
-        The first ``_PLAIN_EVALUATIONS`` evaluations of a node, either way,
-        are plain.  Then the node decides, once and from its tree, whether
-        it keeps a cache: a tree with a black box in it never tracks a germ,
-        so it calls no oracle more often than its plain evaluation does.  A
-        point in a cached piece costs one bisection, one line and one
-        Fraction; a miss tracks the point's germ and caches its piece both
-        ways, until the cache holds ``_MAX_PIECES``.  Once the misses exceed
-        twice the hits plus ``_MISS_ALLOWANCE``, the cache is dropped for
-        good.  Counts and the cache live in the node's ``__dict__``, which
-        frozen dataclasses allow.
+        The first ``_PLAIN_EVALUATIONS`` evaluations of a node are plain.
+        Then the node decides, once and from its tree, whether it keeps a
+        cache: a tree with a black box never tracks a germ, so it calls no
+        oracle more often than its plain evaluation does.  A lookup bisects
+        one table snapshot by n/d as a float: rounding is monotone, so every
+        piece past the candidate starts above n/d.  On a float tie the
+        lookup steps down while the candidate starts above n/d, and it
+        answers, by the line or its inverse, only if the exact ends hold n/d.
+        A miss tracks the point's germ and caches its piece, up to
+        ``_MAX_PIECES``; the miss budget (``_MISS_ALLOWANCE``) may drop the
+        cache for good.  Counts and the cache live in the node's
+        ``__dict__``, which frozen dataclasses allow.
         """
-        node = self._inverse if back else self
         cache = self._cache
         if cache is None:
             seen = self._seen
@@ -316,18 +306,36 @@ class Automorphism:
                     if self._tracks:
                         cache = self.__dict__["_cache"] = _PieceCache()
         if cache is not None:
-            value = cache.find(n, d, back)
-            if value is not None:
-                return value
-            if cache.misses > 2 * cache.hits + _MISS_ALLOWANCE:
+            xkeys, ykeys, entries = cache.table
+            try:
+                q = n / d
+            except OverflowError:  # past the float range
+                q = inf if n > 0 else -inf
+            k = bisect_right(ykeys if back else xkeys, q)
+            while k:
+                k -= 1
+                if back:
+                    _, _, _, _, ln, ld, hn, hd, an, ad, bn, bd = entries[k]
+                else:
+                    ln, ld, hn, hd, _, _, _, _, an, ad, bn, bd = entries[k]
+                if n * ld < ln * d:
+                    continue  # a float tie: this piece starts above n/d
+                if n * hd <= hn * d:
+                    cache.hits += 1
+                    if back:
+                        return _fraction(ad * (n * bd - bn * d), an * bd * d)
+                    return _fraction(an * n * bd + bn * ad * d, ad * d * bd)
+                break
+            misses = cache.misses = cache.misses + 1
+            if misses + cache.hits >= _JUDGED_AFTER and misses > 2 * cache.hits + _MISS_ALLOWANCE:
                 self.__dict__["_cache"] = None
-            elif len(cache.sides[0]) < _MAX_PIECES:
+            elif len(entries) < _MAX_PIECES:
                 germ = _Germ()
-                yn, yd, _ = node._germ(n, d, germ)
+                yn, yd, _ = (self._inverse if back else self)._germ(n, d, germ)
                 cache.add(n, d, yn, yd, germ, back)
-                return Fraction(yn, yd)
-        n, d, _ = node._image(n, d)
-        return Fraction(n, d)
+                return _fraction(yn, yd)
+        n, d, _ = (self._inverse if back else self)._image(n, d)
+        return _fraction(n, d)
 
     def __mul__(self, other):
         return compose(self, other)
@@ -369,13 +377,13 @@ class PLAutomorphism(Automorphism):
     right_slope: Fraction = Fraction(1)
 
     # a PL map is its own finite piece table: it tracks germs, and its
-    # forward and backward read the table with no cache
+    # ``_value`` reads the table with no cache
     _tracks = True
 
     def __post_init__(self):
-        knots = tuple((_frac(x), _frac(y)) for x, y in self.knots)
-        ls = _frac(self.left_slope)
-        rs = _frac(self.right_slope)
+        knots = tuple((parse_rational(x), parse_rational(y)) for x, y in self.knots)
+        ls = parse_rational(self.left_slope)
+        rs = parse_rational(self.right_slope)
         if ls <= 0 or rs <= 0:
             raise ValueError("tail slopes must be positive; got "
                              f"{format_rational(ls)}, {format_rational(rs)}")
@@ -443,8 +451,8 @@ class PLAutomorphism(Automorphism):
     @classmethod
     def affine(cls, a, b) -> "PLAutomorphism":
         """The global affine map t -> a*t + b (a > 0)."""
-        a = _frac(a)
-        b = _frac(b)
+        a = parse_rational(a)
+        b = parse_rational(b)
         if a == 1 and b == 0:
             return cls()
         return cls(((Fraction(0), b),), a, a)
@@ -479,17 +487,9 @@ class PLAutomorphism(Automorphism):
         inv._fill(knots, ls, rs, (xn, xd, *map(list, zip(*lines))))
         return inv
 
-    def forward(self, q: Fraction) -> Fraction:
-        q = _frac(q)
-        n, d, _ = self._image(q.numerator, q.denominator)
-        return Fraction(n, d)
-
-    def backward(self, q: Fraction) -> Fraction:
-        q = _frac(q)
-        n, d, _ = self._inverse._image(q.numerator, q.denominator)
-        return Fraction(n, d)
-
-    __call__ = forward
+    def _value(self, n: int, d: int, back: bool) -> Fraction:
+        n, d, _ = (self._inverse if back else self)._image(n, d)
+        return _fraction(n, d)
 
     def _image(self, xn: int, xd: int):
         """Image of xn/xd (xd > 0) as an unreduced pair with positive
@@ -651,7 +651,7 @@ class ProceduralAutomorphism(Automorphism):
     description: str = "procedural"
 
     def _image(self, n: int, d: int):
-        q = self.forward_fn(Fraction(n, d))
+        q = self.forward_fn(_fraction(n, d))
         return q.numerator, q.denominator, 0
 
     @cached_property
@@ -725,7 +725,7 @@ def _node(f) -> Automorphism:
 
 def evaluate(f, x) -> Fraction:
     """Image of x under f (same as ``f.forward(x)``)."""
-    return f.forward(_frac(x))
+    return f.forward(parse_rational(x))
 
 
 def inverse(f):
@@ -819,7 +819,7 @@ def _walk(g, qn: int, qd: int, backward: bool = False, count=None, gamma=None, u
     if gamma is not None:
         gamma = Fraction(*gamma)
     step = g.backward if backward else g.forward
-    prev = cur = Fraction(qn, qd)
+    prev = cur = _fraction(qn, qd)
     for steps in range(1, (count or MAX_ORBIT_STEPS) + 1):
         prev, cur = cur, step(cur)
         if trail is not None:

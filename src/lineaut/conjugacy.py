@@ -31,6 +31,7 @@ from .automorphism import (
     PLAutomorphism,
     _inverse_line,
     _line_through,
+    _fraction,
     _tracked,
     _walk,
     compose,
@@ -332,12 +333,11 @@ class OrbitTransport(Automorphism):
     2|i| + 1 evaluations in the counted model.  In wall time a PL walk takes
     translation pieces in closed form at once and other pieces after 16
     steps, so it costs O(log |i|) exact-power operations past the middle of
-    the component.  Over PL maps, ``forward`` and ``backward`` of a node
-    evaluated often go through its piece cache (``Automorphism._value``):
-    a point in a piece found before costs one bisection over the cached
-    pieces and one line, whatever its orbit index, and a miss up to about
-    three plain evaluations.  A point outside the anchor's component raises
-    ValueError.
+    the component.  Over PL maps, a node evaluated often answers from its
+    piece cache (``Automorphism._value``): a point in a piece met before
+    costs one float bisection, one line and one gcd, whatever its orbit
+    index, and a miss about three plain evaluations of that point.  A point
+    outside the anchor's component raises ValueError.
     """
 
     t_in: object
@@ -444,7 +444,7 @@ class _Guard(Automorphism):
         self.what, self.description = what, description
 
     def _check(self, n: int, d: int):
-        q = Fraction(n, d)
+        q = _fraction(n, d)
         if not self.source.contains(q):
             raise DomainError(f"{format_rational(q)} outside {self.what} {self.source!r}")
 

@@ -98,14 +98,32 @@ def plain(x, q):
     return Fraction(n, d)
 
 
+def end(n, d):
+    return Fraction(n, d) if d else None
+
+
 def cached_pieces(x):
     """(node, lo, hi, slope, intercept) for every piece in x's cache, both
-    ways: x's pieces and its inverse's; an unbounded end is None."""
+    ways: x's pieces and its inverse's; an unbounded end is None.  Checks
+    the table on the way: its float keys are the lower ends', the entries
+    are sorted with disjoint interiors both ways, and each entry's
+    y-interval is the image of its x-interval under its line."""
     cache = vars(x).get("_cache")
-    for node, side in ((x, 0), (x._inverse, 1)):
-        for ln, ld, hn, hd, an, ad, bn, bd in cache.sides[side] if cache else ():
-            yield (node, Fraction(ln, ld) if ld else None, Fraction(hn, hd) if hd else None,
-                   Fraction(an, ad), Fraction(bn, bd))
+    xkeys, ykeys, entries = cache.table if cache else ([], [], [])
+    assert len(xkeys) == len(ykeys) == len(entries)
+    pieces = ([], [])
+    for k, (ln, ld, hn, hd, yln, yld, yhn, yhd, an, ad, bn, bd) in enumerate(entries):
+        assert (xkeys[k], ykeys[k]) == (automorphism._key(ln, ld), automorphism._key(yln, yld))
+        lo, hi, ylo, yhi, a, b = end(ln, ld), end(hn, hd), end(yln, yld), end(yhn, yhd), \
+            Fraction(an, ad), Fraction(bn, bd)
+        assert (ylo, yhi) == tuple(None if e is None else a * e + b for e in (lo, hi))
+        pieces[0].append((x, lo, hi, a, b))
+        pieces[1].append((x._inverse, ylo, yhi, 1 / a, -b / a))
+    for side, keys in zip(pieces, (xkeys, ykeys)):
+        assert keys == sorted(keys)
+        for (_, _, hi, _, _), (_, lo, _, _, _) in zip(side, side[1:]):
+            assert hi is not None and lo is not None and hi <= lo
+    yield from pieces[0] + pieces[1]
 
 
 def inner_points(lo, hi):
@@ -151,7 +169,8 @@ def test_piece_cache_holds_at_most_its_cap(monkeypatch):
         # past the cap, misses are evaluated plainly
         assert x.forward(q) == plain(x, q)
         assert x.backward(q) == plain(x._inverse, q)
-    assert [len(side) for side in x._cache.sides] == [5, 5]
+    assert [len(column) for column in x._cache.table] == [5, 5, 5]
+    assert len(list(cached_pieces(x))) == 10
 
 
 def test_black_box_trees_never_cache():
@@ -182,11 +201,11 @@ def test_black_box_trees_never_cache():
 
 
 def test_piece_cache_shared_by_threads(monkeypatch):
-    # eight threads evaluate a solution both ways from different starts,
-    # switching often, on twelve solutions: every value must be the plain
-    # one, and the two sides of the cache must stay sorted and mirror each
-    # other entry by entry (an insert torn between them shows as a wrong
-    # value in most runs)
+    # eight threads evaluate a solution both ways, each an eighth of the
+    # points, switching often, on twelve solutions: every value must be the
+    # plain one, and the table must stay whole (``cached_pieces``): keys and
+    # entries in step and sorted, each y-interval the image of its
+    # x-interval, and no insert lost
     monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
     monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
     rng = random.Random(5)
@@ -197,15 +216,14 @@ def test_piece_cache_shared_by_threads(monkeypatch):
         want = [(plain(x, q), plain(x._inverse, q)) for q in samples]
         errors = []
 
-        def work(shift):
+        def work(share):
             try:
-                for k in range(len(samples)):
-                    j = (k + shift) % len(samples)
+                for j in range(share, len(samples), 8):
                     assert (x.forward(samples[j]), x.backward(samples[j])) == want[j], j
             except Exception as exc:  # reported below, from the main thread
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work, args=(32 * i,)) for i in range(8)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -217,11 +235,79 @@ def test_piece_cache_shared_by_threads(monkeypatch):
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        pieces = list(cached_pieces(x))
-        ahead, back = pieces[:len(pieces) // 2], pieces[len(pieces) // 2:]
-        assert len(ahead) == len(back) > 0
-        for (_, lo, hi, a, b), (_, ylo, yhi, _, _) in zip(ahead, back):
-            assert (ylo, yhi) == tuple(None if e is None else a * e + b for e in (lo, hi))
-        for side in (ahead, back):
-            for (_, _, hi, _, _), (_, lo, _, _, _) in zip(side, side[1:]):
-                assert hi <= lo
+        assert list(cached_pieces(x))
+        # each point's piece was cached, so one more pass adds nothing (a
+        # point that is an exact special case never adds its piece)
+        pieces = len(x._cache.table[2])
+        for q in samples:
+            x.forward(q), x.backward(q)
+        assert len(x._cache.table[2]) == pieces
+
+
+def test_miss_budget_waits_for_its_lookups(monkeypatch):
+    # nine points in nine pieces, found on a probe with no budget: the first
+    # nine lookups of a fresh solution all miss, as a fresh cache must; the
+    # cache survives them, and the same points then hit
+    monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
+
+    def solution():
+        rng = random.Random(6)
+        g = random_with_sequence(rng, "-+-")
+        return g, solve_xgx(g, conjugation(g, random_pl(rng)))
+
+    g, probe = solution()
+    allowance = automorphism._MISS_ALLOWANCE
+    monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
+    points = []
+    for q in default_samples(61, 6, (support_decompose(g),)):
+        misses = probe._cache.misses if probe._cache else 0
+        probe.forward(q)
+        if probe._cache.misses > misses and len(points) <= allowance:
+            points.append(q)
+    assert len(points) == allowance + 1
+    monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", allowance)
+    _, x = solution()
+    for q in points + points:
+        assert x.forward(q) == plain(x, q)
+    assert x._cache is not None
+    assert (x._cache.hits, x._cache.misses) == (len(points), len(points))
+
+
+# a PL map whose pieces end closer together than a float can tell, at
+# 1 and 1 + 10^-30 (images 1 and 1 + 2 10^-30), and past the float range,
+# at -+10^400; as a one-part composite it caches the PL map's own pieces
+TINY, HUGE = Fraction(1, 10**30), Fraction(10**400)
+CLOSE = PLAutomorphism(((-HUGE, -HUGE), (Fraction(1), Fraction(1)),
+                        (1 + TINY, 1 + 2 * TINY), (HUGE, 3 * HUGE)), Fraction(2), Fraction(1, 3))
+CLOSE_POINTS = [
+    # each new piece's neighbours come after it: a point just past a cached
+    # piece must not take its line, nor one just before it
+    1 + TINY / 2, 1 + 2 * TINY, 1 - TINY / 2, Fraction(1), 1 + TINY, 1 + 3 * TINY / 2,
+    1 + TINY / 3, -HUGE, -HUGE - 1, -HUGE + 1, HUGE, HUGE + 1, HUGE - 1, -HUGE * HUGE,
+    HUGE * HUGE, Fraction(0), Fraction(5, 3), 1 - TINY, 1 + TINY - TINY / 10**9,
+]
+
+
+@pytest.mark.parametrize("back", [False, True])
+def test_float_guided_lookup_is_exact(monkeypatch, back):
+    monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
+    monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
+    x = automorphism._Composite((CLOSE,), "close")
+    # the same points through the map fall on the ends of the image pieces
+    ahead = (x.forward, CLOSE.forward, CLOSE_POINTS)
+    behind = (x.backward, CLOSE.backward, [CLOSE.forward(q) for q in CLOSE_POINTS])
+    (value, want, points), other = (behind, ahead) if back else (ahead, behind)
+    for q in points:
+        assert value(q) == want(q), q
+    cache = x._cache
+    assert cache.misses == 5 and len(cache.table[2]) == 5  # one miss per piece
+    for q in points:  # every point again: all hits
+        assert value(q) == want(q), q
+    assert (cache.hits, cache.misses) == (2 * len(points) - 5, 5)
+    value, want, points = other  # the other way, all hits on the same pieces
+    for q in points:
+        assert value(q) == want(q), q
+    assert cache.misses == 5
+    pieces = list(cached_pieces(x))
+    assert [(lo, hi) for _, lo, hi, _, _ in pieces[:5]] == [
+        (None, -HUGE), (-HUGE, 1), (1, 1 + TINY), (1 + TINY, HUGE), (HUGE, None)]

@@ -1,8 +1,12 @@
+import copy
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
 
 from lineaut import PLAutomorphism, nth_root, realize
+from lineaut.automorphism import _fraction
 from lineaut.rational import (
     NEG_INF,
     POS_INF,
@@ -79,3 +83,37 @@ def test_values_past_the_int_str_digit_limit():
         parse_rational(big + "/0")
     with pytest.raises(ValueError, match="not a rational"):
         parse_rational(big + "x")
+
+
+BIG = 10**5000
+
+
+@pytest.mark.parametrize("n, d", [
+    (0, 1), (0, 7), (5, 1), (-6, 4), (-22, 7), (3 * BIG + 1, 7 * BIG), (-BIG, 3 * BIG + 9),
+    (6 * BIG, 4 * BIG + 2), (-(2**16000), 6**7000), (1, BIG - 1),
+], ids=lambda k: str(k) if abs(k) < 10**9 else f"{k.bit_length()}-bit")
+def test_fraction_slots_make_a_fraction(n, d):
+    # values leave the pair protocol through _fraction, which fills
+    # Fraction's slots itself: it must make the very Fraction(n, d)
+    want, q = Fraction(n, d), _fraction(n, d)
+    assert type(q) is Fraction
+    assert q == want and (q.numerator, q.denominator) == (want.numerator, want.denominator)
+    assert hash(q) == hash(want)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # repr and pickle write decimal digits
+    try:
+        assert repr(q) == repr(want) and str(q) == str(want)
+        for again in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+            assert type(again) is Fraction and again == want
+            assert (again.numerator, again.denominator) == (want.numerator, want.denominator)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    other = Fraction(-5, 3)
+    assert (q + other, q - other, q * other, q / other) == (
+        want + other, want - other, want * other, want / other)
+    assert (q < other, q <= want, -q, abs(q), q ** 2) == (
+        want < other, True, -want, abs(want), want ** 2)
+    if q:
+        assert 1 / q == 1 / want
