@@ -35,7 +35,6 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, inf
 from typing import Callable
 
@@ -79,6 +78,22 @@ def _fraction(n: int, d: int) -> Fraction:
     q = _new(Fraction)
     q._numerator, q._denominator = n // common, d // common
     return q
+
+
+class _lazy:
+    """``functools.cached_property`` without the lock it takes before Python
+    3.12: threads racing on a first access each compute the value, and the
+    last write stays.  Every use computes equal values (an inverse, a flag),
+    and a node's piece cache lives on the node, not on its inverse."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def _key(n: int, d: int) -> float:
@@ -391,12 +406,10 @@ class PLAutomorphism(Automorphism):
             if ls != 1 or rs != 1:
                 raise ValueError("a map without knots must be the identity; got tail slopes "
                                  f"{format_rational(ls)}, {format_rational(rs)}")
-            self._fill((), ls, rs, _IDENTITY_TABLE)
+            self._fill((), ls, rs, _IDENTITY_TABLE, _IDENTITY_TABLE[:2])
             return
-        xn = [x.numerator for x, _ in knots]
-        xd = [x.denominator for x, _ in knots]
-        yn = [y.numerator for _, y in knots]
-        yd = [y.denominator for _, y in knots]
+        xn, xd = [x.numerator for x, _ in knots], [x.denominator for x, _ in knots]
+        yn, yd = [y.numerator for _, y in knots], [y.denominator for _, y in knots]
         # lines[p] is piece p: the left tail, the chord of knots p-1 and p, the right tail
         lines = [_line_through(ls.numerator, ls.denominator, xn[0], xd[0], yn[0], yd[0])]
         for k in range(1, len(knots)):
@@ -420,25 +433,27 @@ class PLAutomorphism(Automorphism):
             # globally affine: anchored at x = 0, so t -> t + c keeps the knot (0, c)
             line = lines[0]
             if line == (1, 1, 0, 1):
-                self._fill((), ls, rs, _IDENTITY_TABLE)
+                self._fill((), ls, rs, _IDENTITY_TABLE, _IDENTITY_TABLE[:2])
                 return
-            knots, xn, xd = ((Fraction(0), Fraction(line[2], line[3])),), [0], [1]
+            knots = ((Fraction(0), _fraction(line[2], line[3])),)
+            xn, xd, yn, yd = [0], [1], [line[2]], [line[3]]
             lines, rs = [line] * 2, ls
         elif len(kept) < len(knots):
             knots = tuple(knots[k] for k in kept)
-            xn = [xn[k] for k in kept]
-            xd = [xd[k] for k in kept]
+            xn, xd = [xn[k] for k in kept], [xd[k] for k in kept]
+            yn, yd = [yn[k] for k in kept], [yd[k] for k in kept]
             lines = [lines[0]] + [lines[k + 1] for k in kept]
-        self._fill(knots, ls, rs, (xn, xd, *map(list, zip(*lines))))
+        self._fill(knots, ls, rs, (xn, xd, *map(list, zip(*lines))), (yn, yd))
 
-    def _fill(self, knots, ls, rs, table):
-        """Set the fields of a canonical map and its piece table
-        ``(bxn, bxd, an, ad, bn, bd)``: piece p is ``y = a[p] x + b[p]`` and
-        covers ``[bx[p-1], bx[p]]``, all reduced with positive denominators.
-        A globally affine map has its one line twice, either side of its
-        anchor at x = 0."""
+    def _fill(self, knots, ls, rs, table, knot_ys):
+        """Set the fields of a canonical map, its piece table ``(bxn, bxd,
+        an, ad, bn, bd)`` and its knots' y-coordinates as int lists
+        ``knot_ys``: piece p is ``y = a[p] x + b[p]`` and covers ``[bx[p-1],
+        bx[p]]``, all reduced with positive denominators.  A globally affine
+        map has its one line twice, either side of its anchor at x = 0."""
         # frozen dataclass: write around __setattr__
-        self.__dict__.update(knots=knots, left_slope=ls, right_slope=rs, _table=table)
+        self.__dict__.update(knots=knots, left_slope=ls, right_slope=rs, _table=table,
+                             _knot_ys=knot_ys)
 
     @classmethod
     def identity(cls) -> "PLAutomorphism":
@@ -466,25 +481,30 @@ class PLAutomorphism(Automorphism):
         _, _, an, ad, bn, bd = self._table
         return [(Fraction(a, c), Fraction(b, d)) for a, c, b, d in zip(an, ad, bn, bd)]
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "PLAutomorphism":
-        """The inverse, from the piece table: knots swapped, lines inverted,
-        with no second validation (the inverse of a canonical map is
-        canonical)."""
+        """The inverse, from the ints of the table and ``_knot_ys``, with no
+        second validation (the inverse of a canonical map is canonical): the
+        knots swapped, the slope lists shared, swapped, and each intercept
+        -b/a by one gcd.  No Fraction is read; only the tail slopes are made."""
         if not self.knots:
             return self
-        _, _, an, ad, bn, bd = self._table
-        lines = [_inverse_line(*line) for line in zip(an, ad, bn, bd)]
-        ls, rs = Fraction(ad[0], an[0]), Fraction(ad[-1], an[-1])
-        if len(self.knots) == 1 and ls == rs:
+        xn, xd, an, ad, bn, bd = self._table
+        ibn, ibd = [], []
+        for a, c, b, e in zip(an, ad, bn, bd):
+            n, d = -b * c, e * a
+            common = gcd(n, d)
+            ibn.append(n // common)
+            ibd.append(d // common)
+        if len(xn) == 1 and an[0] == an[1] and ad[0] == ad[1]:
             # globally affine (one knot, no bend): anchored at x = 0 again
-            knots, xn, xd = ((Fraction(0), Fraction(lines[0][2], lines[0][3])),), [0], [1]
+            knots = ((Fraction(0), _fraction(ibn[0], ibd[0])),)
+            bx, ys = ([0], [1]), (ibn[:1], ibd[:1])
         else:
-            knots = tuple((y, x) for x, y in self.knots)
-            xn = [y.numerator for _, y in self.knots]
-            xd = [y.denominator for _, y in self.knots]
-        inv = object.__new__(PLAutomorphism)
-        inv._fill(knots, ls, rs, (xn, xd, *map(list, zip(*lines))))
+            knots, bx, ys = tuple([(y, x) for x, y in self.knots]), self._knot_ys, (xn, xd)
+        inv = _new(PLAutomorphism)
+        inv._fill(knots, _fraction(ad[0], an[0]), _fraction(ad[-1], an[-1]),
+                  (*bx, ad, an, ibn, ibd), ys)
         return inv
 
     def _value(self, n: int, d: int, back: bool) -> Fraction:
@@ -654,7 +674,7 @@ class ProceduralAutomorphism(Automorphism):
         q = self.forward_fn(_fraction(n, d))
         return q.numerator, q.denominator, 0
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "ProceduralAutomorphism":
         return ProceduralAutomorphism(self.backward_fn, self.forward_fn,
                                       f"inverse({self.description})")
@@ -682,11 +702,11 @@ class _Composite(Automorphism):
             n, d, _ = part._germ(n // common, d // common, germ)
         return n, d, 0
 
-    @cached_property
+    @_lazy
     def _tracks(self) -> bool:
         return _tracked(self.parts)
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "_Composite":
         return _Composite(tuple(part._inverse for part in reversed(self.parts)),
                           f"inverse({self.description})")
@@ -709,11 +729,11 @@ class _Power(Automorphism):
         n, d = _walk(self.g, n, d, self.k < 0, count=abs(self.k), germ=germ)[2]
         return n, d, 0
 
-    @cached_property
+    @_lazy
     def _tracks(self) -> bool:
         return isinstance(self.g, PLAutomorphism)
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "_Power":
         return _Power(self.g, -self.k, f"inverse({self.description})")
 
@@ -749,17 +769,17 @@ def compose(f, g):
         if g.is_identity:
             return f
         fxn, fxd = f._table[:2]
+        fyn, fyd = f._knot_ys
         back, image = f._inverse._image, g._image
         knots = []
         i, m = 0, len(f.knots)
 
         def through_f(k):
-            x, y = f.knots[k]
-            yn, yd, _ = image(y.numerator, y.denominator)
-            knots.append((x, Fraction(yn, yd)))
+            yn, yd, _ = image(fyn[k], fyd[k])
+            knots.append((f.knots[k][0], _fraction(yn, yd)))
 
-        for u, v in g.knots:
-            pn, pd, _ = back(u.numerator, u.denominator)
+        for (u, v), un, ud in zip(g.knots, *g._table[:2]):
+            pn, pd, _ = back(un, ud)
             while i < m and fxn[i] * pd < pn * fxd[i]:
                 through_f(i)
                 i += 1
@@ -767,7 +787,7 @@ def compose(f, g):
                 knots.append((f.knots[i][0], v))
                 i += 1
             else:
-                knots.append((Fraction(pn, pd), v))
+                knots.append((_fraction(pn, pd), v))
         for k in range(i, m):
             through_f(k)
         return PLAutomorphism(tuple(knots), f.left_slope * g.left_slope,

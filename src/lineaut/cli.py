@@ -15,6 +15,7 @@ verification points plus a construction descriptor.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -307,8 +308,13 @@ def _command_index(argv) -> int:
     return i
 
 
+# main's parser, built once per process: building it costs most of a short
+# in-process command, and parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .automorphism import (
     _inverse_line,
     _line_through,
     _fraction,
+    _lazy,
     _tracked,
     _walk,
     compose,
@@ -96,7 +96,7 @@ class AffineBridge(Automorphism):
         germ.scale(self._line[0], self._line[1])
         return self._image(n, d)
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "AffineBridge":
         inv = object.__new__(AffineBridge)  # frozen dataclass; the line needs no revalidation
         inv.__dict__.update(source_lo=self.target_lo, source_hi=self.target_hi,
@@ -374,12 +374,12 @@ class OrbitTransport(Automorphism):
             n, d = _walk(self.t_out, n, d, i < 0, count=abs(i), germ=germ)[2]
         return n, d, 0
 
-    @cached_property
+    @_lazy
     def _tracks(self) -> bool:
         return (isinstance(self.t_in, PLAutomorphism) and isinstance(self.t_out, PLAutomorphism)
                 and _tracked((self.seed,)))
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "OrbitTransport":
         inv = object.__new__(OrbitTransport)
         # frozen dataclass: write around __setattr__
@@ -462,11 +462,11 @@ class _Guard(Automorphism):
                 germ.bound(n, d, end.numerator, end.denominator, upper)
         return self.x._germ(n, d, germ)
 
-    @cached_property
+    @_lazy
     def _tracks(self) -> bool:
         return _tracked((self.x,))
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "_Guard":
         return _Guard(self.x._inverse, self.target, self.source, self.what,
                       f"inverse({self.description})")
@@ -608,11 +608,11 @@ class _Dispatch(Automorphism):
         hi = self.terrain_out[k].hi
         return hi.numerator, hi.denominator, 0
 
-    @cached_property
+    @_lazy
     def _tracks(self) -> bool:
         return _tracked(self.pieces)
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "_Dispatch":
         return _Dispatch(self.terrain_out, self.terrain_in, self.pieces,
                          f"inverse({self.description})", not self.inverted)

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict
 
 from .automorphism import (
     Automorphism,
     PLAutomorphism,
     _Composite,
+    _fraction,
+    _lazy,
     _node,
     _Power,
     _tracked,
@@ -207,7 +208,7 @@ class _VariableComponent(Automorphism):
         window = self._gather(self.sub.orbit._locate(n, d))
         return (window._inverse if self.inverted else window)._image(n, d)
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "_VariableComponent":
         inv = object.__new__(_VariableComponent)
         inv.__dict__.update(self.__dict__, inverted=not self.inverted)
@@ -341,7 +342,7 @@ class _TwoCase(Automorphism):
     """
 
     def __init__(self, split: Fraction, below: bool, near: tuple, far: tuple):
-        self.split = (split.numerator, split.denominator)
+        self.split = (split._numerator, split._denominator)
         self.below = below
         self.near = near
         self.far = far
@@ -366,16 +367,16 @@ class _TwoCase(Automorphism):
             n, d, _ = step._germ(n, d, germ)
         return n, d, 1 - near
 
-    @cached_property
+    @_lazy
     def _tracks(self) -> bool:
         return _tracked(self.near + self.far)
 
-    @cached_property
+    @_lazy
     def _inverse(self) -> "_TwoCase":
         n, d = self.split
         for step in self.near:
             n, d, _ = step._image(n, d)
-        return _TwoCase(Fraction(n, d), self.below,
+        return _TwoCase(_fraction(n, d), self.below,
                         tuple(step._inverse for step in reversed(self.near)),
                         tuple(step._inverse for step in reversed(self.far)))
 

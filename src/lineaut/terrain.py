@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator
 
 from .automorphism import PLAutomorphism
@@ -94,12 +93,27 @@ class TerrainElement:
 
 @dataclass(frozen=True)
 class Terrain:
-    """Ordered sequence of terrain elements covering the line."""
+    """Ordered sequence of terrain elements covering the line.  Construction
+    keeps the finite boundaries, where element k ends and k+1 begins, as
+    ints ``_boundaries = (numerators, denominators)`` from the Fractions'
+    slots; None if the elements do not cover the line."""
 
     elements: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+        elems = tuple(self.elements)
+        # as lo < hi, infinite outer ends are -inf and +inf; inner ones leave a gap
+        bn, bd = [], []
+        for a, b in zip(elems, elems[1:]):
+            hi, lo = a.hi, b.lo
+            if not (isinstance(hi, Fraction) and isinstance(lo, Fraction)
+                    and hi._numerator == lo._numerator and hi._denominator == lo._denominator):
+                break
+            bn.append(hi._numerator)
+            bd.append(hi._denominator)
+        covers = (len(bn) == len(elems) - 1 and not is_finite(elems[0].lo)
+                  and not is_finite(elems[-1].hi))
+        self.__dict__.update(elements=elems, _boundaries=(bn, bd) if covers else None)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -112,18 +126,6 @@ class Terrain:
 
     def color_sequence(self) -> str:
         return "".join(e.color.value for e in self.elements)
-
-    @cached_property
-    def _boundaries(self):
-        """Finite boundaries as int lists ``(numerators, denominators)``:
-        boundary k is where element k ends and element k+1 begins."""
-        elems = self.elements
-        ends = [e.hi for e in elems[:-1]]
-        # every element has lo < hi, so infinite outer ends are -inf and +inf
-        if (not elems or is_finite(elems[0].lo) or is_finite(elems[-1].hi)
-                or ends != [e.lo for e in elems[1:]]):
-            raise ValueError(f"terrain {self.color_sequence()!r} does not cover the line")
-        return [b.numerator for b in ends], [b.denominator for b in ends]
 
     def locate(self, q: Fraction):
         """('element', k) for the element containing q, or ('boundary', k)
@@ -138,6 +140,8 @@ class Terrain:
 
     def _locate(self, qn: int, qd: int):
         """``locate`` of qn/qd (qd > 0, the pair reduced or not)."""
+        if self._boundaries is None:
+            raise ValueError(f"terrain {self.color_sequence()!r} does not cover the line")
         bn, bd = self._boundaries
         lo, hi = 0, len(bn)
         while lo < hi:  # least k with q <= boundary k
@@ -155,19 +159,8 @@ class Terrain:
         return ("boundary", lo)
 
     def is_valid(self) -> bool:
-        elems = self.elements
-        if not elems:
-            return False
-        if elems[0].lo != NEG_INF or elems[-1].hi != POS_INF:
-            return False
-        for a, b in zip(elems, elems[1:]):
-            if not a.lo < a.hi:
-                return False
-            if a.hi != b.lo:
-                return False
-            if a.color is Color.FIXED and b.color is Color.FIXED:
-                return False
-        return True
+        """Whether the elements cover the line, no two fixed intervals adjacent."""
+        return self._boundaries is not None and "00" not in self.color_sequence()
 
     def to_json_dict(self) -> dict:
         return {"elements": [e.to_json_dict() for e in self.elements]}

@@ -74,12 +74,14 @@ def table_of(knots, left_slope, right_slope):
 
 
 def check(f, expected):
-    """f is the canonical triple ``expected`` with the matching table."""
+    """f is the canonical triple ``expected`` with the matching table and
+    knot y ints."""
     assert triple(f) == expected
     assert all(type(v) is Fraction for k in f.knots for v in k)
     assert type(f.left_slope) is Fraction and type(f.right_slope) is Fraction
     assert f.piece_lines() == reference_piece_lines(*expected)
     assert f._table == table_of(*expected)
+    assert f._knot_ys == ([y.numerator for _, y in f.knots], [y.denominator for _, y in f.knots])
 
 
 @given(raw_maps())

@@ -311,3 +311,58 @@ def test_float_guided_lookup_is_exact(monkeypatch, back):
     pieces = list(cached_pieces(x))
     assert [(lo, hi) for _, lo, hi, _, _ in pieces[:5]] == [
         (None, -HUGE), (-HUGE, 1), (1, 1 + TINY), (1 + TINY, HUGE), (HUGE, None)]
+
+
+def test_lazy_inverses_first_touched_by_threads():
+    # ``automorphism._lazy`` takes no lock: eight threads that first touch
+    # ``_inverse`` of a fresh solution at once may each build it, and every
+    # value of ``backward`` must still be the single-threaded one.  The maps
+    # are rebuilt each round, so their own PL inverses are fresh as well;
+    # the points lie up to a thousand orbit steps out on the slope-1 tails
+    knots = ((Fraction(-2), Fraction(-1)), (Fraction(0), Fraction(3, 2)),
+             (Fraction(3), Fraction(4)))
+    h = random_pl(random.Random(9))
+    g = PLAutomorphism(knots)
+    points = [p + 1000 * s + Fraction(k, 7) for p in (Fraction(-2), Fraction(3))
+              for s in (-1, 1) for k in range(3)]
+    points += [power(g, i).forward(Fraction(1, 3)) for i in (-1000, -100, -10, 10, 100, 1000)]
+
+    def solutions():
+        g = PLAutomorphism(knots)
+        f = conjugation(g, PLAutomorphism(h.knots, h.left_slope, h.right_slope))
+        return [solve_conjugacy(g, f), solve_xgx(g, f), nth_root(g, 3)]
+
+    want = [[x.backward(q) for q in points] for x in solutions()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            xs = solutions()
+            barrier = threading.Barrier(8)
+            got = [[[None] * len(points) for _ in xs] for _ in range(8)]
+            errors = []
+
+            def work(i):
+                # each thread starts at its own point, so they meet in
+                # different pieces
+                try:
+                    barrier.wait(timeout=60)
+                    for x in xs:
+                        x._inverse
+                    for j in range(i, i + len(points)):
+                        j %= len(points)
+                        for row, x in zip(got[i], xs):
+                            row[j] = x.backward(points[j])
+                except Exception as exc:  # reported below, from the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert got == [want] * 8
+    finally:
+        sys.setswitchinterval(interval)

@@ -18,6 +18,7 @@ from lineaut import (
     validate_terrain,
 )
 from lineaut.rational import NEG_INF, POS_INF, is_finite
+from lineaut.samples import random_with_sequence
 from conftest import linear_locate, sample_pls
 
 F = Fraction
@@ -241,6 +242,9 @@ class TestLocateAgainstScan:
         return out
 
     def check(self, terrain):
+        # the boundaries kept at construction are the element ends, as ints
+        ends = [e.hi for e in terrain.elements[:-1]]
+        assert terrain._boundaries == ([b.numerator for b in ends], [b.denominator for b in ends])
         kinds = set()
         for q in self.probes(terrain):
             located = terrain.locate(q)
@@ -259,8 +263,14 @@ class TestLocateAgainstScan:
                 ("element", Color.FIXED)} <= kinds
 
     def test_random_terrains(self, rng):
-        for g in sample_pls(rng, 200):
-            self.check(support_decompose(g))
+        maps = sample_pls(rng, 200)
+        # isolated fixed points between components, in either order, off the integers
+        maps += [random_with_sequence(rng, seq)
+                 for seq in ("+-", "-+", "+-+", "-+-+-", "+0-+", "-+0+-") for _ in range(5)]
+        kinds = set()
+        for g in maps:
+            kinds |= self.check(support_decompose(g))
+        assert {("boundary", Color.POS), ("boundary", Color.NEG)} <= kinds
 
     def test_closed_ends_of_fixed_intervals(self):
         t = support_decompose(realize("+0-0+"))
@@ -269,6 +279,20 @@ class TestLocateAgainstScan:
                 assert t.locate(e.lo) == t.locate(e.hi) == ("element", k)
 
     def test_terrain_must_cover_the_line(self):
-        t = Terrain((TerrainElement(Color.POS, F(0), POS_INF),))
-        with pytest.raises(ValueError):
-            t.locate(F(1))
+        cases = [
+            # a finite outer end, on either side
+            (TerrainElement(Color.POS, F(0), POS_INF),),
+            (TerrainElement(Color.NEG, NEG_INF, F(0)), TerrainElement(Color.POS, F(0), F(2))),
+            # a gap between elements, an overlap
+            (TerrainElement(Color.NEG, NEG_INF, F(0)), TerrainElement(Color.POS, F(1), POS_INF)),
+            (TerrainElement(Color.NEG, NEG_INF, F(1)), TerrainElement(Color.POS, F(0), POS_INF)),
+            # no element at all
+            (),
+        ]
+        for elements in cases:
+            t = Terrain(elements)
+            assert not t.is_valid()
+            for q in (F(-3), F(0), F(1, 2), F(5)):
+                with pytest.raises(ValueError, match="does not cover the line"):
+                    t.locate(q)
+
