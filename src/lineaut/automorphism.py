@@ -130,7 +130,7 @@ def _tracked(nodes) -> bool:
 
 class _Germ:
     """The affine germ of one evaluation at a point q, as the nodes'
-    ``_germ`` rules track it beside the image.
+    ``_image`` tracks it beside the image when given one.
 
     ``sn/sd`` is the slope in q of the value computed so far, unreduced:
     each rule multiplies in the slope of the line it applies.  Every
@@ -198,21 +198,22 @@ class _Germ:
         self.bound(*last, *gamma, up != past)
 
     def point(self):
-        """An exact special case: the germ is q alone, and nothing is cached."""
+        """An exact special case: the germ is q alone, a zero-width piece."""
         self.below = self.above = (0, 1)
 
 
 class _PieceCache:
     """The exact pieces of one node found so far, for ``forward`` and
     ``backward`` both: ``table = (xkeys, ykeys, entries)``.  Entry ``(ln,
-    ld, hn, hd, yln, yld, yhn, yhd, an, ad, bn, bd)`` is a closed interval,
-    its image and the node's line there, y = (an/ad) x + bn/bd, reduced; an
-    unbounded end is (-1, 0) or (1, 0), below or above every pair when
-    cross-multiplied.  Entries are sorted both ways, with disjoint
-    interiors; the keys are their lower ends as floats (``_key``).  The
-    table is copy-on-write: a writer swaps in new lists under the lock, so
-    readers take no lock and never see keys and entries out of step.  The
-    counters steer ``Automorphism._value``; a lost increment only shifts it.
+    ld, hn, hd, yln, yld, yhn, yhd, an, ad, bn, bd)`` is a closed interval (a
+    point for an exact special case, ``_Germ.point``), its image and the
+    node's line there, y = (an/ad) x + bn/bd, reduced; an unbounded end is
+    (-1, 0) or (1, 0), below or above every pair when cross-multiplied.
+    Entries are sorted both ways, with disjoint interiors; the keys are
+    their lower ends as floats (``_key``).  The table is copy-on-write: a
+    writer swaps in new lists under the lock, so readers take no lock and
+    never see keys and entries out of step.  The counters steer
+    ``Automorphism._value``; a lost increment only shifts it.
     """
 
     __slots__ = ("hits", "misses", "table", "lock")
@@ -226,8 +227,6 @@ class _PieceCache:
         """Insert the piece of n/d that ``germ`` found, n/d's image being
         yn/yd (under the inverse if ``back``)."""
         below, above = germ.below, germ.above
-        if below is not None and above is not None and not below[0] and not above[0]:
-            return
         common = gcd(germ.sn, germ.sd)
         an, ad = germ.sn // common, germ.sd // common
         # each end q -+ u/v and its image y -+ a u/v, unreduced (they are
@@ -263,15 +262,15 @@ class _PieceCache:
 
 class Automorphism:
     """An increasing bijection of the line in the pair protocol.  A subclass
-    gives ``_image(n, d)``, the image of n/d (d > 0) as an unreduced pair
-    with positive denominator and a piece index, and ``_inverse``, the
-    inverse map; the rest is defined here once.
-
-    A node whose tree is made of the node classes of this library over PL
-    maps also gives ``_germ(n, d, germ)``: ``_image`` that also tracks the
-    point's affine germ (``_Germ``), and says so by ``_tracks``.  Such a
-    node keeps one piece cache (``_PieceCache``) for its ``forward`` and
-    ``backward`` (``_value``); a PL map reads its own table instead.
+    gives one evaluation function, ``_image(n, d, back=False, germ=None)``:
+    the image of n/d (d > 0), or its preimage when ``back``, as an unreduced
+    pair with positive denominator and a piece index.  A node whose tree is
+    made of this library's node classes over PL maps says so by ``_tracks``,
+    and its ``_image`` also tracks the point's affine germ (``_Germ``) when
+    given one.  The rest is defined here once: a node's inverse is a view
+    that flips ``back`` (``_Inverse``; a PL map builds its own), and a
+    tracking node keeps one piece cache (``_PieceCache``) for ``forward``
+    and ``backward`` (``_value``); a PL map reads its own table instead.
     """
 
     # whether this node's tree tracks germs; any other map is a black box
@@ -346,10 +345,10 @@ class Automorphism:
                 self.__dict__["_cache"] = None
             elif len(entries) < _MAX_PIECES:
                 germ = _Germ()
-                yn, yd, _ = (self._inverse if back else self)._germ(n, d, germ)
+                yn, yd, _ = self._image(n, d, back, germ)
                 cache.add(n, d, yn, yd, germ, back)
                 return _fraction(yn, yd)
-        n, d, _ = (self._inverse if back else self)._image(n, d)
+        n, d, _ = self._image(n, d, back)
         return _fraction(n, d)
 
     def __mul__(self, other):
@@ -363,6 +362,28 @@ class Automorphism:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({getattr(self, 'description', '')})"
+
+
+class _Inverse(Automorphism):
+    """``inverse(x)`` of a node x that is not PL: x read backward, sharing
+    x's ``_value``, so its piece cache and plain count.  Its inverse is x;
+    x keeps no link back, as the cycle would keep a solution tree alive
+    until the cyclic collector runs."""
+
+    def __init__(self, x):
+        self.x, self.description = x, f"inverse({getattr(x, 'description', '')})"
+
+    def _image(self, n: int, d: int, back=False, germ=None):
+        return self.x._image(n, d, not back, germ)
+
+    def _value(self, n: int, d: int, back: bool) -> Fraction:
+        return self.x._value(n, d, not back)
+
+    _inverse = property(lambda self: self.x)
+    _tracks = property(lambda self: self.x._tracks)
+
+
+Automorphism._inverse = property(_Inverse)  # any node's but a PL map's
 
 
 @dataclass(frozen=True)
@@ -483,10 +504,10 @@ class PLAutomorphism(Automorphism):
 
     @_lazy
     def _inverse(self) -> "PLAutomorphism":
-        """The inverse, from the ints of the table and ``_knot_ys``, with no
-        second validation (the inverse of a canonical map is canonical): the
-        knots swapped, the slope lists shared, swapped, and each intercept
-        -b/a by one gcd.  No Fraction is read; only the tail slopes are made."""
+        """The inverse as a PL map of its own, for ``inverse`` and ``power``;
+        evaluation reads this map's table backward.  Built from the ints of the
+        table and ``_knot_ys``, with no second validation: the knots swapped,
+        the slope lists shared, swapped, each intercept -b/a by one gcd."""
         if not self.knots:
             return self
         xn, xd, an, ad, bn, bd = self._table
@@ -508,17 +529,21 @@ class PLAutomorphism(Automorphism):
         return inv
 
     def _value(self, n: int, d: int, back: bool) -> Fraction:
-        n, d, _ = (self._inverse if back else self)._image(n, d)
+        n, d, _ = self._image(n, d, back)
         return _fraction(n, d)
 
-    def _image(self, xn: int, xd: int):
-        """Image of xn/xd (xd > 0) as an unreduced pair with positive
-        denominator, and the index of the piece that gave it.
+    def _image(self, xn: int, xd: int, back=False, germ=None):
+        """Image of xn/xd (xd > 0), or its preimage when ``back``, as an
+        unreduced pair with positive denominator, and the index of the piece
+        that gave it; with a ``germ``, xn/xd stays in that closed piece.
 
-        A binary search over the knots picks the piece; adjacent pieces agree
-        at a shared knot, so which one a knot falls in does not matter.
+        A binary search over the knots, or backward over their ys, picks the
+        piece; adjacent pieces agree at a shared knot.  Backward, the piece's
+        line y = (a/c) x + b/e inverts in place: slope c/a, intercept -bc/(ea).
         """
         bxn, bxd, an, ad, bn, bd = self._table
+        if back:
+            (bxn, bxd), an, ad = self._knot_ys, ad, an
         lo = 0
         hi = len(bxn)
         while lo < hi:
@@ -527,19 +552,16 @@ class PLAutomorphism(Automorphism):
                 lo = mid + 1
             else:
                 hi = mid
-        return an[lo] * xn * bd[lo] + bn[lo] * ad[lo] * xd, ad[lo] * xd * bd[lo], lo
-
-    def _germ(self, xn: int, xd: int, germ: _Germ):
-        """``_image``, xn/xd staying in the closed piece it picks."""
-        bxn, bxd, an, ad, _, _ = self._table
-        yn, yd, lo = self._image(xn, xd)
-        germ.inside(xn, xd, bxn, bxd, lo)
-        germ.scale(an[lo], ad[lo])
-        return yn, yd, lo
+        a, c, b, e = an[lo], ad[lo], bn[lo], bd[lo]
+        if germ is not None:
+            germ.inside(xn, xd, bxn, bxd, lo)
+            germ.scale(a, c)
+        return (a * (xn * e - b * xd) if back else a * xn * e + b * c * xd), c * xd * e, lo
 
     def _iterate(self, pn: int, pd: int, count=None, gamma=None, up=True, trail=None,
-                 germ=None):
-        """The orbit primitive: iterate this map from pn/pd (pd > 0).
+                 germ=None, back=False):
+        """The orbit primitive: iterate this map, or its inverse when
+        ``back``, from pn/pd (pd > 0).
 
         Stops after ``count`` steps or at the first iterate past the pair
         ``gamma``, whichever comes first; past means above gamma when
@@ -548,10 +570,11 @@ class PLAutomorphism(Automorphism):
         iterate as a ``(numerator, denominator)`` pair with positive
         denominator, reduced unless it is the caller's start, which comes
         back as given.  The piece table is unpacked once per walk, and each
-        step finds its piece by an inline bisection.  The map is affine on
-        each piece, so a run through one piece has a closed form on integer
-        pairs (see ``_affine_run``).  A translation piece takes it at once,
-        for a few floor divisions; any other piece after the orbit has
+        step finds its piece by an inline bisection, backward as ``_image``
+        does.  The map is affine on each piece, so a run through one piece
+        has a closed form on integer pairs (``_affine_run``; backward, on the
+        inverted line, reduced by one gcd).  A translation piece takes it at
+        once, for a few floor divisions; any other piece after the orbit has
         stayed ``_STEPPED_RUN`` steps in it, for O(log n) exact powers.
         ``trail``, when a list, gets the iterates appended as reduced pairs
         while they come one step at a time.  ``germ``, when given, tracks the
@@ -569,6 +592,8 @@ class PLAutomorphism(Automorphism):
             return 0, (pn, pd), (pn, pd)
         gn, gd = gamma or (0, 1)
         bxn, bxd, an, ad, bn, bd = self._table
+        if back:
+            (bxn, bxd), an, ad = self._knot_ys, ad, an
         knots = len(bxn)
         steps = run = 0
         piece = None
@@ -588,7 +613,7 @@ class PLAutomorphism(Automorphism):
                 if germ is not None:
                     germ.inside(pn, pd, bxn, bxd, lo)
                 n, prev, (pn, pd), done = _affine_run(
-                    (a, c, b, e), (pn, pd),
+                    _inverse_line(c, a, b, e) if back else (a, c, b, e), (pn, pd),
                     (bxn[lo - 1], bxd[lo - 1]) if lo else None,
                     (bxn[lo], bxd[lo]) if lo < knots else None,
                     None if count is None else count - steps, gamma, up)
@@ -610,7 +635,7 @@ class PLAutomorphism(Automorphism):
                 if done:
                     return steps, prev, (pn, pd)
                 continue
-            cn, cd = a * pn * e + b * c * pd, c * pd * e
+            cn, cd = (a * (pn * e - b * pd) if back else a * pn * e + b * c * pd), c * pd * e
             if gamma is not None and cn * pd == pn * cd:
                 raise ValueError("fixed point reached during orbit iteration")
             steps += 1
@@ -670,46 +695,30 @@ class ProceduralAutomorphism(Automorphism):
     backward_fn: Callable[[Fraction], Fraction]
     description: str = "procedural"
 
-    def _image(self, n: int, d: int):
-        q = self.forward_fn(_fraction(n, d))
+    def _image(self, n: int, d: int, back=False, germ=None):
+        q = (self.backward_fn if back else self.forward_fn)(_fraction(n, d))
         return q.numerator, q.denominator, 0
-
-    @_lazy
-    def _inverse(self) -> "ProceduralAutomorphism":
-        return ProceduralAutomorphism(self.backward_fn, self.forward_fn,
-                                      f"inverse({self.description})")
 
 
 class _Composite(Automorphism):
-    """``parts`` applied left to right; each pair is reduced once before
-    the next part."""
+    """``parts`` applied left to right, or backward right to left; each
+    pair is reduced once before the next part."""
 
     def __init__(self, parts: tuple, description: str):
-        self.parts = parts
-        self.description = description
+        self.parts, self.description = parts, description
+        self._orders = (parts, parts[::-1])
 
-    def _image(self, n: int, d: int):
-        n, d, _ = self.parts[0]._image(n, d)
-        for part in self.parts[1:]:
+    def _image(self, n: int, d: int, back=False, germ=None):
+        parts = self._orders[back]
+        n, d, _ = parts[0]._image(n, d, back, germ)
+        for part in parts[1:]:
             common = gcd(n, d)
-            n, d, _ = part._image(n // common, d // common)
-        return n, d, 0
-
-    def _germ(self, n: int, d: int, germ: _Germ):
-        n, d, _ = self.parts[0]._germ(n, d, germ)
-        for part in self.parts[1:]:
-            common = gcd(n, d)
-            n, d, _ = part._germ(n // common, d // common, germ)
+            n, d, _ = part._image(n // common, d // common, back, germ)
         return n, d, 0
 
     @_lazy
     def _tracks(self) -> bool:
         return _tracked(self.parts)
-
-    @_lazy
-    def _inverse(self) -> "_Composite":
-        return _Composite(tuple(part._inverse for part in reversed(self.parts)),
-                          f"inverse({self.description})")
 
 
 class _Power(Automorphism):
@@ -717,25 +726,15 @@ class _Power(Automorphism):
     closed form where it can when g is PL, stepped otherwise."""
 
     def __init__(self, g, k: int, description=None):
-        self.g = g
-        self.k = k
-        self.description = description or f"power({k})"
+        self.g, self.k, self.description = g, k, description or f"power({k})"
 
-    def _image(self, n: int, d: int):
-        n, d = _walk(self.g, n, d, self.k < 0, count=abs(self.k))[2]
-        return n, d, 0
-
-    def _germ(self, n: int, d: int, germ: _Germ):
-        n, d = _walk(self.g, n, d, self.k < 0, count=abs(self.k), germ=germ)[2]
+    def _image(self, n: int, d: int, back=False, germ=None):
+        n, d = _walk(self.g, n, d, (self.k < 0) != back, count=abs(self.k), germ=germ)[2]
         return n, d, 0
 
     @_lazy
     def _tracks(self) -> bool:
         return isinstance(self.g, PLAutomorphism)
-
-    @_lazy
-    def _inverse(self) -> "_Power":
-        return _Power(self.g, -self.k, f"inverse({self.description})")
 
 
 def _node(f) -> Automorphism:
@@ -749,7 +748,7 @@ def evaluate(f, x) -> Fraction:
 
 
 def inverse(f):
-    """Group inverse; PL stays PL with knots reflected across the diagonal."""
+    """Group inverse: a PL map's knots reflected, any other node read backward."""
     if isinstance(f, Automorphism):
         return f._inverse
     return ProceduralAutomorphism(f.backward, f.forward, "inverse")
@@ -770,16 +769,15 @@ def compose(f, g):
             return f
         fxn, fxd = f._table[:2]
         fyn, fyd = f._knot_ys
-        back, image = f._inverse._image, g._image
         knots = []
         i, m = 0, len(f.knots)
 
         def through_f(k):
-            yn, yd, _ = image(fyn[k], fyd[k])
+            yn, yd, _ = g._image(fyn[k], fyd[k])
             knots.append((f.knots[k][0], _fraction(yn, yd)))
 
         for (u, v), un, ud in zip(g.knots, *g._table[:2]):
-            pn, pd, _ = back(un, ud)
+            pn, pd, _ = f._image(un, ud, True)
             while i < m and fxn[i] * pd < pn * fxd[i]:
                 through_f(i)
                 i += 1
@@ -829,11 +827,11 @@ def _walk(g, qn: int, qd: int, backward: bool = False, count=None, gamma=None, u
     ``(numerator, denominator)`` pairs with positive denominators.  Any
     other map is stepped in Fractions, converted at this boundary, gamma
     included; with gamma it stops with ValueError at an exact fixed point,
-    and without a count after ``MAX_ORBIT_STEPS`` steps.  Only a walk of a
-    PL map tracks a ``germ``.
+    and without a count after ``MAX_ORBIT_STEPS`` steps.  A PL walk backward
+    reads g's own table, and only a PL walk tracks a ``germ``.
     """
     if isinstance(g, PLAutomorphism):
-        return (g._inverse if backward else g)._iterate(qn, qd, count, gamma, up, trail, germ)
+        return g._iterate(qn, qd, count, gamma, up, trail, germ, backward)
     if count == 0:
         return 0, (qn, qd), (qn, qd)
     if gamma is not None:

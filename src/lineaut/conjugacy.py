@@ -28,7 +28,6 @@ from .automorphism import (
     Automorphism,
     DomainError,
     PLAutomorphism,
-    _inverse_line,
     _line_through,
     _fraction,
     _lazy,
@@ -56,11 +55,11 @@ class AffineBridge(Automorphism):
     """Affine increasing bijection [source_lo, source_hi) -> [target_lo, target_hi).
 
     Construction works out the line t -> (an/ad) t + bn/bd in ints, and
-    every evaluation goes through it: ``_image`` applies it to an integer
-    pair with six multiplications and one addition.  ``_inverse`` is the
-    bridge with its intervals swapped.  A bridge consults no map, so it
-    costs nothing in the counted model.  Inside a seed it continues
-    affinely past its intervals, so its germ has no bound.
+    every evaluation goes through it: ``_image`` applies it, or backward
+    its inverse line, to an integer pair with a few multiplications and one
+    addition.  A bridge consults no map, so it costs nothing in the counted
+    model.  Inside a seed it continues affinely past its intervals, so its
+    germ has no bound.
     """
 
     source_lo: Fraction
@@ -86,23 +85,18 @@ class AffineBridge(Automorphism):
         object.__setattr__(self, "_line", _line_through(an // common, ad // common,
                                                         sln, sld, tln, tld))
 
-    def _image(self, n: int, d: int):
-        """Image of n/d (d > 0) as an unreduced pair with positive
-        denominator, and piece 0."""
+    def _image(self, n: int, d: int, back=False, germ=None):
+        """Image of n/d (d > 0), under the inverse if ``back``, as an
+        unreduced pair with positive denominator, and piece 0."""
         an, ad, bn, bd = self._line
+        if back:
+            an, ad = ad, an  # t -> (ad/an) (t - bn/bd)
+            if germ is not None:
+                germ.scale(an, ad)
+            return an * (n * bd - bn * d), ad * d * bd, 0
+        if germ is not None:
+            germ.scale(an, ad)
         return an * n * bd + bn * ad * d, ad * d * bd, 0
-
-    def _germ(self, n: int, d: int, germ):
-        germ.scale(self._line[0], self._line[1])
-        return self._image(n, d)
-
-    @_lazy
-    def _inverse(self) -> "AffineBridge":
-        inv = object.__new__(AffineBridge)  # frozen dataclass; the line needs no revalidation
-        inv.__dict__.update(source_lo=self.target_lo, source_hi=self.target_hi,
-                            target_lo=self.source_lo, target_hi=self.source_hi,
-                            _line=_inverse_line(*self._line))
-        return inv
 
 
 @dataclass(frozen=True)
@@ -318,10 +312,11 @@ class OrbitTransport(Automorphism):
 
     ``_image(q) = t_out^i(seed(t_in^-i(q)))``, where ``_pull`` finds both
     the block i of q in the t_in-orbit of ``anchor_in`` and t_in^-i(q); the
-    seed maps the anchor block of t_in onto that of t_out.  ``_inverse``
-    swaps the sides and inverts the seed, and evaluates no map.
-    Transports: conjugators (g, f), x g x = f pieces (fg, gf), roots (g, g),
-    the word aligner (W, g).
+    seed maps the anchor block of t_in onto that of t_out.  Backward, the
+    two sides swap and the seed runs backward: construction keeps the sides
+    in both orders, so no inverse is built.  Transports: conjugators
+    (g, f), x g x = f pieces (fg, gf), roots (g, g), the word aligner
+    (W, g).
 
     An evaluation is one pass over integer pairs, every walk through
     ``_walk`` with its target as a pair.  One walk toward the anchor block
@@ -359,34 +354,20 @@ class OrbitTransport(Automorphism):
             sides.append((t, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator),
                           first > anchor))
         object.__setattr__(self, "_sides", sides)
+        object.__setattr__(self, "_orders", (sides, sides[::-1]))
 
-    def _image(self, n: int, d: int):
-        i, n, d = self._pull(n, d, self._sides[0])
-        n, d, _ = self.seed._image(n, d)
+    def _image(self, n: int, d: int, back=False, germ=None):
+        pull, push = self._orders[back]
+        i, n, d = self._pull(n, d, pull, germ)
+        n, d, _ = self.seed._image(n, d, back, germ)
         if i:
-            n, d = _walk(self.t_out, n, d, i < 0, count=abs(i))[2]
-        return n, d, 0
-
-    def _germ(self, n: int, d: int, germ):
-        i, n, d = self._pull(n, d, self._sides[0], germ)
-        n, d, _ = self.seed._germ(n, d, germ)
-        if i:
-            n, d = _walk(self.t_out, n, d, i < 0, count=abs(i), germ=germ)[2]
+            n, d = _walk(push[0], n, d, i < 0, count=abs(i), germ=germ)[2]
         return n, d, 0
 
     @_lazy
     def _tracks(self) -> bool:
         return (isinstance(self.t_in, PLAutomorphism) and isinstance(self.t_out, PLAutomorphism)
                 and _tracked((self.seed,)))
-
-    @_lazy
-    def _inverse(self) -> "OrbitTransport":
-        inv = object.__new__(OrbitTransport)
-        # frozen dataclass: write around __setattr__
-        inv.__dict__.update(t_in=self.t_out, t_out=self.t_in, seed=self.seed._inverse,
-                            anchor_in=self.anchor_out, anchor_out=self.anchor_in,
-                            _sides=self._sides[::-1])
-        return inv
 
     def _pull(self, n: int, d: int, side, germ=None):
         """``(i, n, d)``: the block index i of n/d on one side, n/d = t^-i(q).
@@ -436,40 +417,31 @@ def anchor_point(element: TerrainElement) -> Fraction:
 
 
 class _Guard(Automorphism):
-    """x restricted to source, and its inverse to target: a point outside
+    """x restricted to source, and backward to target: a point outside
     raises DomainError."""
 
     def __init__(self, x, source, target, what: str, description: str):
         self.x, self.source, self.target = x, source, target
         self.what, self.description = what, description
 
-    def _check(self, n: int, d: int):
+    def _image(self, n: int, d: int, back=False, germ=None):
+        """x's ``_image`` once q is checked; with a ``germ``, q stays in the
+        closure of the domain, so no cached piece reaches past a fixed
+        interval (a component's pieces each fix a walk length, and so lie
+        inside it)."""
+        domain = self.target if back else self.source
         q = _fraction(n, d)
-        if not self.source.contains(q):
-            raise DomainError(f"{format_rational(q)} outside {self.what} {self.source!r}")
-
-    def _image(self, n: int, d: int):
-        self._check(n, d)
-        return self.x._image(n, d)
-
-    def _germ(self, n: int, d: int, germ):
-        """``_image``, q staying in the closure of source, so no cached piece
-        reaches past a fixed interval; a component's pieces each fix a walk
-        length, and so lie inside it."""
-        self._check(n, d)
-        for end, upper in ((self.source.lo, False), (self.source.hi, True)):
-            if is_finite(end):
-                germ.bound(n, d, end.numerator, end.denominator, upper)
-        return self.x._germ(n, d, germ)
+        if not domain.contains(q):
+            raise DomainError(f"{format_rational(q)} outside {self.what} {domain!r}")
+        if germ is not None:
+            for end, upper in ((domain.lo, False), (domain.hi, True)):
+                if is_finite(end):
+                    germ.bound(n, d, end.numerator, end.denominator, upper)
+        return self.x._image(n, d, back, germ)
 
     @_lazy
     def _tracks(self) -> bool:
         return _tracked((self.x,))
-
-    @_lazy
-    def _inverse(self) -> "_Guard":
-        return _Guard(self.x._inverse, self.target, self.source, self.what,
-                      f"inverse({self.description})")
 
 
 def _component_map(g, f, source: TerrainElement, target: TerrainElement,
@@ -579,43 +551,33 @@ class _Dispatch(Automorphism):
     The isolated fixed point after element k of terrain_in goes to the one
     after element k of terrain_out.  This is exact whenever piece k maps
     element k onto element k, as conjugators, x g x = f solutions (fg to
-    gf), n-th roots and the word maps (g to itself) all do.  The inverse
-    swaps the terrains and takes a piece's ``_inverse`` only when a point
-    falls in its element.
+    gf), n-th roots and the word maps (g to itself) all do.  Backward, the
+    terrains swap and the point's piece runs backward.
     """
 
-    def __init__(self, terrain_in, terrain_out, pieces, description: str, inverted=False):
+    def __init__(self, terrain_in, terrain_out, pieces, description: str):
         self.terrain_in, self.terrain_out, self.pieces = terrain_in, terrain_out, pieces
-        self.description, self.inverted = description, inverted
+        self.description = description
+        self._orders = ((terrain_in, terrain_out), (terrain_out, terrain_in))
 
-    def _image(self, n: int, d: int):
-        kind, k = self.terrain_in._locate(n, d)
+    def _image(self, n: int, d: int, back=False, germ=None):
+        """The piece of q's element; with a ``germ``, q stays in the closure
+        of that element, and an isolated fixed point is a special case,
+        whose germ is the point alone."""
+        into, out = self._orders[back]
+        kind, k = into._locate(n, d)
         if kind == "element":
-            piece = self.pieces[k]
-            return (piece._inverse if self.inverted else piece)._image(n, d)
-        hi = self.terrain_out[k].hi
-        return hi.numerator, hi.denominator, 0
-
-    def _germ(self, n: int, d: int, germ):
-        """``_image``, q staying in the closure of its element; an isolated
-        fixed point is a special case, whose germ is the point alone."""
-        kind, k = self.terrain_in._locate(n, d)
-        if kind == "element":
-            germ.inside(n, d, *self.terrain_in._boundaries, k)
-            piece = self.pieces[k]
-            return (piece._inverse if self.inverted else piece)._germ(n, d, germ)
-        germ.point()
-        hi = self.terrain_out[k].hi
+            if germ is not None:
+                germ.inside(n, d, *into._boundaries, k)
+            return self.pieces[k]._image(n, d, back, germ)
+        if germ is not None:
+            germ.point()
+        hi = out[k].hi
         return hi.numerator, hi.denominator, 0
 
     @_lazy
     def _tracks(self) -> bool:
         return _tracked(self.pieces)
-
-    @_lazy
-    def _inverse(self) -> "_Dispatch":
-        return _Dispatch(self.terrain_out, self.terrain_in, self.pieces,
-                         f"inverse({self.description})", not self.inverted)
 
 
 def verify_pointwise(lhs, rhs, samples) -> bool:

@@ -30,8 +30,8 @@ Four families are covered, always over exact rationals:
 
 Both seeds, of roots and of ``x g x = f``, are one ``_TwoCase`` each: a
 split point and a chain of integer-pair maps on either side of it, written
-once in the forward direction; the inverse the transport needs is derived
-from those chains.
+once in the forward direction; the transport's backward evaluation runs
+those chains reversed.
 
 Where a solution has a finite exact description (g, its inverse, the
 identity) it is returned as that PL map.  The other solutions have graphs
@@ -44,13 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict
 
 from .automorphism import (
     Automorphism,
     PLAutomorphism,
     _Composite,
-    _fraction,
     _lazy,
     _node,
     _Power,
@@ -170,13 +170,12 @@ class _VariableComponent(Automorphism):
     its tails are never evaluated.  For a reduced, cyclically reduced word
     the merged constraint set is strictly increasing, so every window is a
     valid ``PLAutomorphism``; that invariant is checked on every gather.
-    The inverse reads the same windows, inverted.
+    Backward reads the same windows, backward.
     """
 
     def __init__(self, positions, subdivision: Subdivision):
         self.positions = positions  # [(letter position j >= 1, exponent)]
         self.sub = subdivision
-        self.inverted = False
         self._gathered = {}
         self._check_window()
 
@@ -204,15 +203,8 @@ class _VariableComponent(Automorphism):
         for i in (-2, 0, 2):
             self._gather(i)
 
-    def _image(self, n: int, d: int):
-        window = self._gather(self.sub.orbit._locate(n, d))
-        return (window._inverse if self.inverted else window)._image(n, d)
-
-    @_lazy
-    def _inverse(self) -> "_VariableComponent":
-        inv = object.__new__(_VariableComponent)
-        inv.__dict__.update(self.__dict__, inverted=not self.inverted)
-        return inv
+    def _image(self, n: int, d: int, back=False, germ=None):
+        return self._gather(self.sub.orbit._locate(n, d))._image(n, d, back)
 
 
 def _solve_cyclically_reduced(word: Word, g: PLAutomorphism) -> Assignment:
@@ -329,56 +321,46 @@ def nth_root(g: PLAutomorphism, n: int):
 
 
 class _TwoCase(Automorphism):
-    """A two-case seed on integer pairs: the chain of pair maps ``near`` on
-    one side of ``split`` (below it iff ``below``), the chain ``far`` on the
-    other, each applied left to right, in the pair protocol with the case
-    taken (0 or 1) as the piece.
+    """A two-case seed on integer pairs: the chain ``near`` on one side of
+    ``split`` (below it iff ``below``), the chain ``far`` on the other, in
+    the pair protocol with the case taken (0 or 1) as the piece.  A chain is
+    a tuple of steps ``(node, back)``, applied left to right, each backward
+    when its ``back`` is set.
 
-    Both chains must be increasing, agree at ``split`` and carry every step's
-    ``_inverse``; then ``_inverse`` is derived, never written by hand: its
-    split is the image of ``split`` under ``near``, each chain is reversed
-    with every step inverted, and ``below`` stays, since increasing maps
-    keep each side of the split on the same side of its image.
+    Both chains must be increasing and agree at ``split``; then the backward
+    seed is derived, never written by hand: its split, found at
+    construction, is the image of ``split`` under ``near``, each chain runs
+    reversed with every step's direction flipped, and ``below`` stays,
+    since increasing maps keep each side of the split on the same side of
+    its image.
     """
 
     def __init__(self, split: Fraction, below: bool, near: tuple, far: tuple):
-        self.split = (split._numerator, split._denominator)
+        n, d = self.split = (split._numerator, split._denominator)
         self.below = below
         self.near = near
         self.far = far
+        for step, back in near:
+            n, d, _ = step._image(n, d, back)
+        common = gcd(n, d)
+        self._splits = (self.split, (n // common, d // common))
+        self._chains = ((near, far), tuple(tuple((step, not back) for step, back in chain[::-1])
+                                           for chain in (near, far)))
 
-    def _image(self, n: int, d: int):
-        sn, sd = self.split
-        if (n * sd < sn * d) == self.below:
-            chain, case = self.near, 0
-        else:
-            chain, case = self.far, 1
-        for step in chain:
-            n, d, _ = step._image(n, d)
-        return n, d, case
-
-    def _germ(self, n: int, d: int, germ):
-        """``_image``, q staying on its closed side of the split: both chains
-        agree there."""
-        sn, sd = self.split
+    def _image(self, n: int, d: int, back=False, germ=None):
+        """The chain of q's case; with a ``germ``, q stays on its closed side
+        of the split, where both chains agree."""
+        sn, sd = self._splits[back]
         near = (n * sd < sn * d) == self.below
-        germ.bound(n, d, sn, sd, near == self.below)
-        for step in self.near if near else self.far:
-            n, d, _ = step._germ(n, d, germ)
+        if germ is not None:
+            germ.bound(n, d, sn, sd, near == self.below)
+        for step, flip in self._chains[back][not near]:
+            n, d, _ = step._image(n, d, flip, germ)
         return n, d, 1 - near
 
     @_lazy
     def _tracks(self) -> bool:
-        return _tracked(self.near + self.far)
-
-    @_lazy
-    def _inverse(self) -> "_TwoCase":
-        n, d = self.split
-        for step in self.near:
-            n, d, _ = step._image(n, d)
-        return _TwoCase(_fraction(n, d), self.below,
-                        tuple(step._inverse for step in reversed(self.near)),
-                        tuple(step._inverse for step in reversed(self.far)))
+        return _tracked(step for step, _ in self.near + self.far)
 
 
 def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
@@ -402,7 +384,7 @@ def _xgx_piece(f, g, fg, gf, alpha: Fraction) -> OrbitTransport:
     if below != (beta_g < fg.forward(alpha)):
         raise RuntimeError("interleaving failed; alpha is not in the support of fg")
     bridge = AffineBridge(*sorted((alpha, beta_g)), *sorted((beta, f.forward(alpha))))
-    seed = _TwoCase(beta_g, below, (bridge,), (g._inverse, bridge._inverse, f))
+    seed = _TwoCase(beta_g, below, ((bridge, False),), ((g, True), (bridge, True), (f, False)))
     return OrbitTransport(fg, gf, seed, alpha, beta)
 
 
@@ -428,8 +410,8 @@ def _root_piece(g: PLAutomorphism, n: int, a: Fraction) -> OrbitTransport:
     a_last = apply_power(g, n - 1, a)
     b = AffineBridge(*sorted((a, g.forward(a_last))), *sorted((a, a_g)))
     # a lies below a g on positive components, above it on negative ones
-    seed = _TwoCase(b.forward(a_last), a < a_g, (b._inverse, g, b),
-                    (b._inverse, _Power(g, 1 - n), b, g))
+    seed = _TwoCase(b.forward(a_last), a < a_g, ((b, True), (g, False), (b, False)),
+                    ((b, True), (_Power(g, 1 - n), False), (b, False), (g, False)))
     return OrbitTransport(g, g, seed, a, b.forward(a_g))
 
 

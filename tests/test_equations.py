@@ -495,7 +495,8 @@ class TestSolveXgx:
                 seed = XgxSeed(f, g, alpha)
                 beta = (g.backward(alpha) + f.forward(alpha)) / 2
                 assert seed.beta == beta
-                bridge = piece.seed.near[0]
+                bridge, back = piece.seed.near[0]
+                assert back is False
                 beta_g, alpha_f = g.forward(beta), f.forward(alpha)
                 alpha_fg, beta_gf = fg.forward(alpha), gf.forward(beta)
                 below = alpha < beta_g

@@ -2,7 +2,7 @@
 
 Each kind of output must be an exact bijection with a consistent inverse:
 ``backward`` undoes ``forward``, ``inverse(x)`` evaluates as ``x.backward``,
-and ``x._inverse._inverse`` agrees with x.  No output is a
+and ``inverse(inverse(x))`` is x.  No output is a
 ``ProceduralAutomorphism``, which only adapts black boxes, and each keeps the
 construction name the CLI reports.
 
@@ -57,7 +57,7 @@ def outputs(seq, seed):
         ("root", nth_root(g, 3), "composite"),
         ("commutator-y", commutator_decomposition(g)[1], conjugator),
         ("inverse", inverse(h), f"inverse({conjugator})"),
-        ("inverse-inverse", inverse(inverse(h)), f"inverse(inverse({conjugator}))"),
+        ("inverse-inverse", inverse(inverse(h)), conjugator),
         ("power-procedural", power(ProceduralAutomorphism(g.forward, g.backward), -2),
          "power(-2)"),
         ("power-solution", power(h, 3), "power(3)"),
@@ -78,6 +78,10 @@ def test_every_output_is_an_exact_node(seq, seed):
     for kind, x, description in cases:
         assert not isinstance(x, (ProceduralAutomorphism, PLAutomorphism)), kind
         assert x.description == description, kind
+        # an inverse view is never kept on its node, so for the view kinds
+        # it is the node they read that comes back
+        node = x._inverse if isinstance(x, automorphism._Inverse) else x
+        assert inverse(inverse(node)) is node, kind
         back, again = inverse(x), x._inverse._inverse
         for q in samples:
             y = x.forward(q)
@@ -104,10 +108,14 @@ def end(n, d):
 
 def cached_pieces(x):
     """(node, lo, hi, slope, intercept) for every piece in x's cache, both
-    ways: x's pieces and its inverse's; an unbounded end is None.  Checks
-    the table on the way: its float keys are the lower ends', the entries
-    are sorted with disjoint interiors both ways, and each entry's
-    y-interval is the image of its x-interval under its line."""
+    ways: x's pieces and its inverse's; an unbounded end is None, and an
+    exact special case is one point, lo = hi.  An inverse view reads its
+    node's cache.  Checks the table on the way: its float keys are the lower
+    ends', the entries are sorted with disjoint interiors both ways, and
+    each entry's y-interval is the image of its x-interval under its line."""
+    if isinstance(x, automorphism._Inverse):
+        assert "_cache" not in vars(x)
+        x = x._inverse
     cache = vars(x).get("_cache")
     xkeys, ykeys, entries = cache.table if cache else ([], [], [])
     assert len(xkeys) == len(ykeys) == len(entries)
@@ -152,7 +160,7 @@ def test_piece_cache_is_exact(monkeypatch, seq, seed):
         pieces = list(cached_pieces(x))
         assert bool(pieces) == (kind in TRACKED), kind
         for node, lo, hi, a, b in pieces:
-            assert lo is None or hi is None or lo < hi, kind
+            assert lo is None or hi is None or lo <= hi, kind
             for q in inner_points(lo, hi):
                 assert a * q + b == plain(node, q), (kind, lo, hi, q)
 
@@ -171,6 +179,44 @@ def test_piece_cache_holds_at_most_its_cap(monkeypatch):
         assert x.backward(q) == plain(x._inverse, q)
     assert [len(column) for column in x._cache.table] == [5, 5, 5]
     assert len(list(cached_pieces(x))) == 10
+
+
+def test_inverse_view_shares_the_node_cache():
+    # inverse(x) reads x backward through x's own ``_value``: forty
+    # evaluations through the view count as x's, start x's cache and fill
+    # it, and the view keeps no count or cache of its own
+    rng = random.Random(1)
+    g = random_with_sequence(rng, "-+-")
+    x = solve_xgx(g, conjugation(g, random_pl(rng)))
+    view = inverse(x)
+    for q in default_samples(40, 1, (support_decompose(g),)):
+        assert view.forward(q) == plain(view, q)
+    cache = vars(x)["_cache"]
+    assert cache.hits + cache.misses == 40 - automorphism._PLAIN_EVALUATIONS
+    assert cache.table[2]
+    assert "_cache" not in vars(view) and "_seen" not in vars(view)
+    assert inverse(view) is x
+
+
+def test_one_point_germ_is_cached_once():
+    # a point whose germ is an exact special case is cached as a one-point
+    # piece, so it misses once: 20 = 0 g^10 lands on the end of the anchor
+    # block [0, 2) of g = t + 2, and the isolated fixed point of a "+-" map
+    # is a dispatch's special case
+    g, f = PLAutomorphism.translation(2), PLAutomorphism.translation(1)
+    component = support_decompose(f)[0]
+    block_end = conjugate_on_component(g, f, component, component, Fraction(0), Fraction(0))
+    rng = random.Random(2)
+    h = random_with_sequence(rng, "+-")
+    fixed = solve_conjugacy(h, conjugation(h, random_pl(rng)))
+    for x, q in ((block_end, Fraction(20)), (fixed, support_decompose(h)[0].hi)):
+        y = plain(x, q)
+        for _ in range(automorphism._PLAIN_EVALUATIONS):
+            assert x.forward(q) == y
+        for _ in range(40):
+            assert x.forward(q) == y
+        assert (x._cache.hits, x._cache.misses) == (39, 1)
+        assert [(lo, hi) for _, lo, hi, _, _ in cached_pieces(x)] == [(q, q), (y, y)]
 
 
 def test_black_box_trees_never_cache():
@@ -236,8 +282,8 @@ def test_piece_cache_shared_by_threads(monkeypatch):
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert list(cached_pieces(x))
-        # each point's piece was cached, so one more pass adds nothing (a
-        # point that is an exact special case never adds its piece)
+        # each point's piece was cached, an exact special case as one point,
+        # so one more pass adds nothing
         pieces = len(x._cache.table[2])
         for q in samples:
             x.forward(q), x.backward(q)

@@ -325,13 +325,13 @@ class TestIndicesMatchWalk:
 
 
 class _Recorder:
-    """The identity seed in the pair protocol: records every point it maps."""
+    """The identity seed in the pair protocol, either way: records every
+    point it maps."""
 
     def __init__(self):
         self.seen = []
-        self._inverse = self
 
-    def _image(self, n, d):
+    def _image(self, n, d, back=False, germ=None):
         self.seen.append(F(n, d))
         return n, d, 0
 

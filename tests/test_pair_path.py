@@ -17,27 +17,34 @@ tails, where walks take closed forms, and near a slowly attracting boundary.
 import random
 from dataclasses import astuple
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lineaut.automorphism as automorphism
 from lineaut import (
     AffineBridge,
     Color,
     PLAutomorphism,
+    ProceduralAutomorphism,
+    Word,
     anchor_point,
     apply_power,
     compose,
+    conjugate_on_component,
     conjugate_on_fixed,
     inverse,
     nth_root,
     power,
     realize,
     solve_conjugacy,
+    solve_word,
     solve_xgx,
     support_decompose,
 )
+from lineaut.automorphism import _Power
 from lineaut.equations import _root_piece, _TwoCase, _xgx_piece
 from lineaut.rational import NEG_INF, POS_INF, is_finite
 from lineaut.samples import random_fraction, random_pl
@@ -45,10 +52,13 @@ from lineaut.terrain import TerrainElement
 from conftest import (
     SLOW_BOUNDARY,
     SLOW_BOUNDARY_POINTS,
+    BridgeReference,
     RootSeed,
     XgxSeed,
     conjugator_reference,
     fixed_interval_reference,
+    reference_eval,
+    reference_inverse,
     xgx_reference,
 )
 
@@ -211,22 +221,21 @@ class TestTransportMatchesFractionFormula:
 
 
 def random_step(rng):
-    """A random increasing map of the pair protocol: a PL map, an affine
-    bridge or the inverse line of one."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        return random_pl(rng, max_knots=3)
+    """A random step ``(node, back)`` of a seed's chain: a PL map or an
+    affine bridge, either way."""
+    back = rng.random() < 0.5
+    if rng.randrange(3) == 0:
+        return random_pl(rng, max_knots=3), back
     source, target = random_fraction(rng), random_fraction(rng)
-    bridge = AffineBridge(source, source + F(rng.randint(1, 12), rng.randint(1, 5)),
-                          target, target + F(rng.randint(1, 12), rng.randint(1, 5)))
-    return bridge if kind == 1 else bridge._inverse
+    return AffineBridge(source, source + F(rng.randint(1, 12), rng.randint(1, 5)),
+                        target, target + F(rng.randint(1, 12), rng.randint(1, 5))), back
 
 
 def chain_image(steps, q):
-    """q through the pair maps ``steps``, left to right, as a Fraction."""
+    """q through the chain ``steps``, left to right, as a Fraction."""
     n, d = q.numerator, q.denominator
-    for step in steps:
-        n, d, _ = step._image(n, d)
+    for step, back in steps:
+        n, d, _ = step._image(n, d, back)
     return F(n, d)
 
 
@@ -262,8 +271,9 @@ class TestSeedImages:
             block = sorted((alpha, fg.forward(alpha)))
             probes = qs + block + [reference.beta_g, reference.alpha_f, (block[0] + block[1]) / 2]
             self.check_seed(seed, reference, probes)
-            assert astuple(seed.near[0]) == astuple(reference.bridge)
-            self.check_seed(seed.near[0], reference.bridge, probes)
+            assert seed.near[0][1] is False
+            assert astuple(seed.near[0][0]) == astuple(reference.bridge)
+            self.check_seed(seed.near[0][0], reference.bridge, probes)
 
     def test_both_cases_of_the_xgx_seed(self):
         f = PLAutomorphism.translation(3)
@@ -301,7 +311,8 @@ class TestSeedImages:
             # split a g between start and start g
             split = reference.bridge.forward(apply_power(g, n - 1, a))
             self.check_seed(seed, reference, qs + block + [split, a_g, start])
-            self.check_seed(seed.near[2], reference.bridge, qs + block + [a_g, start])
+            assert seed.near[2][1] is False
+            self.check_seed(seed.near[2][0], reference.bridge, qs + block + [a_g, start])
             # a and a g lie either side of the forward split, start and
             # start g either side of the inverse one
             for image, probes in ((seed._image, (a, a_g)),
@@ -312,13 +323,13 @@ class TestSeedImages:
            st.lists(st.fractions(-20, 20, max_denominator=50), max_size=6))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_derived_two_case_inverse(self, s, below, split, qs):
-        # random chains of PL maps, bridges and inverse bridge lines; a last
+        # random chains of PL maps and bridges, each step either way; a last
         # translation makes the far chain agree with the near one at the split
         rng = random.Random(s)
         near = tuple(random_step(rng) for _ in range(rng.randint(1, 3)))
         far = [random_step(rng) for _ in range(rng.randint(1, 3))]
         image = chain_image(near, split)
-        far.append(PLAutomorphism.translation(image - chain_image(far, split)))
+        far.append((PLAutomorphism.translation(image - chain_image(far, split)), False))
         seed = _TwoCase(split, below, near, tuple(far))
         around = [F(sign, 2 ** k) for sign in (1, -1) for k in (0, 5, 40)]
         for there, back, ps in ((seed, seed._inverse, [split] + [split + e for e in around]),
@@ -333,3 +344,112 @@ class TestSeedImages:
     def test_identity_seed(self):
         seed = PLAutomorphism.identity()
         self.check_seed(seed, seed, [F(-7, 3), F(0), F(2 ** 70 + 1, 3)])
+
+
+COMMUTATOR = Word(((2, 1), (3, 1), (2, -1), (3, -1)))
+# slope-1 tails: far orbits move by translations, up to 10^4 steps out
+SLOPE_ONE = [realize("-+-"), realize("-0+0-"), realize("+0-"), realize("+-+"), TRANSLATING]
+
+
+def direction_cases(g, h, box):
+    """(kind, node, reference backward or None, domain) for every node kind
+    over g and its conjugate f = h^-1 g h, the domain being the components
+    (source, target) a guard keeps, or None for the whole line.  With ``box``, the nodes that
+    take maps take black boxes (procedural maps over g and f, which never
+    cache), and last comes a word variable, whose aligner steps the word
+    value as one."""
+    f = conjugate_of(g, h)
+    fg, gf = compose(f, g), compose(g, f)
+    terrain = support_decompose(g)
+    k = next(k for k, e in enumerate(terrain) if e.color is not Color.FIXED)
+    eg, ef = terrain[k], support_decompose(f)[k]
+    efg = next(e for e in support_decompose(fg) if e.color is not Color.FIXED)
+    alpha, a = anchor_point(efg), anchor_point(eg)
+    conjugator = solve_conjugacy(g, f)
+    if box:
+        bg, bf, bfg, bgf = (ProceduralAutomorphism(m.forward, m.backward) for m in (g, f, fg, gf))
+        return [
+            ("xgx-seed", _xgx_piece(bf, bg, bfg, bgf, alpha).seed, XgxSeed(f, g, alpha).backward,
+             None),
+            ("guard", conjugate_on_component(bg, bf, eg, ef, a, anchor_point(ef)), None,
+             (eg, ef)),
+            ("composite", compose(bg, conjugator), None, None),
+            ("power", power(bg, -3), lambda q: apply_power(g, 3, q), None),
+            ("power-node", power(conjugator, 2), None, None),
+            ("inverse", inverse(bf), f.forward, None),
+            ("word-variable", solve_word(COMMUTATOR, g)[2], None, None),
+        ]
+    bridge = AffineBridge(*sorted((alpha, fg.forward(alpha))), *sorted((a, g.forward(a))))
+    return [
+        ("pl", fg, lambda q: reference_eval(*reference_inverse(fg), q), None),
+        ("bridge", bridge, BridgeReference(*astuple(bridge)).backward, None),
+        ("xgx-seed", _xgx_piece(f, g, fg, gf, alpha).seed, XgxSeed(f, g, alpha).backward, None),
+        ("root-seed", _root_piece(g, 3, a).seed, RootSeed(g, 3, a).backward, None),
+        ("guard", conjugate_on_component(g, f, eg, ef, a, anchor_point(ef)), None, (eg, ef)),
+        ("conjugator", conjugator, None, None),
+        ("xgx", solve_xgx(g, f), None, None),
+        ("root", nth_root(g, 3), None, None),
+        ("power", _Power(g, -3), lambda q: apply_power(g, 3, q), None),
+        ("inverse", inverse(conjugator), None, None),
+    ]
+
+
+class TestDirectionFlag:
+    """Every node kind read backward (``_image(n, d, True)``), with and
+    without a black box, at orbit indices up to 10^4 on slope-1 tails:
+    ``backward`` agrees with the reference inverse of a PL map and with the
+    seeds' references; ``forward`` and ``backward`` undo each other
+    exactly, through the piece cache and plainly; and the piece a backward
+    evaluation tracks is exact at its ends and its midpoint."""
+
+    @staticmethod
+    def plain(x, q, back):
+        n, d, _ = x._image(q.numerator, q.denominator, back)
+        assert d > 0
+        return F(n, d)
+
+    def check_piece(self, x, q, z, inside):
+        """The germ of q under x backward: its line gives x's plain
+        backward value at the piece's ends and its midpoint (a unit inside
+        an unbounded end; an end outside a guard's target is skipped)."""
+        germ = automorphism._Germ()
+        n, d, _ = x._image(q.numerator, q.denominator, True, germ)
+        assert F(n, d) == z
+        slope = F(germ.sn, germ.sd)
+        lo = None if germ.below is None else q - F(*germ.below)
+        hi = None if germ.above is None else q + F(*germ.above)
+        ends = [lo if lo is not None else (q if hi is None else hi) - 1,
+                hi if hi is not None else (q if lo is None else lo) + 1]
+        for p in ends + [(ends[0] + ends[1]) / 2]:
+            if inside(p):
+                assert self.plain(x, p, True) == z + slope * (p - q), (q, p)
+
+    @given(st.sampled_from(SLOPE_ONE), conjugating, st.booleans(), recipes)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_backward_flag(self, g, h, box, recipes):
+        far = far_orbit_points(g)
+        qs = far + points(g, recipes)
+        # a black box is stepped one orbit step at a time: one far point and
+        # one other each, and the word variable only near its anchors, as
+        # its aligner steps the whole word value
+        near = points(g, [r for r in recipes if r[0] != "end" and abs(r[2]) <= 10])
+        with mock.patch.multiple(automorphism, _PLAIN_EVALUATIONS=0, _MISS_ALLOWANCE=1 << 30):
+            for kind, x, reference, domain in direction_cases(g, h, box):
+                picks = near if kind == "word-variable" else qs[len(far) - 1:][:2] if box else qs
+                source = [q for q in picks if domain is None or domain[0].contains(q)]
+                images = [x.forward(q) for q in source]
+                # (q, backward(q)): at the images, and on the whole line at the points
+                backs = [(y, x.backward(y)) for y in images]
+                if domain is None:
+                    backs += [(q, x.backward(q)) for q in source]
+                for (y, z), q in zip(backs, source):
+                    assert z == q, (kind, q)
+                for q, z in backs[len(source):]:
+                    assert x.forward(z) == q, (kind, q)
+                for q, z in backs:
+                    assert reference is None or z == reference(q), (kind, q)
+                    # a tree that does not track evaluates plainly in ``_value``
+                    if x._tracks:
+                        assert self.plain(x, q, True) == z and self.plain(x, z, False) == q, \
+                            (kind, q)
+                        self.check_piece(x, q, z, lambda p: domain is None or domain[1].contains(p))
