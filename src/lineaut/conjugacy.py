@@ -90,13 +90,10 @@ class AffineBridge(Automorphism):
         unreduced pair with positive denominator, and piece 0."""
         an, ad, bn, bd = self._line
         if back:
-            an, ad = ad, an  # t -> (ad/an) (t - bn/bd)
-            if germ is not None:
-                germ.scale(an, ad)
-            return an * (n * bd - bn * d), ad * d * bd, 0
+            an, ad = ad, an  # the inverse line: t -> (an/ad) (t - bn/bd)
         if germ is not None:
             germ.scale(an, ad)
-        return an * n * bd + bn * ad * d, ad * d * bd, 0
+        return (an * (n * bd - bn * d) if back else an * n * bd + bn * ad * d), ad * d * bd, 0
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Each kind of output must be an exact bijection with a consistent inverse:
 ``backward`` undoes ``forward``, ``inverse(x)`` evaluates as ``x.backward``,
-and ``inverse(inverse(x))`` is x.  No output is a
-``ProceduralAutomorphism``, which only adapts black boxes, and each keeps the
-construction name the CLI reports.
+and ``inverse(inverse(x))`` is x (for an inverse view, the node it reads).
+No output is a ``ProceduralAutomorphism``, which only adapts black boxes,
+and each keeps the construction name the CLI reports.
 
 A node over PL maps keeps a piece cache; its values must be those of the
 plain pass, and every cached piece must be exact.  A tree with a black box in
@@ -360,10 +360,11 @@ def test_float_guided_lookup_is_exact(monkeypatch, back):
 
 
 def test_lazy_inverses_first_touched_by_threads():
-    # ``automorphism._lazy`` takes no lock: eight threads that first touch
-    # ``_inverse`` of a fresh solution at once may each build it, and every
-    # value of ``backward`` must still be the single-threaded one.  The maps
-    # are rebuilt each round, so their own PL inverses are fresh as well;
+    # ``automorphism._lazy`` takes no lock: eight threads that first
+    # evaluate a fresh solution backward at once may each build its lazy
+    # ``_tracks`` flags (``_inverse`` is a fresh view, and PL walks run
+    # backward on the forward table), and every value of ``backward`` must
+    # still be the single-threaded one.  The maps are rebuilt each round;
     # the points lie up to a thousand orbit steps out on the slope-1 tails
     knots = ((Fraction(-2), Fraction(-1)), (Fraction(0), Fraction(3, 2)),
              (Fraction(3), Fraction(4)))
