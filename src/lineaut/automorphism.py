@@ -22,7 +22,8 @@ lines of the pieces its walks and seeds pass through.  So a node over PL
 maps that is evaluated often keeps a bounded table of the exact pieces it
 has met, each a closed interval, its image and its line, found by tracking
 the affine germ of an evaluation beside its image (``_Germ``,
-``_PieceCache``); both directions read it, without a lock.
+``_PieceCache``) or, on an orbit transport, carried out from the piece one
+orbit block inward; both directions read it, without a lock.
 
 Composition is written left to right everywhere in this library:
 ``compose(f, g)`` applies ``f`` first, so ``compose(f, g)(q) == g(f(q))``.
@@ -208,7 +209,8 @@ class _PieceCache:
     ld, hn, hd, yln, yld, yhn, yhd, an, ad, bn, bd)`` is a closed interval (a
     point for an exact special case, ``_Germ.point``), its image and the
     node's line there, y = (an/ad) x + bn/bd, reduced; an unbounded end is
-    (-1, 0) or (1, 0), below or above every pair when cross-multiplied.
+    (-1, 0) or (1, 0), below or above every pair when cross-multiplied.  A
+    derived entry's ends are reduced; a tracked entry's are left as computed.
     Entries are sorted both ways, with disjoint interiors; the keys are
     their lower ends as floats (``_key``).  The table is copy-on-write: a
     writer swaps in new lists under the lock, so readers take no lock and
@@ -223,9 +225,12 @@ class _PieceCache:
         self.table = ([], [], [])
         self.lock = threading.Lock()
 
-    def add(self, n: int, d: int, yn: int, yd: int, germ: _Germ, back: bool):
+    def add(self, n: int, d: int, yn: int, yd: int, germ: _Germ, back: bool, derived=False):
         """Insert the piece of n/d that ``germ`` found, n/d's image being
-        yn/yd (under the inverse if ``back``)."""
+        yn/yd (under the inverse if ``back``); a ``derived`` piece has its
+        ends reduced.  The slot is found by n/d itself, and the piece is
+        clipped to the gap its neighbours leave, so the table stays disjoint
+        whatever the germ: a derived germ is no cell of one evaluation."""
         below, above = germ.below, germ.above
         common = gcd(germ.sn, germ.sd)
         an, ad = germ.sn // common, germ.sd // common
@@ -246,18 +251,53 @@ class _PieceCache:
         line = _line_through(an, ad, n, d, yn, yd)
         if back:  # the piece of the inverse: its image is the x-interval
             lo, hi, ylo, yhi, line, n, d = ylo, yhi, lo, hi, _inverse_line(*line), yn, yd
-        key = _key(*lo)
         with self.lock:
             xkeys, ykeys, entries = self.table
             if len(entries) >= _MAX_PIECES:
                 return
-            k = bisect_right(xkeys, key)
-            while k and lo[0] * entries[k - 1][1] < entries[k - 1][0] * lo[1]:
-                k -= 1  # a float tie: that piece starts above lo
-            if k and n * entries[k - 1][3] <= entries[k - 1][2] * d:
-                return  # another evaluation has cached this piece meanwhile
-            self.table = (xkeys[:k] + [key] + xkeys[k:], ykeys[:k] + [_key(*ylo)] + ykeys[k:],
-                          entries[:k] + [(*lo, *hi, *ylo, *yhi, *line)] + entries[k:])
+            k = bisect_right(xkeys, _key(n, d))
+            while k and n * entries[k - 1][1] < entries[k - 1][0] * d:
+                k -= 1  # a float tie: that piece starts above n/d
+            if k:
+                prev = entries[k - 1]
+                if n * prev[3] <= prev[2] * d:
+                    return  # another evaluation has cached this piece meanwhile
+                if lo[0] * prev[3] < prev[2] * lo[1]:
+                    lo, ylo = prev[2:4], prev[6:8]
+            if k < len(entries):
+                after = entries[k]
+                if after[0] * hi[1] < hi[0] * after[1]:
+                    hi, yhi = after[:2], after[4:6]
+            if derived:
+                lo, hi, ylo, yhi = [(u // c, v // c) for u, v in (lo, hi, ylo, yhi)
+                                    for c in (gcd(u, v),)]
+            xkeys, ykeys, entries = xkeys[:], ykeys[:], entries[:]
+            xkeys.insert(k, _key(*lo))
+            ykeys.insert(k, _key(*ylo))
+            entries.insert(k, (*lo, *hi, *ylo, *yhi, *line))
+            self.table = xkeys, ykeys, entries
+
+
+def _lookup(keys: list, entries: list, n: int, d: int, back: bool):
+    """The entry of one table snapshot that holds n/d (d > 0), by its
+    x-interval, or its y-interval if ``back``; None if none does.  Bisects
+    the keys by n/d as a float: rounding is monotone, so every entry past
+    the candidate starts above n/d.  On a float tie it steps down while the
+    candidate starts above n/d, and it answers only if the exact ends hold
+    n/d."""
+    try:
+        q = n / d
+    except OverflowError:  # past the float range
+        q = inf if n > 0 else -inf
+    k = bisect_right(keys, q)
+    while k:
+        k -= 1
+        entry = entries[k]
+        ln, ld, hn, hd = entry[4:8] if back else entry[:4]
+        if n * ld < ln * d:
+            continue  # a float tie: this piece starts above n/d
+        return entry if n * hd <= hn * d else None
+    return None
 
 
 class Automorphism:
@@ -299,33 +339,36 @@ class Automorphism:
         The first ``_PLAIN_EVALUATIONS`` evaluations of a node are plain.
         Then the node decides, once and from its tree, whether it keeps a
         cache: a tree with a black box never tracks a germ, so it calls no
-        oracle more often than its plain evaluation does.  A lookup bisects
-        one table snapshot by n/d as a float: rounding is monotone, so every
-        piece past the candidate starts above n/d.  On a float tie the
-        lookup steps down while the candidate starts above n/d, and it
-        answers, by the line or its inverse, only if the exact ends hold n/d.
-        A miss tracks the point's germ and caches its piece, up to
-        ``_MAX_PIECES``; the miss budget (``_MISS_ALLOWANCE``) may drop the
-        cache for good.  Counts and the cache live in the node's
-        ``__dict__``, which frozen dataclasses allow.
+        oracle more often than its plain evaluation does.  A lookup is
+        ``_lookup`` on one table snapshot, answering by the line or its
+        inverse.  A miss first asks the node to derive the point's piece
+        from the same snapshot (``_derive``), and tracks its germ only when
+        the node cannot; either way it caches the piece, up to
+        ``_MAX_PIECES``, and the miss budget (``_MISS_ALLOWANCE``), which
+        counts a derived answer as a miss, may drop the cache for good.
+        Counts and the cache live in the node's ``__dict__``, which frozen
+        dataclasses allow; threads that start the cache at once share one.
         """
         cache = self._cache
         if cache is None:
             seen = self._seen
-            if seen is not None:
-                if seen < _PLAIN_EVALUATIONS:
-                    self.__dict__["_seen"] = seen + 1
-                else:
-                    self.__dict__["_seen"] = None
-                    if self._tracks:
-                        cache = self.__dict__["_cache"] = _PieceCache()
+            if seen is None:
+                cache = self._cache  # started by another thread meanwhile, or None
+            elif seen < _PLAIN_EVALUATIONS:
+                self.__dict__["_seen"] = seen + 1
+            else:
+                if self._tracks:  # threads that start it at once share one cache
+                    cache = self.__dict__.setdefault("_cache", _PieceCache())
+                self.__dict__["_seen"] = None
         if cache is not None:
             xkeys, ykeys, entries = cache.table
+            keys = ykeys if back else xkeys
+            # ``_lookup``, inline: the call would add about 14% to a hit
             try:
                 q = n / d
             except OverflowError:  # past the float range
                 q = inf if n > 0 else -inf
-            k = bisect_right(ykeys if back else xkeys, q)
+            k = bisect_right(keys, q)
             while k:
                 k -= 1
                 if back:
@@ -344,12 +387,22 @@ class Automorphism:
             if misses + cache.hits >= _JUDGED_AFTER and misses > 2 * cache.hits + _MISS_ALLOWANCE:
                 self.__dict__["_cache"] = None
             elif len(entries) < _MAX_PIECES:
-                germ = _Germ()
-                yn, yd, _ = self._image(n, d, back, germ)
-                cache.add(n, d, yn, yd, germ, back)
+                found = self._derive(n, d, back, entries, keys)
+                if found is None:
+                    germ = _Germ()
+                    yn, yd, _ = self._image(n, d, back, germ)
+                else:
+                    yn, yd, germ = found
+                cache.add(n, d, yn, yd, germ, back, found is not None)
                 return _fraction(yn, yd)
         n, d, _ = self._image(n, d, back)
         return _fraction(n, d)
+
+    def _derive(self, n: int, d: int, back: bool, entries: list, keys: list):
+        """``(yn, yd, germ)`` at n/d as ``_image`` gives them, derived from a
+        table snapshot read as ``_lookup`` reads it, or None: only an orbit
+        transport can derive (``OrbitTransport._derive``)."""
+        return None
 
     def __mul__(self, other):
         return compose(self, other)

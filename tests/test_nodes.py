@@ -7,7 +7,8 @@ No output is a ``ProceduralAutomorphism``, which only adapts black boxes,
 and each keeps the construction name the CLI reports.
 
 A node over PL maps keeps a piece cache; its values must be those of the
-plain pass, and every cached piece must be exact.  A tree with a black box in
+plain pass, and every cached piece must be exact, whether tracked or derived
+from the piece of an orbit neighbour.  A tree with a black box in
 it never caches, so its oracle calls stay those of the plain pass.
 """
 
@@ -15,10 +16,12 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import lineaut.automorphism as automorphism
+from lineaut.conjugacy import OrbitTransport
 from lineaut import (
     PLAutomorphism,
     ProceduralAutomorphism,
@@ -413,3 +416,107 @@ def test_lazy_inverses_first_touched_by_threads():
             assert got == [want] * 8
     finally:
         sys.setswitchinterval(interval)
+
+
+# the slope-1-tailed map of ``test_lazy_inverses_first_touched_by_threads``,
+# and a "+-" map whose two tails have slope 1/2, with the isolated fixed
+# point 2 between its components
+TAILED = PLAutomorphism(((Fraction(-2), Fraction(-1)), (Fraction(0), Fraction(3, 2)),
+                         (Fraction(3), Fraction(4))))
+HALVING = PLAutomorphism(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(2))),
+                         Fraction(1, 2), Fraction(1, 2))
+
+
+def covering(entries, q, back):
+    """The entry whose x-interval, or y-interval if ``back``, holds q."""
+    for entry in entries:
+        ln, ld, hn, hd = entry[4:8] if back else entry[:4]
+        if ln * q.denominator <= q.numerator * ld and q.numerator * hd <= hn * q.denominator:
+            return entry
+    return None
+
+
+@pytest.mark.parametrize("g", [TAILED, HALVING], ids=["slope-1 tails", "slope-1/2 tails"])
+@pytest.mark.parametrize("back", [False, True], ids=["forward", "backward"])
+def test_misses_derive_from_the_orbit_neighbour(monkeypatch, g, back):
+    # x(q) = t_out(x(t_in^-1(q))) on a transport's component: evaluated block
+    # by block outward from the anchor, to orbit index +-50, each solution
+    # derives new pieces from the block one step inward.  Every value must
+    # be the plain one, every cached piece exact, a derived entry's ends
+    # reduced, and no point of the anchor block derived, though its orbit
+    # neighbours are cached
+    monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
+    monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
+    derived = []
+    derive, add = OrbitTransport._derive, automorphism._PieceCache.add
+
+    def counted_derive(t, n, d, back, entries, keys):
+        found = derive(t, n, d, back, entries, keys)
+        if found is not None:
+            derived.append(t)
+        return found
+
+    def checked_add(cache, n, d, yn, yd, germ, back, derived=False):
+        add(cache, n, d, yn, yd, germ, back, derived)
+        if derived:
+            entry = covering(cache.table[2], Fraction(yn, yd) if back else Fraction(n, d), False)
+            assert all(gcd(u, v) == 1 for u, v in zip(entry[:8:2], entry[1:8:2])), entry
+
+    monkeypatch.setattr(OrbitTransport, "_derive", counted_derive)
+    monkeypatch.setattr(automorphism._PieceCache, "add", checked_add)
+    f = conjugation(g, random_pl(random.Random(7)))
+    for x in (solve_xgx(g, f), solve_conjugacy(g, f), nth_root(g, 3)):
+        node = inverse(x) if back else x
+        derived.clear()
+        anchor_blocks = []
+        for t in x.pieces:
+            if not isinstance(t, OrbitTransport):
+                continue
+            step, anchor = (t.t_out, t.anchor_out) if back else (t.t_in, t.anchor_in)
+            lo, hi = sorted((anchor, step.forward(anchor)))
+            inward = [lo + (hi - lo) * Fraction(k, 4) for k in range(4)]
+            outward = list(inward)
+            anchor_blocks.append((t, step, inward))
+            for i in range(51):
+                for q in inward + outward:
+                    assert node.forward(q) == plain(node, q), (i, q)
+                inward = [step.backward(q) for q in inward]
+                outward = [step.forward(q) for q in outward]
+        assert anchor_blocks and derived, x.description
+        xkeys, ykeys, entries = x._cache.table
+        for t, step, points in anchor_blocks:
+            for q in points:
+                assert covering(entries, step.forward(q), back) is not None
+                assert covering(entries, step.backward(q), back) is not None
+                assert t._derive(q.numerator, q.denominator, back, entries,
+                                 ykeys if back else xkeys) is None, q
+        for piece, lo, hi, a, b in cached_pieces(x):
+            for q in inner_points(lo, hi)[::3]:
+                assert a * q + b == plain(piece, q), (lo, hi, q)
+
+
+def test_overlapping_derived_piece_is_clipped():
+    # y = 2x on [-3, 3]: the tracked piece [-1, 1] of 0 is cached first, then
+    # derived germs of 3/2 over [-5/2, 5/2] and of -3/2 over [-5/2, 3], both
+    # overlapping it; each is clipped to the gap its neighbours leave, and
+    # every point then hits, both ways
+    x = automorphism._Composite((PLAutomorphism(((Fraction(-3), Fraction(-6)),
+                                                 (Fraction(3), Fraction(6)))),), "double")
+    x.__dict__.update(_seen=None, _cache=automorphism._PieceCache())
+    for q, below, above in ((Fraction(0), 1, 1), (Fraction(3, 2), 4, 1),
+                            (Fraction(-3, 2), 1, Fraction(9, 2))):
+        germ = automorphism._Germ()
+        germ.scale(2, 1)
+        germ.below, germ.above = [(Fraction(r).numerator, Fraction(r).denominator)
+                                  for r in (below, above)]
+        x._cache.add(q.numerator, q.denominator, 2 * q.numerator, q.denominator, germ, False,
+                     bool(q))
+    pieces = list(cached_pieces(x))
+    assert [(lo, hi) for _, lo, hi, _, _ in pieces[:3]] == [
+        (Fraction(-5, 2), -1), (-1, 1), (1, Fraction(5, 2))]
+    for node, lo, hi, a, b in pieces:
+        for q in inner_points(lo, hi):
+            assert a * q + b == plain(node, q)
+    for q in (Fraction(0), Fraction(3, 2), Fraction(-3, 2)):
+        assert x.forward(q) == 2 * q and x.backward(2 * q) == q
+    assert (x._cache.hits, x._cache.misses) == (6, 0)
