@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 from typing import Callable
@@ -70,6 +69,7 @@ class DomainError(ValueError):
 
 
 _new = object.__new__
+_set = object.__setattr__
 
 
 def _fraction(n: int, d: int) -> Fraction:
@@ -95,6 +95,45 @@ class _lazy:
             return self
         value = obj.__dict__[self.name] = self.fn(obj)
         return value
+
+
+class _Record:
+    """Equality, hash, repr and immutability from the field names
+    ``_fields``, for the library's value classes: instances of one class
+    are equal when their fields are, and hash as the tuple of them.  Each
+    class's ``__init__`` sets its fields once, in its ``__dict__`` or, in a
+    class with slots, by ``_set``; any later assignment or deletion raises
+    AttributeError.  Copies and pickles are rebuilt by the constructor."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _key(n: int, d: int) -> float:
@@ -346,8 +385,9 @@ class Automorphism:
         the node cannot; either way it caches the piece, up to
         ``_MAX_PIECES``, and the miss budget (``_MISS_ALLOWANCE``), which
         counts a derived answer as a miss, may drop the cache for good.
-        Counts and the cache live in the node's ``__dict__``, which frozen
-        dataclasses allow; threads that start the cache at once share one.
+        Counts and the cache are written straight into the node's
+        ``__dict__``, as a record (``_Record``) refuses assignment; threads
+        that start the cache at once share one.
         """
         cache = self._cache
         if cache is None:
@@ -439,8 +479,7 @@ class _Inverse(Automorphism):
 Automorphism._inverse = property(_Inverse)  # any node's but a PL map's
 
 
-@dataclass(frozen=True)
-class PLAutomorphism(Automorphism):
+class PLAutomorphism(_Record, Automorphism):
     """Piecewise-affine increasing bijection of the line.
 
     ``knots`` are (x, y) pairs with strictly increasing x and strictly
@@ -461,18 +500,16 @@ class PLAutomorphism(Automorphism):
     canonical map only.
     """
 
-    knots: tuple = ()
-    left_slope: Fraction = Fraction(1)
-    right_slope: Fraction = Fraction(1)
-
+    _fields = ("knots", "left_slope", "right_slope")
     # a PL map is its own finite piece table: it tracks germs, and its
     # ``_value`` reads the table with no cache
     _tracks = True
 
-    def __post_init__(self):
-        knots = tuple((parse_rational(x), parse_rational(y)) for x, y in self.knots)
-        ls = parse_rational(self.left_slope)
-        rs = parse_rational(self.right_slope)
+    def __init__(self, knots: tuple = (), left_slope: Fraction = Fraction(1),
+                 right_slope: Fraction = Fraction(1)):
+        knots = tuple((parse_rational(x), parse_rational(y)) for x, y in knots)
+        ls = parse_rational(left_slope)
+        rs = parse_rational(right_slope)
         if ls <= 0 or rs <= 0:
             raise ValueError("tail slopes must be positive; got "
                              f"{format_rational(ls)}, {format_rational(rs)}")
@@ -525,7 +562,7 @@ class PLAutomorphism(Automorphism):
         ``knot_ys``: piece p is ``y = a[p] x + b[p]`` and covers ``[bx[p-1],
         bx[p]]``, all reduced with positive denominators.  A globally affine
         map has its one line twice, either side of its anchor at x = 0."""
-        # frozen dataclass: write around __setattr__
+        # straight into __dict__: a record refuses assignment
         self.__dict__.update(knots=knots, left_slope=ls, right_slope=rs, _table=table,
                              _knot_ys=knot_ys)
 
@@ -735,8 +772,7 @@ class PLAutomorphism(Automorphism):
                 f"right_slope={format_rational(self.right_slope)})")
 
 
-@dataclass(frozen=True, repr=False)
-class ProceduralAutomorphism(Automorphism):
+class ProceduralAutomorphism(_Record, Automorphism):
     """A black box given by exact evaluation procedures, in the pair protocol.
 
     ``forward_fn`` and ``backward_fn`` must be exact mutual inverses on every
@@ -744,9 +780,13 @@ class ProceduralAutomorphism(Automorphism):
     whatever underlying maps the procedure consults.
     """
 
-    forward_fn: Callable[[Fraction], Fraction]
-    backward_fn: Callable[[Fraction], Fraction]
-    description: str = "procedural"
+    _fields = ("forward_fn", "backward_fn", "description")
+    __repr__ = Automorphism.__repr__
+
+    def __init__(self, forward_fn: Callable[[Fraction], Fraction],
+                 backward_fn: Callable[[Fraction], Fraction], description: str = "procedural"):
+        self.__dict__.update(forward_fn=forward_fn, backward_fn=backward_fn,
+                             description=description)
 
     def _image(self, n: int, d: int, back=False, germ=None):
         q = (self.backward_fn if back else self.forward_fn)(_fraction(n, d))

@@ -19,7 +19,6 @@ exactly at every rational.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -29,10 +28,12 @@ from .automorphism import (
     DomainError,
     PLAutomorphism,
     _Germ,
+    _Record,
     _line_through,
     _fraction,
     _lazy,
     _lookup,
+    _set,
     _tracked,
     _walk,
     compose,
@@ -52,8 +53,7 @@ def _check_mode(mode: str):
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
 
 
-@dataclass(frozen=True)
-class AffineBridge(Automorphism):
+class AffineBridge(_Record, Automorphism):
     """Affine increasing bijection [source_lo, source_hi) -> [target_lo, target_hi).
 
     Construction works out the line t -> (an/ad) t + bn/bd in ints, and
@@ -64,28 +64,26 @@ class AffineBridge(Automorphism):
     germ has no bound.
     """
 
-    source_lo: Fraction
-    source_hi: Fraction
-    target_lo: Fraction
-    target_hi: Fraction
-
+    _fields = ("source_lo", "source_hi", "target_lo", "target_hi")
     # one line: it tracks germs and needs no cache
     _tracks = True
     _seen = None
 
-    def __post_init__(self):
-        if self.source_lo >= self.source_hi or self.target_lo >= self.target_hi:
+    def __init__(self, source_lo: Fraction, source_hi: Fraction, target_lo: Fraction,
+                 target_hi: Fraction):
+        if source_lo >= source_hi or target_lo >= target_hi:
             raise ValueError("degenerate bridge interval")
         # a = (th - tl) / (sh - sl), b = tl - a sl
-        sln, sld = self.source_lo.numerator, self.source_lo.denominator
-        shn, shd = self.source_hi.numerator, self.source_hi.denominator
-        tln, tld = self.target_lo.numerator, self.target_lo.denominator
-        thn, thd = self.target_hi.numerator, self.target_hi.denominator
+        sln, sld = source_lo.numerator, source_lo.denominator
+        shn, shd = source_hi.numerator, source_hi.denominator
+        tln, tld = target_lo.numerator, target_lo.denominator
+        thn, thd = target_hi.numerator, target_hi.denominator
         an = (thn * tld - tln * thd) * shd * sld
         ad = (shn * sld - sln * shd) * thd * tld
         common = gcd(an, ad)
-        object.__setattr__(self, "_line", _line_through(an // common, ad // common,
-                                                        sln, sld, tln, tld))
+        self.__dict__.update(source_lo=source_lo, source_hi=source_hi, target_lo=target_lo,
+                             target_hi=target_hi,
+                             _line=_line_through(an // common, ad // common, sln, sld, tln, tld))
 
     def _image(self, n: int, d: int, back=False, germ=None):
         """Image of n/d (d > 0), under the inverse if ``back``, as an
@@ -98,8 +96,7 @@ class AffineBridge(Automorphism):
         return (an * (n * bd - bn * d) if back else an * n * bd + bn * ad * d), ad * d * bd, 0
 
 
-@dataclass(frozen=True)
-class OrbitLocation:
+class OrbitLocation(_Record):
     """Block of the anchor orbit containing a query point.
 
     ``lower <= query < upper`` always holds.  For an increasing orbit the
@@ -107,9 +104,12 @@ class OrbitLocation:
     mirrored [anchor*g^(i+1), anchor*g^i).
     """
 
-    index: int
-    lower: Fraction
-    upper: Fraction
+    __slots__ = _fields = ("index", "lower", "upper")
+
+    def __init__(self, index: int, lower: Fraction, upper: Fraction):
+        _set(self, "index", index)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
 
 
 def _orientation(increasing: bool, alpha, gamma):
@@ -305,8 +305,7 @@ class ComponentOrbit:
             return hi - 1 if with_g else -hi
 
 
-@dataclass(frozen=True)
-class OrbitTransport(Automorphism):
+class OrbitTransport(_Record, Automorphism):
     """A seed map on one anchor block, carried along the orbits.
 
     ``_image(q) = t_out^i(seed(t_in^-i(q)))``, where ``_pull`` finds both
@@ -337,17 +336,13 @@ class OrbitTransport(Automorphism):
     ValueError.
     """
 
-    t_in: object
-    t_out: object
-    seed: object
-    anchor_in: Fraction
-    anchor_out: Fraction
+    _fields = ("t_in", "t_out", "seed", "anchor_in", "anchor_out")
 
-    def __post_init__(self):
+    def __init__(self, t_in, t_out, seed, anchor_in: Fraction, anchor_out: Fraction):
         # per side, input side first: the map, the anchor block's ends as
         # int pairs, and whether the orbit increases
         sides = []
-        for t, anchor in ((self.t_in, self.anchor_in), (self.t_out, self.anchor_out)):
+        for t, anchor in ((t_in, anchor_in), (t_out, anchor_out)):
             first = t.forward(anchor)
             if first == anchor:
                 raise ValueError(f"anchor {format_rational(anchor)} is a fixed point; "
@@ -355,8 +350,8 @@ class OrbitTransport(Automorphism):
             lo, hi = sorted((anchor, first))
             sides.append((t, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator),
                           first > anchor))
-        object.__setattr__(self, "_sides", sides)
-        object.__setattr__(self, "_orders", (sides, sides[::-1]))
+        self.__dict__.update(t_in=t_in, t_out=t_out, seed=seed, anchor_in=anchor_in,
+                             anchor_out=anchor_out, _sides=sides, _orders=(sides, sides[::-1]))
 
     def _image(self, n: int, d: int, back=False, germ=None):
         pull, push = self._orders[back]

@@ -42,7 +42,6 @@ variables on anchor blocks, transports, dispatches, composites, powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict
@@ -54,6 +53,8 @@ from .automorphism import (
     _lazy,
     _node,
     _Power,
+    _Record,
+    _set,
     _tracked,
     apply_power,
     compose,
@@ -74,14 +75,13 @@ from .terrain import Color, support_decompose
 Assignment = Dict[int, object]  # variable index -> automorphism
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """Group word: sequence of (variable index >= 2, exponent +-1) letters."""
 
-    letters: tuple = ()
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
-        letters = tuple((v, e) for v, e in self.letters)
+    def __init__(self, letters: tuple = ()):
+        letters = tuple((v, e) for v, e in letters)
         for v, e in letters:
             # exact type: no float, and no bool, which subclasses int
             if type(v) is not int or type(e) is not int:
@@ -90,7 +90,7 @@ class Word:
                 raise ValueError(f"variable indices start at 2; got {v}")
             if e not in (1, -1):
                 raise ValueError(f"exponents must be +1 or -1; got {e}")
-        object.__setattr__(self, "letters", letters)
+        _set(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)

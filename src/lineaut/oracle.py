@@ -19,38 +19,40 @@ uses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .automorphism import PLAutomorphism, power
+from .automorphism import PLAutomorphism, _Record, _set, power
 from .rational import format_rational
 from .terrain import support_decompose
 
 
-@dataclass
-class CallCounter:
+class CallCounter(_Record):
     """Tally of black-box operations during one evaluation session."""
 
-    forward: int = 0
-    inverse: int = 0
-    ff_steps: int = 0
+    __slots__ = _fields = ("forward", "inverse", "ff_steps")
+    # counts are mutable, and so unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, forward: int = 0, inverse: int = 0, ff_steps: int = 0):
+        self.forward, self.inverse, self.ff_steps = forward, inverse, ff_steps
 
     @property
     def oracle_calls(self) -> int:
         return self.forward + self.inverse
 
 
-@dataclass
-class InstrumentedOracle:
+class InstrumentedOracle(_Record):
     """Transparent counting wrapper around an automorphism.
 
     Counter updates are plain int increments; confine one oracle to one
     thread (or guard it externally) when evaluating concurrently.
     """
 
-    inner: object
-    forward_count: int = 0
-    inverse_count: int = 0
+    __slots__ = _fields = ("inner", "forward_count", "inverse_count")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, inner, forward_count: int = 0, inverse_count: int = 0):
+        self.inner, self.forward_count, self.inverse_count = inner, forward_count, inverse_count
 
     def forward(self, q: Fraction) -> Fraction:
         self.forward_count += 1
@@ -108,14 +110,16 @@ def build_cache(g: PLAutomorphism, depth: int = 0) -> FastForwardCache:
     return FastForwardCache(g, depth)
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(_Record):
     """Outcome of one instrumented orbit location."""
 
-    mode: str
-    index: int
-    oracle_calls: int
-    ff_steps: int
+    __slots__ = _fields = ("mode", "index", "oracle_calls", "ff_steps")
+
+    def __init__(self, mode: str, index: int, oracle_calls: int, ff_steps: int):
+        _set(self, "mode", mode)
+        _set(self, "index", index)
+        _set(self, "oracle_calls", oracle_calls)
+        _set(self, "ff_steps", ff_steps)
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,12 +17,11 @@ determined by position and color alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .automorphism import PLAutomorphism
+from .automorphism import PLAutomorphism, _Record, _set
 from .rational import (
     NEG_INF,
     POS_INF,
@@ -52,8 +51,7 @@ class Color(Enum):
         raise ValueError(f"not a color: {text!r}")
 
 
-@dataclass(frozen=True)
-class TerrainElement:
+class TerrainElement(_Record):
     """One support component (open) or maximal fixed interval (closed).
 
     ``lo``/``hi`` are the interval endpoints; closedness is implied by the
@@ -61,14 +59,15 @@ class TerrainElement:
     finite endpoints.
     """
 
-    color: Color
-    lo: ExtendedRational
-    hi: ExtendedRational
+    __slots__ = _fields = ("color", "lo", "hi")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"degenerate element: [{format_extended(self.lo)}, "
-                             f"{format_extended(self.hi)}]")
+    def __init__(self, color: Color, lo: ExtendedRational, hi: ExtendedRational):
+        if not lo < hi:
+            raise ValueError(f"degenerate element: [{format_extended(lo)}, "
+                             f"{format_extended(hi)}]")
+        _set(self, "color", color)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     def contains(self, q: Fraction) -> bool:
         if self.color is Color.FIXED:
@@ -91,17 +90,17 @@ class TerrainElement:
         return f"{self.color.value}({format_extended(self.lo)}, {format_extended(self.hi)})"
 
 
-@dataclass(frozen=True)
-class Terrain:
+class Terrain(_Record):
     """Ordered sequence of terrain elements covering the line.  Construction
     keeps the finite boundaries, where element k ends and k+1 begins, as
     ints ``_boundaries = (numerators, denominators)`` from the Fractions'
     slots; None if the elements do not cover the line."""
 
-    elements: tuple = ()
+    __slots__ = ("elements", "_boundaries")
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
+    def __init__(self, elements: tuple = ()):
+        elems = tuple(elements)
         # as lo < hi, infinite outer ends are -inf and +inf; inner ones leave a gap
         bn, bd = [], []
         for a, b in zip(elems, elems[1:]):
@@ -113,7 +112,8 @@ class Terrain:
             bd.append(hi._denominator)
         covers = (len(bn) == len(elems) - 1 and not is_finite(elems[0].lo)
                   and not is_finite(elems[-1].hi))
-        self.__dict__.update(elements=elems, _boundaries=(bn, bd) if covers else None)
+        _set(self, "elements", elems)
+        _set(self, "_boundaries", (bn, bd) if covers else None)
 
     def __len__(self) -> int:
         return len(self.elements)

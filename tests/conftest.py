@@ -1,6 +1,6 @@
 import bisect
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import pytest
@@ -310,8 +310,8 @@ def xgx_reference(g, f):
             backwards.append(f.backward)
         else:
             alpha = anchor_point(e)
-            t = replace(_xgx_piece(f, g, fg, gf, alpha),
-                        seed=XgxSeed(f, g, alpha))
+            p = _xgx_piece(f, g, fg, gf, alpha)
+            t = OrbitTransport(p.t_in, p.t_out, XgxSeed(f, g, alpha), p.anchor_in, p.anchor_out)
             forwards.append(partial(transport_forward, t))
             backwards.append(partial(transport_backward, t))
     return by_terrain_reference(terrain_fg, support_decompose(gf), forwards, backwards)

@@ -1,13 +1,40 @@
 """The integer piece table of ``PLAutomorphism`` against the Fraction
 references in ``conftest``: construction, piece lines, the inverse,
-composition, meet/join and support decomposition agree exactly."""
+composition, meet/join and support decomposition agree exactly.  Also the
+contract of the library's records: equality, hash, repr, immutability."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lineaut import PLAutomorphism, compose, join, meet, support_decompose
+from lineaut import (
+    NEG_INF,
+    POS_INF,
+    AffineBridge,
+    CallCounter,
+    Color,
+    CostReport,
+    InstrumentedOracle,
+    OrbitLocation,
+    PLAutomorphism,
+    ProceduralAutomorphism,
+    Terrain,
+    TerrainElement,
+    Word,
+    compose,
+    join,
+    meet,
+    support_decompose,
+)
+from lineaut.conjugacy import OrbitTransport
 from conftest import (
     reference_canonical,
     reference_compose,
@@ -143,3 +170,87 @@ def test_edge_cases():
     assert triple(PLAutomorphism(*collinear)) == (((F(0), F(3)),), F(2), F(2))
     assert triple(PLAutomorphism(*collinear)._inverse) == (((F(0), F(-3, 2)),), F(1, 2), F(1, 2))
     assert PLAutomorphism()._inverse == PLAutomorphism()
+
+
+def _up(q):
+    return q + 1
+
+
+def _down(q):
+    return q - 1
+
+
+_T = PLAutomorphism.translation(1)
+_B = AffineBridge(F(0), F(1), F(0), F(1))
+_E = TerrainElement(Color.POS, NEG_INF, POS_INF)
+# per record class: its field names, the arguments of one instance, the same
+# arguments with one field changed, and its repr as the dataclass gave it
+RECORDS = [
+    (PLAutomorphism, ("knots", "left_slope", "right_slope"),
+     (((F(0), F(1)), (F(1), F(4))), F(1), F(2)), (((F(0), F(1)), (F(1), F(4))), F(1, 2), F(2)),
+     "PLAutomorphism([(0, 1), (1, 4)], left_slope=1, right_slope=2)"),
+    (ProceduralAutomorphism, ("forward_fn", "backward_fn", "description"),
+     (_up, _down, "up"), (_up, _down, "shift"), None),
+    (AffineBridge, ("source_lo", "source_hi", "target_lo", "target_hi"),
+     (F(0), F(1), F(2), F(5)), (F(0), F(1), F(2), F(6)), None),
+    (OrbitLocation, ("index", "lower", "upper"), (3, F(1, 2), F(5, 2)), (4, F(1, 2), F(5, 2)),
+     "OrbitLocation(index=3, lower=Fraction(1, 2), upper=Fraction(5, 2))"),
+    (OrbitTransport, ("t_in", "t_out", "seed", "anchor_in", "anchor_out"),
+     (_T, _T, _B, F(0), F(0)), (_T, _T, _B, F(0), F(1, 2)), None),
+    (Word, ("letters",), (((2, 1), (3, -1)),), (((2, 1),),), "Word(x2 x3^-1)"),
+    (CallCounter, ("forward", "inverse", "ff_steps"), (1, 2, 3), (1, 2, 4),
+     "CallCounter(forward=1, inverse=2, ff_steps=3)"),
+    (InstrumentedOracle, ("inner", "forward_count", "inverse_count"), (_T, 1, 2), (_T, 1, 3),
+     None),
+    (CostReport, ("mode", "index", "oracle_calls", "ff_steps"), ("linear", 3, 7, 0),
+     ("linear", 4, 7, 0), "CostReport(mode='linear', index=3, oracle_calls=7, ff_steps=0)"),
+    (TerrainElement, ("color", "lo", "hi"), (Color.POS, NEG_INF, F(1, 2)),
+     (Color.POS, NEG_INF, F(1)), "+(-inf, 1/2)"),
+    (Terrain, ("elements",), ((_E,),), ((TerrainElement(Color.NEG, NEG_INF, POS_INF),),),
+     None),
+]
+MUTABLE = (CallCounter, InstrumentedOracle)
+
+
+@pytest.mark.parametrize("cls, names, args, changed, text", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, names, args, changed, text):
+    a, b = cls(*args), cls(*args)
+    assert a == b and not a != b
+    assert cls(**dict(zip(names, args))) == a
+    assert cls.__match_args__ == names
+    assert a != cls(*changed) and not a == cls(*changed)
+    for other in RECORDS:
+        if other[0] is not cls:
+            assert a != other[0](*other[2])
+    sub = type("Sub", (cls,), {})(*args)  # the same fields, another class
+    assert a != sub and sub != a
+    for again in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert again == a and type(again) is cls
+    if text is not None:
+        assert repr(a) == text
+    if cls in MUTABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, names[-1], changed[-1])
+        assert a == cls(*changed)
+        return
+    assert hash(a) == hash(b)
+    for name, value in zip(names, changed):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_no_dataclasses_at_import():
+    """Importing the CLI and the samples loads neither dataclasses nor
+    inspect: the records are plain classes, with no generated methods."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, lineaut.cli, lineaut.samples; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -504,7 +504,8 @@ class TestSolveXgx:
                 assert (seed.beta_g, seed.alpha_f) == (beta_g, alpha_f)
                 assert (piece.seed.split, piece.seed.below) == ((beta_g.numerator,
                                                                  beta_g.denominator), below)
-                assert astuple(bridge) == astuple(seed.bridge)
+                assert (bridge.source_lo, bridge.source_hi, bridge.target_lo,
+                        bridge.target_hi) == astuple(seed.bridge)
                 assert bridge.forward(alpha) == beta
                 assert bridge.forward(beta_g) == alpha_f
                 assert seed.forward(alpha) == beta  # first case

@@ -272,8 +272,9 @@ class TestSeedImages:
             probes = qs + block + [reference.beta_g, reference.alpha_f, (block[0] + block[1]) / 2]
             self.check_seed(seed, reference, probes)
             assert seed.near[0][1] is False
-            assert astuple(seed.near[0][0]) == astuple(reference.bridge)
-            self.check_seed(seed.near[0][0], reference.bridge, probes)
+            b = seed.near[0][0]
+            assert (b.source_lo, b.source_hi, b.target_lo, b.target_hi) == astuple(reference.bridge)
+            self.check_seed(b, reference.bridge, probes)
 
     def test_both_cases_of_the_xgx_seed(self):
         f = PLAutomorphism.translation(3)
@@ -382,7 +383,8 @@ def direction_cases(g, h, box):
     bridge = AffineBridge(*sorted((alpha, fg.forward(alpha))), *sorted((a, g.forward(a))))
     return [
         ("pl", fg, lambda q: reference_eval(*reference_inverse(fg), q), None),
-        ("bridge", bridge, BridgeReference(*astuple(bridge)).backward, None),
+        ("bridge", bridge, BridgeReference(bridge.source_lo, bridge.source_hi, bridge.target_lo,
+                                           bridge.target_hi).backward, None),
         ("xgx-seed", _xgx_piece(f, g, fg, gf, alpha).seed, XgxSeed(f, g, alpha).backward, None),
         ("root-seed", _root_piece(g, 3, a).seed, RootSeed(g, 3, a).backward, None),
         ("guard", conjugate_on_component(g, f, eg, ef, a, anchor_point(ef)), None, (eg, ef)),
