@@ -33,9 +33,10 @@ The ``*`` operator follows the same convention: ``(f * g)(q) == g(f(q))``.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, inf
+from operator import truediv
 from typing import Callable
 
 from .rational import format_rational, parse_rational
@@ -181,13 +182,17 @@ class _Germ:
     is the line of this slope through q's image: every point inside with
     q's choices gets that line, the map is continuous, and adjacent pieces
     agree where they meet.
+
+    On a miss of a node that ``_derives``, ``table`` is a snapshot ``(keys,
+    entries, back)`` of its cache for ``find``, and ``entry`` what it found.
     """
 
-    __slots__ = ("sn", "sd", "below", "above")
+    __slots__ = ("sn", "sd", "below", "above", "table", "entry")
 
-    def __init__(self):
+    def __init__(self, table=None):
         self.sn = self.sd = 1
-        self.below = self.above = None
+        self.below = self.above = self.entry = None
+        self.table = table
 
     def scale(self, an: int, ad: int):
         if an != ad:
@@ -241,6 +246,31 @@ class _Germ:
         """An exact special case: the germ is q alone, a zero-width piece."""
         self.below = self.above = (0, 1)
 
+    def find(self, n: int, d: int):
+        """The entry of the snapshot ``table`` that holds n/d (d > 0), by its
+        x-interval, or its y-interval backward, kept as ``entry``; None if
+        none does.  Bisects the keys by n/d as a float: rounding is
+        monotone, so every entry past the candidate starts above n/d.  On a
+        float tie it steps down while the candidate starts above n/d, and it
+        answers only if the exact ends hold n/d."""
+        keys, entries, back = self.table
+        try:
+            q = n / d
+        except OverflowError:  # past the float range
+            q = inf if n > 0 else -inf
+        k = bisect_right(keys, q)
+        while k:
+            k -= 1
+            entry = entries[k]
+            ln, ld, hn, hd = entry[4:8] if back else entry[:4]
+            if n * ld < ln * d:
+                continue  # a float tie: this piece starts above n/d
+            if n * hd <= hn * d:
+                self.entry = entry
+                return entry
+            break
+        return None
+
 
 class _PieceCache:
     """The exact pieces of one node found so far, for ``forward`` and
@@ -254,13 +284,14 @@ class _PieceCache:
     their lower ends as floats (``_key``).  The table is copy-on-write: a
     writer swaps in new lists under the lock, so readers take no lock and
     never see keys and entries out of step.  The counters steer
-    ``Automorphism._value``; a lost increment only shifts it.
+    ``Automorphism._value``, and ``derived`` counts the misses answered
+    from another entry; a lost increment only shifts them.
     """
 
-    __slots__ = ("hits", "misses", "table", "lock")
+    __slots__ = ("hits", "misses", "derived", "table", "lock")
 
     def __init__(self):
-        self.hits = self.misses = 0
+        self.hits = self.misses = self.derived = 0
         self.table = ([], [], [])
         self.lock = threading.Lock()
 
@@ -317,28 +348,6 @@ class _PieceCache:
             self.table = xkeys, ykeys, entries
 
 
-def _lookup(keys: list, entries: list, n: int, d: int, back: bool):
-    """The entry of one table snapshot that holds n/d (d > 0), by its
-    x-interval, or its y-interval if ``back``; None if none does.  Bisects
-    the keys by n/d as a float: rounding is monotone, so every entry past
-    the candidate starts above n/d.  On a float tie it steps down while the
-    candidate starts above n/d, and it answers only if the exact ends hold
-    n/d."""
-    try:
-        q = n / d
-    except OverflowError:  # past the float range
-        q = inf if n > 0 else -inf
-    k = bisect_right(keys, q)
-    while k:
-        k -= 1
-        entry = entries[k]
-        ln, ld, hn, hd = entry[4:8] if back else entry[:4]
-        if n * ld < ln * d:
-            continue  # a float tie: this piece starts above n/d
-        return entry if n * hd <= hn * d else None
-    return None
-
-
 class Automorphism:
     """An increasing bijection of the line in the pair protocol.  A subclass
     gives one evaluation function, ``_image(n, d, back=False, germ=None)``:
@@ -354,6 +363,9 @@ class Automorphism:
 
     # whether this node's tree tracks germs; any other map is a black box
     _tracks = False
+    # whether this node hands a tracked germ, with its value, to an orbit
+    # transport, which may then derive a miss from this node's own cache
+    _derives = False
     # the node's piece cache once it has one, and its evaluations so far
     # until it decides, once, whether to keep one (None after that)
     _cache = None
@@ -379,12 +391,14 @@ class Automorphism:
         Then the node decides, once and from its tree, whether it keeps a
         cache: a tree with a black box never tracks a germ, so it calls no
         oracle more often than its plain evaluation does.  A lookup is
-        ``_lookup`` on one table snapshot, answering by the line or its
-        inverse.  A miss first asks the node to derive the point's piece
-        from the same snapshot (``_derive``), and tracks its germ only when
-        the node cannot; either way it caches the piece, up to
-        ``_MAX_PIECES``, and the miss budget (``_MISS_ALLOWANCE``), which
-        counts a derived answer as a miss, may drop the cache for good.
+        ``_Germ.find`` on one table snapshot, answering by the line or its
+        inverse.  A miss is one evaluation that tracks the point's germ.  On
+        a node that ``_derives``, the germ carries the same snapshot, so an
+        orbit transport can answer from any cached piece its pull walk
+        meets (``OrbitTransport``; counted in ``derived``).  Either way the
+        miss caches the piece, up to ``_MAX_PIECES``, and the miss budget
+        (``_MISS_ALLOWANCE``), which counts a derived answer as a miss, may
+        drop the cache for good.
         Counts and the cache are written straight into the node's
         ``__dict__``, as a record (``_Record``) refuses assignment; threads
         that start the cache at once share one.
@@ -403,7 +417,7 @@ class Automorphism:
         if cache is not None:
             xkeys, ykeys, entries = cache.table
             keys = ykeys if back else xkeys
-            # ``_lookup``, inline: the call would add about 14% to a hit
+            # ``_Germ.find``, inline: the call would add about 14% to a hit
             try:
                 q = n / d
             except OverflowError:  # past the float range
@@ -427,22 +441,14 @@ class Automorphism:
             if misses + cache.hits >= _JUDGED_AFTER and misses > 2 * cache.hits + _MISS_ALLOWANCE:
                 self.__dict__["_cache"] = None
             elif len(entries) < _MAX_PIECES:
-                found = self._derive(n, d, back, entries, keys)
-                if found is None:
-                    germ = _Germ()
-                    yn, yd, _ = self._image(n, d, back, germ)
-                else:
-                    yn, yd, germ = found
-                cache.add(n, d, yn, yd, germ, back, found is not None)
+                germ = _Germ((keys, entries, back) if self._derives else None)
+                yn, yd, _ = self._image(n, d, back, germ)
+                derived = germ.entry is not None
+                cache.derived += derived
+                cache.add(n, d, yn, yd, germ, back, derived)
                 return _fraction(yn, yd)
         n, d, _ = self._image(n, d, back)
         return _fraction(n, d)
-
-    def _derive(self, n: int, d: int, back: bool, entries: list, keys: list):
-        """``(yn, yd, germ)`` at n/d as ``_image`` gives them, derived from a
-        table snapshot read as ``_lookup`` reads it, or None: only an orbit
-        transport can derive (``OrbitTransport._derive``)."""
-        return None
 
     def __mul__(self, other):
         return compose(self, other)
@@ -618,6 +624,14 @@ class PLAutomorphism(_Record, Automorphism):
                   (*bx, ad, an, ibn, ibd), ys)
         return inv
 
+    @_lazy
+    def _keys(self):
+        """The knots' xs and ys as floats (``_key``), bisected as cache keys are."""
+        try:
+            return [list(map(truediv, *self._table[:2])), list(map(truediv, *self._knot_ys))]
+        except OverflowError:  # a knot past the float range: saturate
+            return [[_key(*p) for p in zip(*knots)] for knots in (self._table[:2], self._knot_ys)]
+
     def _value(self, n: int, d: int, back: bool) -> Fraction:
         n, d, _ = self._image(n, d, back)
         return _fraction(n, d)
@@ -627,21 +641,22 @@ class PLAutomorphism(_Record, Automorphism):
         unreduced pair with positive denominator, and the index of the piece
         that gave it; with a ``germ``, xn/xd stays in that closed piece.
 
-        A binary search over the knots, or backward over their ys, picks the
-        piece; adjacent pieces agree at a shared knot.  Backward, the piece's
-        line y = (a/c) x + b/e inverts in place: slope c/a, intercept -bc/(ea).
+        A float bisection over the knots, or backward over their ys
+        (``_keys``), picks the piece, stepping past a float tie while the
+        knot lies below xn/xd; adjacent pieces agree at a shared knot.
+        Backward, the piece's line y = (a/c) x + b/e inverts in place: slope
+        c/a, intercept -bc/(ea).
         """
         bxn, bxd, an, ad, bn, bd = self._table
         if back:
             (bxn, bxd), an, ad = self._knot_ys, ad, an
-        lo = 0
-        hi = len(bxn)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bxn[mid] * xd < xn * bxd[mid]:
-                lo = mid + 1
-            else:
-                hi = mid
+        try:  # ``_key``, inline, as on every step of ``_iterate``
+            q = xn / xd
+        except OverflowError:  # past the float range
+            q = inf if xn > 0 else -inf
+        lo = bisect_left(self._keys[back], q)
+        while lo < len(bxn) and bxn[lo] * xd < xn * bxd[lo]:
+            lo += 1  # a float tie: knot lo is below xn/xd
         a, c, b, e = an[lo], ad[lo], bn[lo], bd[lo]
         if germ is not None:
             germ.inside(xn, xd, bxn, bxd, lo)
@@ -660,12 +675,12 @@ class PLAutomorphism(_Record, Automorphism):
         iterate as a ``(numerator, denominator)`` pair with positive
         denominator, reduced unless it is the caller's start, which comes
         back as given.  The piece table is unpacked once per walk, and each
-        step finds its piece by an inline bisection, backward as ``_image``
-        does.  The map is affine on each piece, so a run through one piece
-        has a closed form on integer pairs (``_affine_run``; backward, on the
-        inverted line, reduced by one gcd).  A translation piece takes it at
-        once, for a few floor divisions; any other piece after the orbit has
-        stayed ``_STEPPED_RUN`` steps in it, for O(log n) exact powers.
+        step finds its piece as ``_image`` does.  The map is affine on each
+        piece, so a run through one piece has a closed form on integer pairs
+        (``_affine_run``; backward, on the inverted line, reduced by one
+        gcd).  A translation piece takes it at once, for a few floor
+        divisions; any other piece after the orbit has stayed
+        ``_STEPPED_RUN`` steps in it, for O(log n) exact powers.
         ``trail``, when a list, gets the iterates appended as reduced pairs
         while they come one step at a time.  ``germ``, when given, tracks the
         walk's germ (``_Germ``): each step's point stays in its piece, and so
@@ -682,6 +697,7 @@ class PLAutomorphism(_Record, Automorphism):
             return 0, (pn, pd), (pn, pd)
         gn, gd = gamma or (0, 1)
         bxn, bxd, an, ad, bn, bd = self._table
+        keys = self._keys[back]
         if back:
             (bxn, bxd), an, ad = self._knot_ys, ad, an
         knots = len(bxn)
@@ -689,13 +705,13 @@ class PLAutomorphism(_Record, Automorphism):
         piece = None
         while True:
             # the piece of pn/pd: least k with pn/pd <= knot k, as in _image
-            lo, hi = 0, knots
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if bxn[mid] * pd < pn * bxd[mid]:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            try:  # ``_key``, inline: its calls cost about 1% of evaluation time
+                q = pn / pd
+            except OverflowError:  # past the float range
+                q = inf if pn > 0 else -inf
+            lo = bisect_left(keys, q)
+            while lo < knots and bxn[lo] * pd < pn * bxd[lo]:
+                lo += 1
             run = run + 1 if lo == piece else 1
             piece = lo
             a, c, b, e = an[lo], ad[lo], bn[lo], bd[lo]

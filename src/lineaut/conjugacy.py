@@ -27,12 +27,11 @@ from .automorphism import (
     Automorphism,
     DomainError,
     PLAutomorphism,
-    _Germ,
+    _STEPPED_RUN,
     _Record,
     _line_through,
     _fraction,
     _lazy,
-    _lookup,
     _set,
     _tracked,
     _walk,
@@ -329,14 +328,16 @@ class OrbitTransport(_Record, Automorphism):
     the component.  Over PL maps, a node evaluated often answers from its
     piece cache (``Automorphism._value``): a point in a piece met before
     costs one float bisection, one line and one gcd, whatever its orbit
-    index.  A miss outside the anchor block steps one block inward first,
-    and if the piece there is cached, carries it back out (``_derive``), at
-    about 1.5 plain evaluations of the point; otherwise it tracks its germ,
-    at about three.  A point outside the anchor's component raises
-    ValueError.
+    index.  A miss is one tracked pass, whose pull walk looks up each block
+    it steps to (``_pull``): the first cached piece met at step k gives
+    x(q) = t_out^k(x(t_in^-k(q))), at about two plain evaluations of the
+    point; a miss that meets none pays its lookups and goes on through the
+    seed and the push, at about four.  A point outside the anchor's
+    component raises ValueError.
     """
 
     _fields = ("t_in", "t_out", "seed", "anchor_in", "anchor_out")
+    _derives = True
 
     def __init__(self, t_in, t_out, seed, anchor_in: Fraction, anchor_out: Fraction):
         # per side, input side first: the map, the anchor block's ends as
@@ -356,8 +357,23 @@ class OrbitTransport(_Record, Automorphism):
     def _image(self, n: int, d: int, back=False, germ=None):
         pull, push = self._orders[back]
         i, n, d = self._pull(n, d, pull, germ)
-        n, d, _ = self.seed._image(n, d, back, germ)
-        if i:
+        entry = germ and germ.entry
+        if entry is None:
+            n, d, _ = self.seed._image(n, d, back, germ)
+        else:  # the entry's line, or its inverse backward, where it holds
+            ln, ld, hn, hd = entry[4:8] if back else entry[:4]
+            an, ad, bn, bd = entry[8:]
+            germ.bound(n, d, ln, ld, False)  # an unbounded end (d = 0) leaves its side unbounded
+            germ.bound(n, d, hn, hd, True)
+            if back:
+                germ.scale(ad, an)
+                n, d = ad * (n * bd - bn * d), an * bd * d
+            else:
+                germ.scale(an, ad)
+                n, d = an * n * bd + bn * ad * d, ad * d * bd
+        if germ is not None and (i == 1 or i == -1):  # one step of a PL map
+            n, d, _ = push[0]._image(n, d, i < 0, germ)
+        elif i:
             n, d = _walk(push[0], n, d, i < 0, count=abs(i), germ=germ)[2]
         return n, d, 0
 
@@ -366,69 +382,57 @@ class OrbitTransport(_Record, Automorphism):
         return (isinstance(self.t_in, PLAutomorphism) and isinstance(self.t_out, PLAutomorphism)
                 and _tracked((self.seed,)))
 
-    def _derive(self, n: int, d: int, back: bool, entries: list, keys: list):
-        """x(q) = t_out(x(t_in^-1(q))) on the whole component, as the pull
-        and push walks take the same count: outside the anchor block, q
-        steps one block inward, and a cached piece there gives x(q) and its
-        germ: the step's piece, the entry's ends, its line, or the inverse
-        line backward, and the push step's piece."""
-        pull, push = self._orders[back]
-        t, lo, hi, increasing = pull
-        if n * hi[1] >= hi[0] * d:
-            step = increasing
-        elif n * lo[1] < lo[0] * d:
-            step = not increasing
-        else:
-            return None
-        germ = _Germ()
-        pn, pd, _ = t._image(n, d, step, germ)
-        entry = _lookup(keys, entries, pn, pd, back)
-        if entry is None:
-            return None
-        ln, ld, hn, hd = entry[4:8] if back else entry[:4]
-        an, ad, bn, bd = entry[8:]
-        germ.bound(pn, pd, ln, ld, False)  # an unbounded end (d = 0) leaves its side unbounded
-        germ.bound(pn, pd, hn, hd, True)
-        if back:
-            germ.scale(ad, an)
-            yn, yd = ad * (pn * bd - bn * pd), an * bd * pd
-        else:
-            germ.scale(an, ad)
-            yn, yd = an * pn * bd + bn * ad * pd, ad * pd * bd
-        yn, yd, _ = push[0]._image(yn, yd, not step, germ)
-        return yn, yd, germ
-
     def _pull(self, n: int, d: int, side, germ=None):
-        """``(i, n, d)``: the block index i of n/d on one side, n/d = t^-i(q).
+        """``(i, n, d)``: the block index i of n/d on one side, n/d = t^-i(q),
+        or, with a germ that carries a table, the first iterate of the pull
+        walk found in it (``germ.entry``) and i, the steps taken to it.
 
-        With a ``germ``, q stays on its side of the anchor block, and each
-        walk's stop test holds (``_iterate``).  A walk that lands exactly on
-        the block end hi, or whose last step but one ends exactly on lo, is
-        a special case: its germ is q alone."""
+        The table is read only here: each iterate of the first
+        ``_STEPPED_RUN`` steps, taken one block at a time, and the walk's
+        end.  With a ``germ``, each step's point stays in its piece, and the
+        walk's stop test holds: the last iterate is past the block end and
+        the one before is not (``_iterate``; after a single step, the last
+        iterate lies in the closed block).  So q stays on its side of the
+        block, in the component.  A walk that lands exactly on the block end
+        hi, or whose last step but one ends exactly on lo, is a special
+        case: its germ is q alone."""
         t, lo, hi, increasing = side
         if n * hi[1] >= hi[0] * d:
+            toward, gamma, up = increasing, hi, False  # to the first iterate at or below hi
+        elif n * lo[1] < lo[0] * d:
+            toward, gamma, up = not increasing, lo, True  # to the first iterate above lo
+        else:
             if germ is not None:
-                germ.bound(n, d, *hi, False)
-            steps, _, (n, d) = _walk(t, n, d, increasing, gamma=hi, up=False, germ=germ)
-            if n * hi[1] == hi[0] * d:
-                steps, (n, d) = steps + 1, lo
-                if germ is not None:
-                    germ.point()
-            return (steps if increasing else -steps), n, d
-        if n * lo[1] < lo[0] * d:
+                germ.bound(n, d, *lo, False)
+                germ.bound(n, d, *hi, True)
+                germ.table = None  # q itself has missed
+            return 0, n, d
+        table = germ is not None and germ.table is not None
+        steps = 0
+        while table and steps < _STEPPED_RUN:
+            prev = n, d
+            n, d, _ = t._image(n, d, toward, germ)
+            common = gcd(n, d)
+            n, d = n // common, d // common
+            steps += 1
+            if (n * gamma[1] > gamma[0] * d) == up:
+                germ.bound(n, d, *lo, False)
+                germ.bound(n, d, *hi, True)
+                break
+            if germ.find(n, d) is not None:
+                germ.table = None
+                return (steps if toward else -steps), n, d
+        else:
+            more, prev, (n, d) = _walk(t, n, d, toward, gamma=gamma, up=up, germ=germ)
+            steps += more
+        if (prev[0] * lo[1] == lo[0] * prev[1]) if up else (n * hi[1] == hi[0] * d):
+            steps, (n, d) = (steps - 1, prev) if up else (steps + 1, lo)
             if germ is not None:
-                germ.bound(n, d, *lo, True)
-            steps, (pn, pd), (n, d) = _walk(t, n, d, not increasing, gamma=lo, up=True,
-                                            germ=germ)
-            if pn * lo[1] == lo[0] * pd:
-                steps, n, d = steps - 1, pn, pd
-                if germ is not None:
-                    germ.point()
-            return (-steps if increasing else steps), n, d
-        if germ is not None:
-            germ.bound(n, d, *lo, False)
-            germ.bound(n, d, *hi, True)
-        return 0, n, d
+                germ.point()
+        if table:
+            germ.find(n, d)
+            germ.table = None
+        return (steps if toward else -steps), n, d
 
 
 def anchor_point(element: TerrainElement) -> Fraction:
@@ -448,6 +452,8 @@ def anchor_point(element: TerrainElement) -> Fraction:
 class _Guard(Automorphism):
     """x restricted to source, and backward to target: a point outside
     raises DomainError."""
+
+    _derives = True
 
     def __init__(self, x, source, target, what: str, description: str):
         self.x, self.source, self.target = x, source, target
@@ -584,6 +590,8 @@ class _Dispatch(Automorphism):
     terrains swap and the point's piece runs backward.
     """
 
+    _derives = True
+
     def __init__(self, terrain_in, terrain_out, pieces, description: str):
         self.terrain_in, self.terrain_out, self.pieces = terrain_in, terrain_out, pieces
         self.description = description
@@ -591,23 +599,18 @@ class _Dispatch(Automorphism):
 
     def _image(self, n: int, d: int, back=False, germ=None):
         """The piece of q's element; with a ``germ``, q stays in the closure
-        of that element, and an isolated fixed point is a special case,
-        whose germ is the point alone."""
+        of that element (a transport's walk sees to it), and an isolated
+        fixed point is a special case, whose germ is the point alone."""
         into, out = self._orders[back]
         kind, k = into._locate(n, d)
         if kind == "element":
-            if germ is not None:
+            if germ is not None and not self.pieces[k]._derives:  # a transport bounds q
                 germ.inside(n, d, *into._boundaries, k)
             return self.pieces[k]._image(n, d, back, germ)
         if germ is not None:
             germ.point()
         hi = out[k].hi
         return hi.numerator, hi.denominator, 0
-
-    def _derive(self, n: int, d: int, back: bool, entries: list, keys: list):
-        """The derivation of q's element's piece, if q lies in an element."""
-        kind, k = self._orders[back][0]._locate(n, d)
-        return self.pieces[k]._derive(n, d, back, entries, keys) if kind == "element" else None
 
     @_lazy
     def _tracks(self) -> bool:

@@ -8,7 +8,7 @@ and each keeps the construction name the CLI reports.
 
 A node over PL maps keeps a piece cache; its values must be those of the
 plain pass, and every cached piece must be exact, whether tracked or derived
-from the piece of an orbit neighbour.  A tree with a black box in
+from a cached block its pull walk crosses.  A tree with a black box in
 it never caches, so its oracle calls stay those of the plain pass.
 """
 
@@ -439,22 +439,15 @@ def covering(entries, q, back):
 @pytest.mark.parametrize("g", [TAILED, HALVING], ids=["slope-1 tails", "slope-1/2 tails"])
 @pytest.mark.parametrize("back", [False, True], ids=["forward", "backward"])
 def test_misses_derive_from_the_orbit_neighbour(monkeypatch, g, back):
-    # x(q) = t_out(x(t_in^-1(q))) on a transport's component: evaluated block
-    # by block outward from the anchor, to orbit index +-50, each solution
-    # derives new pieces from the block one step inward.  Every value must
-    # be the plain one, every cached piece exact, a derived entry's ends
-    # reduced, and no point of the anchor block derived, though its orbit
-    # neighbours are cached
+    # x(q) = t_out^k(x(t_in^-k(q))) on a transport's component: evaluated
+    # block by block outward from the anchor, to orbit index +-50, each
+    # solution derives new pieces from the blocks further inward (counted
+    # in ``derived``).  Every value must be the plain one, every cached
+    # piece exact, a derived entry's ends reduced, and no point of the
+    # anchor block derived, though its orbit neighbours are cached
     monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
     monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
-    derived = []
-    derive, add = OrbitTransport._derive, automorphism._PieceCache.add
-
-    def counted_derive(t, n, d, back, entries, keys):
-        found = derive(t, n, d, back, entries, keys)
-        if found is not None:
-            derived.append(t)
-        return found
+    add = automorphism._PieceCache.add
 
     def checked_add(cache, n, d, yn, yd, germ, back, derived=False):
         add(cache, n, d, yn, yd, germ, back, derived)
@@ -462,12 +455,10 @@ def test_misses_derive_from_the_orbit_neighbour(monkeypatch, g, back):
             entry = covering(cache.table[2], Fraction(yn, yd) if back else Fraction(n, d), False)
             assert all(gcd(u, v) == 1 for u, v in zip(entry[:8:2], entry[1:8:2])), entry
 
-    monkeypatch.setattr(OrbitTransport, "_derive", counted_derive)
     monkeypatch.setattr(automorphism._PieceCache, "add", checked_add)
     f = conjugation(g, random_pl(random.Random(7)))
     for x in (solve_xgx(g, f), solve_conjugacy(g, f), nth_root(g, 3)):
         node = inverse(x) if back else x
-        derived.clear()
         anchor_blocks = []
         for t in x.pieces:
             if not isinstance(t, OrbitTransport):
@@ -476,23 +467,57 @@ def test_misses_derive_from_the_orbit_neighbour(monkeypatch, g, back):
             lo, hi = sorted((anchor, step.forward(anchor)))
             inward = [lo + (hi - lo) * Fraction(k, 4) for k in range(4)]
             outward = list(inward)
-            anchor_blocks.append((t, step, inward))
+            anchor_blocks.append((step, inward))
             for i in range(51):
                 for q in inward + outward:
                     assert node.forward(q) == plain(node, q), (i, q)
                 inward = [step.backward(q) for q in inward]
                 outward = [step.forward(q) for q in outward]
-        assert anchor_blocks and derived, x.description
-        xkeys, ykeys, entries = x._cache.table
-        for t, step, points in anchor_blocks:
-            for q in points:
-                assert covering(entries, step.forward(q), back) is not None
-                assert covering(entries, step.backward(q), back) is not None
-                assert t._derive(q.numerator, q.denominator, back, entries,
-                                 ykeys if back else xkeys) is None, q
+        cache = x._cache
+        assert anchor_blocks and cache.derived, x.description
         for piece, lo, hi, a, b in cached_pieces(x):
             for q in inner_points(lo, hi)[::3]:
                 assert a * q + b == plain(piece, q), (lo, hi, q)
+        # every cached piece but those of the anchor blocks' points: each
+        # such point misses again (or hits a piece another one cached just
+        # before) and never derives, though its orbit neighbours are cached
+        xkeys, ykeys, entries = cache.table
+        for step, points in anchor_blocks:
+            for q in points:
+                assert covering(entries, step.forward(q), back) is not None
+                assert covering(entries, step.backward(q), back) is not None
+        anchored = [q for _, points in anchor_blocks for q in points]
+        kept = [k for k, entry in enumerate(entries)
+                if all(covering((entry,), q, back) is None for q in anchored)]
+        cache.table = tuple([column[k] for k in kept] for column in cache.table)
+        derived, misses = cache.derived, cache.misses
+        for q in anchored:
+            assert node.forward(q) == plain(node, q), q
+            assert cache.derived == derived, q
+        assert cache.misses > misses
+
+
+@pytest.mark.parametrize("back", [False, True], ids=["forward", "backward"])
+def test_misses_derive_across_blocks(monkeypatch, back):
+    # the cache on from the first evaluation: a point in block 1 of a
+    # transport's anchor orbit tracks its piece; its images 3 and 12 blocks
+    # further out then derive theirs, as the pull walk looks up the blocks
+    # it crosses; a point whose pull walk meets no cached block tracks.
+    # Every value must be the plain one, and each evaluation one miss
+    monkeypatch.setattr(automorphism, "_PLAIN_EVALUATIONS", 0)
+    monkeypatch.setattr(automorphism, "_MISS_ALLOWANCE", 1 << 30)
+    f = conjugation(TAILED, random_pl(random.Random(7)))
+    for x in (solve_conjugacy(TAILED, f), solve_xgx(TAILED, f)):
+        node = inverse(x) if back else x
+        t = next(piece for piece in x.pieces if isinstance(piece, OrbitTransport))
+        step, anchor = (t.t_out, t.anchor_out) if back else (t.t_in, t.anchor_in)
+        q = step.forward((anchor + step.forward(anchor)) / 2)
+        for k, derives in ((0, False), (3, True), (12, True), (-5, False)):
+            p = power(step, k).forward(q)
+            cache = x._cache or automorphism._PieceCache()
+            derived, misses = cache.derived, cache.misses
+            assert node.forward(p) == plain(node, p), (x.description, k)
+            assert (x._cache.derived, x._cache.misses) == (derived + derives, misses + 1), k
 
 
 def test_overlapping_derived_piece_is_clipped():
